@@ -26,10 +26,11 @@ from .density import (ComplexWindow, action_map_integrable,
 from .experiments import (DeformationSplitsConfig, IntegrableEqualityConfig,
                           RandomWeylMigrationConfig, run_deformation_splits,
                           run_integrable_equality, run_random_weyl_migration)
-from .flow import Deformation, DeformedSymbol, deformed_quadratic, load_deformation
+from .flow import (Deformation, DeformedSymbol, deformed_quadratic, load_deformation,
+                   symbol_to_quadratic)
 from .quantize import (BasisSpec, BSLattice, bs_predict, count_and_compare,
                        perturb, quantize_quadratic, quantize_torus, spectrum)
-from .symbols import SymbolJSONError, load_symbol, torus_linear
+from .symbols import SymbolExpr, load_symbol
 from .variation import (TestFunction, VariationReport, first_variation_rhs,
                         moment_derivative_fd, second_variation_rhs)
 
@@ -44,6 +45,32 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("\n".join(self.errors))
+
+
+def _number_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+
+
+def _action_symbol(p: SymbolExpr) -> SymbolExpr:
+    """ptilde(eta) = sum_j a_j eta_j + c for p = sum_j a_j (x_j^2 + xi_j^2)/2 + c.
+
+    This covers every cho(alpha, shift); cho(1, 0) gives torus_linear()
+    exactly.  Any other symbol, or a_1, a_2 linearly dependent over R
+    (no invertible action map), is a configuration error.
+    """
+    Q, l, c = symbol_to_quadratic(p)  # p = rho'Q rho/2 + l.rho + c
+    a = np.diag(Q)[:2]
+    if p.n != 2 or np.any(l) or np.any(Q != np.diag(np.diag(Q))) \
+            or np.any(a != np.diag(Q)[2:]):
+        raise ConfigError(["the action map needs a symbol "
+                           "sum_j a_j (x_j^2 + xi_j^2)/2 + c in n = 2"])
+    if a[0].real * a[1].imag - a[0].imag * a[1].real == 0:
+        raise ConfigError(["no action map: a_1 and a_2 are linearly dependent over R"])
+    ptilde = SymbolExpr.constant(c, 2, p.tube_radius)
+    for a_j, eta_j in zip(a, ((1, 0), (0, 1))):
+        ptilde = ptilde + SymbolExpr.monomial(a_j, (0, 0), eta_j, tube_radius=p.tube_radius)
+    return ptilde
 
 
 @dataclass
@@ -106,12 +133,21 @@ class ExperimentConfig:
                     errors.append(f"{name!r} value {v!r} out of range")
         if "seeds" in d and d["seeds"] is not None and (
                 not isinstance(d["seeds"], list)
-                or not all(isinstance(s, int) for s in d["seeds"])):
+                or not all(isinstance(s, int) and not isinstance(s, bool)
+                           for s in d["seeds"])):
             errors.append("'seeds' must be a list of integers")
         if "sampler" in d and d["sampler"] not in ("halton", "random"):
             errors.append("'sampler' must be 'halton' or 'random'")
         if "basis_kind" in d and d["basis_kind"] not in ("hermite-tensor", "torus-fourier"):
             errors.append("'basis_kind' must be 'hermite-tensor' or 'torus-fourier'")
+        for name in ("f_center", "theta0", "I0"):
+            if name in d and not _number_pair(d[name]):
+                errors.append(f"{name!r} must be a list of two numbers")
+        if "eta_box" in d and not (isinstance(d["eta_box"], list) and len(d["eta_box"]) == 2
+                                   and all(_number_pair(b) for b in d["eta_box"])):
+            errors.append("'eta_box' must be a list of two [lo, hi] number pairs")
+        if d.get("outdir") is not None and not isinstance(d["outdir"], str):
+            errors.append("'outdir' must be a string")
         if errors:
             raise ConfigError(errors)
         return cls(**d)
@@ -226,8 +262,7 @@ def _run_config(cfg: ExperimentConfig):
                                       sampler=cfg.sampler)
         if cfg.samples is not None:
             ie.samples = cfg.samples
-        if cfg.eta_box is not None:
-            ie.eta_box = tuple(tuple(b) for b in cfg.eta_box)
+        ie.eta_box = tuple(tuple(b) for b in cfg.eta_box)
         if cfg.window is not None:
             win = cfg.resolve_window()
             lo_r, hi_r, lo_i, hi_i = win.bounds
@@ -264,6 +299,8 @@ def _run_config(cfg: ExperimentConfig):
 
 def _run_spectral(cfg: ExperimentConfig, outdir):
     p = load_symbol(cfg.symbol or "cho(1,0)")
+    if cfg.experiment in ("bs", "count"):  # the action map of the base symbol
+        am = action_map_integrable(_action_symbol(p), I0=tuple(cfg.I0))
     if cfg.deformation is not None:
         d = load_deformation(cfg.deformation)
         p = deformed_quadratic(DeformedSymbol(p, d, cfg.t or 0.0))
@@ -285,7 +322,6 @@ def _run_spectral(cfg: ExperimentConfig, outdir):
                 "residual_bound": s.residual_bound}
     if cfg.experiment == "bs":
         win = cfg.resolve_window()
-        am = action_map_integrable(torus_linear(), I0=tuple(cfg.I0))
         lat = BSLattice(am, cfg.h or 0.1, win, theta0=tuple(cfg.theta0))
         pts, unresolved = bs_predict(lat)
         with open(os.path.join(outdir, "bs_lattice.csv"), "w") as fh:
@@ -298,7 +334,6 @@ def _run_spectral(cfg: ExperimentConfig, outdir):
     win = cfg.resolve_window()
     s = spectrum(P, delta=cfg.delta or 0.0,
                  seed=(cfg.seeds or [0])[0] if cfg.delta else None)
-    am = action_map_integrable(torus_linear(), I0=tuple(cfg.I0))
     o_grid = omega_density(am, win)
     vol, _ = preimage_volume(p, win, box_radius=cfg.box_radius,
                              samples=cfg.samples or 10_000_000,
@@ -408,39 +443,22 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    # ConfigError, SymbolJSONError, QuantizationError and JSONDecodeError
+    # are all ValueErrors: bad input, whether found parsing or running
     try:
         if args.command == "run":
-            try:
-                with open(args.config) as fh:
-                    raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                print(f"config error: invalid JSON at line {exc.lineno} "
-                      f"col {exc.colno}: {exc.msg}", file=sys.stderr)
-                return 2
-            except OSError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            if isinstance(raw, dict) and "config" in raw and "experiment" not in raw:
-                raw = raw["config"]  # re-run from a manifest
-                raw = {k: v for k, v in raw.items() if v is not None}
+            with open(args.config) as fh:
+                raw = json.load(fh)
+            if isinstance(raw, dict) and isinstance(raw.get("config"), dict) \
+                    and "experiment" not in raw:  # re-run from a manifest
+                raw = {k: v for k, v in raw["config"].items() if v is not None}
             cfg = ExperimentConfig.from_dict(raw)
-        elif args.command == "experiment":
-            cfg = _args_to_config(args.name, args)
         else:
-            cfg = _args_to_config(args.command, args)
-    except (ConfigError, SymbolJSONError) as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON at line {exc.lineno} "
-              f"col {exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
-
-    try:
+            cfg = _args_to_config(
+                args.name if args.command == "experiment" else args.command, args)
         report = _run_config(cfg)
-    except (ConfigError, SymbolJSONError) as exc:
-        for line in exc.errors:
+    except (OSError, ValueError) as exc:
+        for line in getattr(exc, "errors", None) or [str(exc)]:
             print(f"config error: {line}", file=sys.stderr)
         return 2
     print(json.dumps(report, indent=2))

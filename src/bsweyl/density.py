@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .flow import DeformedSymbol
 from .symbols import DimensionMismatchError, SymbolExpr
 
 TWO_PI_SQ = (2 * np.pi) ** 2
@@ -184,15 +183,6 @@ def _unit_samples(dim, total, seed, sampler, shard_size=DEFAULT_SHARD):
         raise ValueError(f"unknown sampler {sampler!r} (use 'halton' or 'random')")
 
 
-def _eval_map(p, pts_x, pts_xi):
-    """Values of p (symbol or deformed symbol) at real points."""
-    return p.evaluate(pts_x, pts_xi)
-
-
-def _dim_of(p) -> int:
-    return p.n
-
-
 def weyl_density(p, win: ComplexWindow, box_radius=4.0, samples=10_000_000,
                  seed=0, sampler="halton", shard_size=DEFAULT_SHARD) -> DensityGrid:
     """Histogram estimate of the pushforward of dx dxi under p.
@@ -203,14 +193,14 @@ def weyl_density(p, win: ComplexWindow, box_radius=4.0, samples=10_000_000,
     low-discrepancy sampler it is conservative).  Works in any
     dimension n; only the window is two-dimensional.
     """
-    n = _dim_of(p)
+    n = p.n
     dim = 2 * n
     boxvol = (2 * box_radius) ** dim
     counts = np.zeros(tuple(win.resolution), dtype=np.int64)
     re_edges, im_edges = win.re_edges, win.im_edges
     for shard in _unit_samples(dim, samples, seed, sampler, shard_size):
         q = -box_radius + 2 * box_radius * shard
-        vals = _eval_map(p, q[:, :n], q[:, n:])
+        vals = p.evaluate(q[:, :n], q[:, n:])
         h, _, _ = np.histogram2d(vals.real, vals.imag, bins=[re_edges, im_edges])
         counts += h.astype(np.int64)
     if counts.sum() == 0:
@@ -291,6 +281,31 @@ def _require_eta_only(ptilde: SymbolExpr):
 # ------------------------------------------------------------------ actions
 
 
+def newton_2x2(residual, u, tol, max_iter):
+    """Batched Newton iteration for real 2x2 systems, steps by Cramer's rule.
+
+    ``residual(u)`` maps points u of shape (..., 2) to the residual
+    (..., 2) and its Jacobian (..., 2, 2).  Iterates until the largest
+    residual over the still-regular points is <= tol, or max_iter steps.
+    Returns (u, ok) with ok False where the Jacobian became singular;
+    callers apply their own acceptance test to the returned u.
+    """
+    ok = np.ones(u.shape[:-1], dtype=bool)
+    for _ in range(max_iter):
+        res, J = residual(u)
+        if not ok.any() or np.max(np.abs(res[ok])) <= tol:
+            break
+        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+        bad = np.abs(det) < 1e-300
+        ok &= ~bad
+        det = np.where(bad, 1.0, det)
+        step = np.stack([(J[..., 1, 1] * res[..., 0] - J[..., 0, 1] * res[..., 1]) / det,
+                         (-J[..., 1, 0] * res[..., 0] + J[..., 0, 0] * res[..., 1]) / det],
+                        axis=-1)
+        u = u - np.where(ok[..., None], step, 0.0)
+    return u, ok
+
+
 @dataclass(frozen=True)
 class ActionMap:
     """z -> I(z) = 2 pi eta(z) + I0 for an integrable torus symbol."""
@@ -316,22 +331,13 @@ class ActionMap:
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        eta = np.stack([z.real, z.imag], axis=-1).astype(float)
-        ok = np.ones(z.shape, dtype=bool)
-        for _ in range(self.max_iter):
+
+        def residual(eta):
             vals = self.ptilde.evaluate(np.zeros_like(eta, dtype=complex), eta)
-            res = np.stack([(vals - z).real, (vals - z).imag], axis=-1)
-            if not ok.any() or np.max(np.abs(res[ok])) <= self.newton_tol:
-                break
-            J = self._jac(eta)
-            det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-            bad = np.abs(det) < 1e-300
-            ok &= ~bad
-            det = np.where(bad, 1.0, det)
-            step = np.empty_like(eta)
-            step[..., 0] = (J[..., 1, 1] * res[..., 0] - J[..., 0, 1] * res[..., 1]) / det
-            step[..., 1] = (-J[..., 1, 0] * res[..., 0] + J[..., 0, 0] * res[..., 1]) / det
-            eta = eta - np.where(ok[..., None], step, 0.0)
+            return np.stack([(vals - z).real, (vals - z).imag], axis=-1), self._jac(eta)
+
+        eta, ok = newton_2x2(residual, np.stack([z.real, z.imag], axis=-1).astype(float),
+                             self.newton_tol, self.max_iter)
         vals = self.ptilde.evaluate(np.zeros_like(eta, dtype=complex), eta)
         ok &= np.abs(vals - z) <= 10 * self.newton_tol
         if scalar:
@@ -393,12 +399,6 @@ def omega_density(am: ActionMap, win: ComplexWindow,
                        meta={"I0": list(am.I0)})
 
 
-def omega_density_deformed(ps: DeformedSymbol, am: ActionMap,
-                           win: ComplexWindow) -> DensityGrid:
-    """omega_t of a deformed integrable symbol: unchanged for every t."""
-    return omega_density(am, win)
-
-
 # ------------------------------------------------------------------ volumes
 
 
@@ -409,13 +409,13 @@ def preimage_volume(p, window_or_bounds, box_radius=4.0, samples=10_000_000,
         lo_r, hi_r, lo_i, hi_i = window_or_bounds.bounds
     else:
         lo_r, hi_r, lo_i, hi_i = window_or_bounds
-    n = _dim_of(p)
+    n = p.n
     dim = 2 * n
     boxvol = (2 * box_radius) ** dim
     hits = 0
     for shard in _unit_samples(dim, samples, seed, sampler, shard_size):
         q = -box_radius + 2 * box_radius * shard
-        vals = _eval_map(p, q[:, :n], q[:, n:])
+        vals = p.evaluate(q[:, :n], q[:, n:])
         hits += int(np.sum((vals.real > lo_r) & (vals.real < hi_r)
                            & (vals.imag > lo_i) & (vals.imag < hi_i)))
     phat = hits / samples
@@ -433,14 +433,14 @@ def ellipticity_margin_check(p, win: ComplexWindow, box_radius,
     preimage mass is cut off at the box boundary.  Heuristic evidence,
     reported not proved.
     """
-    n = _dim_of(p)
+    n = p.n
     dim = 2 * n
     rng = np.random.default_rng(np.random.SeedSequence((seed, 991)))
     pts = -box_radius + 2 * box_radius * rng.random((n_samples, dim))
     face = rng.integers(0, dim, n_samples)
     sign = rng.integers(0, 2, n_samples) * 2 - 1
     pts[np.arange(n_samples), face] = sign * box_radius
-    vals = _eval_map(p, pts[:, :n], pts[:, n:])
+    vals = p.evaluate(pts[:, :n], pts[:, n:])
     lo_r, hi_r, lo_i, hi_i = win.bounds
     dr = np.maximum(np.maximum(lo_r - vals.real, vals.real - hi_r), 0.0)
     di = np.maximum(np.maximum(lo_i - vals.imag, vals.imag - hi_i), 0.0)

@@ -19,11 +19,11 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ActionMap, ComplexWindow, DensityGrid
+from .density import ActionMap, ComplexWindow, DensityGrid, newton_2x2
 from .symbols import SymbolExpr
 
 DEFAULT_DIM_CAP = 4096
@@ -66,8 +66,6 @@ class BasisSpec:
 
     def safe_bound(self, factor=SAFE_FACTOR) -> float:
         """Trusted |Re z|, |Im z| extent for eigenvalues of this basis."""
-        if self.kind == "hermite-tensor":
-            return factor * self.size * self.h
         return factor * self.size * self.h
 
 
@@ -136,30 +134,21 @@ class SpectrumResult:
 # ------------------------------------------------------------- quantization
 
 
-def _ladder(N):
-    return np.diag(np.sqrt(np.arange(1, N)), 1).astype(complex)  # lowering
-
-
 def _axis_ops(N, h):
-    A = _ladder(N)
+    A = np.diag(np.sqrt(np.arange(1, N)), 1).astype(complex)  # lowering
     Ad = A.conj().T
     X = np.sqrt(h / 2) * (A + Ad)
     P = 1j * np.sqrt(h / 2) * (Ad - A)  # hD in the h-scaled Hermite basis
     return X, P
 
 
-def _embed(op, axis, n, N):
-    out = np.array([[1.0 + 0j]])
-    for j in range(n):
-        out = np.kron(out, op if j == axis else np.eye(N, dtype=complex))
-    return out
-
-
 def quantize_quadratic(q: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
     """Weyl quantization of a degree <= 2 polynomial symbol in Hermite basis.
 
-    Same-index x_j xi_j factors are symmetrized, (X P + P X)/2; operators
-    on distinct tensor factors commute so no further ordering enters.
+    Each term is a Kronecker product of N x N per-axis factors, looked up
+    by the term's (x-power, xi-power) on that axis.  Same-index x_j xi_j
+    factors are symmetrized, (X P + P X)/2; operators on distinct tensor
+    factors commute so no further ordering enters.
     """
     if basis.kind != "hermite-tensor":
         raise QuantizationError("quadratic quantization needs a hermite-tensor basis")
@@ -167,32 +156,14 @@ def quantize_quadratic(q: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
         raise QuantizationError("symbol must be polynomial of total degree <= 2")
     if q.n != basis.n:
         raise QuantizationError(f"symbol dim {q.n} != basis dim {basis.n}")
-    n, N = basis.n, basis.size
-    X, P = _axis_ops(N, basis.h)
-    dim = basis.total_dim
-    M = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    Xs = [_embed(X, j, n, N) for j in range(n)]
-    Ps = [_embed(P, j, n, N) for j in range(n)]
+    X, P = _axis_ops(basis.size, basis.h)
+    factor = {(0, 0): np.eye(basis.size, dtype=complex), (1, 0): X, (0, 1): P,
+              (2, 0): X @ X, (0, 2): P @ P, (1, 1): 0.5 * (X @ P + P @ X)}
+    M = np.zeros((basis.total_dim,) * 2, dtype=complex)
     for t in q.simplified().terms:
-        ops = []
-        for j in range(n):
-            xp, pp = t.xpow[j], t.xipow[j]
-            if xp == 0 and pp == 0:
-                continue
-            if xp == 2:
-                ops.append(Xs[j] @ Xs[j])
-            elif pp == 2:
-                ops.append(Ps[j] @ Ps[j])
-            elif xp == 1 and pp == 1:
-                ops.append(0.5 * (Xs[j] @ Ps[j] + Ps[j] @ Xs[j]))
-            elif xp == 1:
-                ops.append(Xs[j])
-            elif pp == 1:
-                ops.append(Ps[j])
-        term_op = eye
-        for op in ops:
-            term_op = term_op @ op
+        term_op = np.ones((1, 1), dtype=complex)
+        for xp, pp in zip(t.xpow, t.xipow):
+            term_op = np.kron(term_op, factor[xp, pp])
         M += t.coeff * term_op
     return OperatorMatrix(M, basis, provenance="quadratic-weyl")
 
@@ -223,10 +194,7 @@ def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
         raise ValueError("delta must be >= 0")
     if delta == 0:
         return P
-    dim = P.dim
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), dim)))
-    Q = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    Q /= np.sqrt(2) * np.sqrt(dim)
+    Q = gaussian_perturbation(P.dim, seed)
     return OperatorMatrix(P.matrix + delta * Q, P.basis,
                           provenance=P.provenance + f"+delta={delta:g}")
 
@@ -367,21 +335,14 @@ def bs_predict(lat: BSLattice):
     ks = np.stack([K1.ravel(), K2.ravel()], axis=-1)
     targets = 2 * np.pi * h * (ks - th)
 
-    # Newton in z = (Re z, Im z) from the window center, all targets at once
-    z = np.full(len(ks), lat.window.center, dtype=complex)
-    ok = np.ones(len(ks), dtype=bool)
-    for _ in range(lat.max_iter):
-        I, dI = am.actions_and_jacobian(z)
-        res = I - targets
-        if not ok.any() or np.max(np.abs(res[ok])) <= lat.newton_tol:
-            break
-        det = dI[:, 0, 0] * dI[:, 1, 1] - dI[:, 0, 1] * dI[:, 1, 0]
-        bad = np.abs(det) < 1e-300
-        ok &= ~bad
-        det = np.where(bad, 1.0, det)
-        s1 = (dI[:, 1, 1] * res[:, 0] - dI[:, 0, 1] * res[:, 1]) / det
-        s2 = (-dI[:, 1, 0] * res[:, 0] + dI[:, 0, 0] * res[:, 1]) / det
-        z = z - np.where(ok, s1 + 1j * s2, 0.0)
+    def residual(u):  # Newton in u = (Re z, Im z), all targets at once
+        I, dI = am.actions_and_jacobian(u[:, 0] + 1j * u[:, 1])
+        return I - targets, dI
+
+    c = lat.window.center
+    u, ok = newton_2x2(residual, np.tile([c.real, c.imag], (len(ks), 1)),
+                       lat.newton_tol, lat.max_iter)
+    z = u[:, 0] + 1j * u[:, 1]
     I, _ = am.actions_and_jacobian(z)
     solved = ok & (np.max(np.abs(I - targets), axis=-1) <= 10 * lat.newton_tol)
     inside = solved & lat.window.contains(z)

@@ -20,7 +20,9 @@ i.e. {f, g} = H_f g with the Hamilton field H_f = f_xi . d_x - f_x . d_xi.
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -367,11 +369,6 @@ def poisson_bracket(f: SymbolExpr, g: SymbolExpr) -> SymbolExpr:
     return out.simplified()
 
 
-def hamilton_apply(f: SymbolExpr, g: SymbolExpr) -> SymbolExpr:
-    """H_f g, identical to the Poisson bracket {f, g}."""
-    return poisson_bracket(f, g)
-
-
 def real_bracket(p: SymbolExpr) -> SymbolExpr:
     """{Re p, Im p} as the closed form (i/2){p, conj p}.
 
@@ -422,19 +419,36 @@ def sin_x1_cos_xi2(tube_radius=1.0) -> SymbolExpr:
 
 
 _NAME_RE = re.compile(r"^\s*([a-zA-Z][a-zA-Z0-9_-]*)\s*(?:\((.*)\))?\s*$")
-_ARG_SAFE_RE = re.compile(r"^[0-9eEij+\-*/(). ]*$")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 def _parse_scalar(expr: str) -> complex:
-    expr = expr.strip()
-    if not _ARG_SAFE_RE.match(expr):
-        raise SymbolJSONError([f"unsafe scalar expression: {expr!r}"])
-    expr = expr.replace("i", "j").replace("ej", "ej")  # i -> j for python complex
-    try:
-        val = eval(expr, {"__builtins__": {}}, {"j": 1j})  # arithmetic on literals only
-    except Exception as exc:
+    """Value of a scalar argument such as '(1+i)/2' or '-0.5i'.
+
+    Only numeric literals, the imaginary unit i, binary + - * /, unary
+    signs and parentheses are accepted; the syntax tree is walked, never
+    executed, so powers and names are rejected before anything is computed.
+    """
+
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+            return node.value
+        if isinstance(node, ast.Name) and node.id == "j":
+            return 1j
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return _BINOPS[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNOPS:
+            return _UNOPS[type(node.op)](value(node.operand))
+        raise SymbolJSONError([f"unsupported scalar expression: {expr!r}"])
+
+    try:  # i -> j: python's imaginary unit and literal suffix
+        return complex(value(ast.parse(expr.strip().replace("i", "j"), mode="eval").body))
+    except SymbolJSONError:
+        raise
+    except (SyntaxError, ValueError, ArithmeticError) as exc:
         raise SymbolJSONError([f"cannot parse scalar {expr!r}: {exc}"]) from exc
-    return complex(val)
 
 
 def _split_args(argstr: str):

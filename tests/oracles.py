@@ -147,3 +147,39 @@ def harmonic_lattice(h, N, alpha=1.0, shift=0j):
     """Exact spectrum of the 2-d complex harmonic oscillator model."""
     k1, k2 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     return (h * (k1 + 0.5) + 1j * alpha * h * (k2 + 0.5) - shift).ravel()
+
+
+def quantize_quadratic_dense(q, N, h):
+    """Weyl quantization of a degree <= 2 symbol by dense embedded products.
+
+    Every x_j and hD_j is embedded in the full N^n x N^n tensor space and
+    each term is the matrix product of its factors, with same-index
+    x_j xi_j symmetrized as (X_j P_j + P_j X_j)/2.
+    """
+    n = q.n
+    A = np.diag(np.sqrt(np.arange(1, N)), 1).astype(complex)
+    X1 = np.sqrt(h / 2) * (A + A.conj().T)
+    P1 = 1j * np.sqrt(h / 2) * (A.conj().T - A)
+
+    def embed(op, axis):
+        out = np.array([[1.0 + 0j]])
+        for j in range(n):
+            out = np.kron(out, op if j == axis else np.eye(N, dtype=complex))
+        return out
+
+    Xs = [embed(X1, j) for j in range(n)]
+    Ps = [embed(P1, j) for j in range(n)]
+    M = np.zeros((N ** n, N ** n), dtype=complex)
+    for t in q.terms:
+        op = np.eye(N ** n, dtype=complex)
+        for j in range(n):
+            xp, pp = t.xpow[j], t.xipow[j]
+            if (xp, pp) == (1, 1):
+                op = op @ (0.5 * (Xs[j] @ Ps[j] + Ps[j] @ Xs[j]))
+            else:
+                for _ in range(xp):
+                    op = op @ Xs[j]
+                for _ in range(pp):
+                    op = op @ Ps[j]
+        M += t.coeff * op
+    return M

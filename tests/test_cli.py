@@ -4,9 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bsweyl
-from bsweyl.cli import ConfigError, ExperimentConfig
+from bsweyl.cli import EXPERIMENTS, ConfigError, ExperimentConfig, _action_symbol, main
+from bsweyl.symbols import cho, torus_linear
 
 # The CLI subprocess runs in a temporary working directory, where a relative
 # PYTHONPATH such as `src` does not resolve. Prepend the absolute directory
@@ -173,3 +175,87 @@ class TestCLIRuns:
         val = row.split(",")[2]
         # %.17g round-trips doubles exactly
         assert float(val) == float(f"{float(val):.17g}")
+
+
+WIN = '{"center": [0.35, 0.35], "half_widths": [0.15, 0.1], "resolution": [8, 8]}'
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--symbol", "sin-x1-cos-xi2"],
+        ["deform-density", "--G", "coupling-xx", "--t", "0.9",
+         "--window", '{"center":[0.5,0.5],"half_widths":[0.4,0.4]}'],
+        ["density", "--window",
+         '{"center":[0.5,0.5],"half_widths":[0.4,0.4],"resolution":["a",4]}'],
+        ["count", "--symbol", "coupling-xx", "--window", WIN],
+        ["bs", "--symbol", "cho(i,0)", "--window", WIN],
+    ])
+    def test_domain_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_invalid_config_field_exit_2(self, data, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        real = st.floats(allow_nan=False, allow_infinity=False)
+        wrong = st.one_of(st.text(max_size=4), st.booleans(),
+                          st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+        junk = st.one_of(wrong, st.lists(st.integers(), max_size=3))  # for scalars
+        pair = st.one_of(wrong, st.none(), real)  # for number pairs
+        bad = {
+            "experiment": st.text(max_size=8).filter(lambda v: v not in EXPERIMENTS),
+            "t": junk, "coupling": junk,
+            "h": st.one_of(junk, real.filter(lambda v: not 0 < v <= 1)),
+            "delta": st.one_of(junk, st.floats(max_value=-1e-9)),
+            "box_radius": st.one_of(junk, st.floats(max_value=0)),
+            "f_radius": st.one_of(junk, st.floats(max_value=0)),
+            "samples": st.one_of(junk, real, st.integers(max_value=0)),
+            "quadrature_order": st.one_of(junk, real, st.integers(max_value=7)),
+            "basis_size": st.one_of(junk, real, st.integers(max_value=0)),
+            "order": st.one_of(junk, real, st.integers().filter(lambda v: v not in (1, 2))),
+            "seeds": st.one_of(st.integers(), st.lists(
+                st.one_of(st.booleans(), st.text(max_size=2)), min_size=1, max_size=3)),
+            "sampler": junk, "basis_kind": junk,
+            "f_center": st.one_of(pair, st.lists(real, min_size=3, max_size=3)),
+            "theta0": st.one_of(pair, st.lists(real, max_size=1)),
+            "I0": st.one_of(pair, st.lists(st.text(max_size=2), min_size=2, max_size=2)),
+            "eta_box": st.one_of(pair, st.lists(st.lists(real, min_size=2, max_size=2),
+                                                min_size=1, max_size=1)),
+            "outdir": st.one_of(st.integers(), st.booleans(), st.lists(st.text(max_size=2))),
+        }
+        field = data.draw(st.sampled_from(sorted(bad)))
+        cfg = {"experiment": data.draw(st.sampled_from(EXPERIMENTS)),
+               field: data.draw(bad[field])}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2, cfg
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+class TestActionSymbolFromSymbol:
+    def test_default_is_torus_linear(self):
+        assert _action_symbol(cho(1.0, 0.0)) == torus_linear()
+
+    def _run(self, argv, tmp_path, capsys):
+        assert main(argv + ["--h", "0.1", "--basis-size", "6", "--samples", "1000",
+                            "--window", WIN, "--outdir", str(tmp_path)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_count_omega_follows_symbol(self, tmp_path, capsys):
+        one = self._run(["count", "--symbol", "cho(1,0)"], tmp_path / "a", capsys)
+        two = self._run(["count", "--symbol", "cho(2,0)"], tmp_path / "b", capsys)
+        assert one["omega_prediction"] == pytest.approx(6.0, rel=1e-12)
+        assert two["omega_prediction"] == pytest.approx(one["omega_prediction"] / 2,
+                                                        rel=1e-12)
+
+    def test_bs_lattice_follows_symbol(self, tmp_path, capsys):
+        rep = self._run(["bs", "--symbol", "cho(2,0)"], tmp_path, capsys)
+        lines = (tmp_path / "bs_lattice.csv").read_text().splitlines()[1:]
+        pts = [complex(*map(float, line.split(","))) for line in lines]
+        # h (k + 1/2) + 2 i h (k' + 1/2) inside [0.2, 0.5] x [0.25, 0.45]
+        assert rep["n_points"] == len(pts) == 3
+        assert all(abs(z.imag - 0.3) < 1e-12 for z in pts)

@@ -212,16 +212,6 @@ class TestOmegaDensity:
         allow = np.maximum(3 * w.stderr, 0.03 * o.values)
         assert np.all(dev <= allow)
 
-    def test_deformation_leaves_omega_unchanged(self):
-        from bsweyl.density import omega_density_deformed
-        base = cho(1.0, complex(0.5, 0.5))
-        ps = DeformedSymbol(base, Deformation((coupling_xx(),)), 0.25)
-        am = action_map_integrable(torus_linear())
-        win = ComplexWindow.from_bounds(-0.2, 0.2, -0.2, 0.2, (8, 8))
-        a = omega_density(am, win)
-        b = omega_density_deformed(ps, am, win)
-        assert np.array_equal(a.values, b.values)
-
 
 class TestPreimageVolume:
     def test_cho_rectangle_volume(self):

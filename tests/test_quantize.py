@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from bsweyl.quantize import (BasisSpec, BSLattice, EigensolveError,
                              quantize_torus, spectrum)
 from bsweyl.symbols import SymbolExpr, cho, coupling_xx, torus_coupled, torus_linear
 
-from oracles import eig2x2, harmonic_lattice
+from oracles import eig2x2, harmonic_lattice, quantize_quadratic_dense
 
 
 def osc_1d_in_2d():
@@ -53,6 +55,24 @@ class TestQuantizeQuadratic:
         X, P = _axis_ops(N, h)
         want = 0.5 * (X @ P + P @ X)
         assert np.max(np.abs(M - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_embedding_oracle(self, n):
+        # every monomial of degree <= 2 in (x, xi), complex coefficients
+        h, N = 0.1, 5
+        rng = np.random.default_rng(n)
+        basis = BasisSpec("hermite-tensor", N, h, n=n)
+        exps = [e for e in itertools.product(range(3), repeat=2 * n) if sum(e) <= 2]
+        assert len(exps) == (2 * n + 1) * (2 * n + 2) // 2
+        for e in exps:
+            coeff = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            q = SymbolExpr.monomial(coeff, e[:n], e[n:], n=n)
+            got = quantize_quadratic(q, basis).matrix
+            assert np.max(np.abs(got - quantize_quadratic_dense(q, N, h))) <= 1e-14, e
+        q = sum((SymbolExpr.monomial(complex(*rng.uniform(-2, 2, 2)), e[:n], e[n:], n=n)
+                 for e in exps), SymbolExpr.zero(n))
+        got = quantize_quadratic(q, basis).matrix
+        assert np.max(np.abs(got - quantize_quadratic_dense(q, N, h))) <= 1e-14
 
     def test_degree_cap(self):
         basis = BasisSpec("hermite-tensor", 6, 0.1)

@@ -7,7 +7,8 @@ from bsweyl.symbols import (DimensionMismatchError, PhasePoint, SymbolExpr,
                             SymbolJSONError, cho, coupling_xx, eval_symbol,
                             gradient, load_symbol, poisson_bracket,
                             real_bracket, sin_x1_cos_xi2, symbol_from_name,
-                            torus_coupled)
+                            torus_coupled, torus_linear)
+from bsweyl.symbols import _parse_scalar
 
 from oracles import eval_term_by_term, fd_gradient, real_bracket_from_gradient
 
@@ -203,6 +204,39 @@ class TestJSON:
         with pytest.raises(SymbolJSONError) as exc:
             load_symbol('{"n": 2,,}')
         assert any("line" in m for m in exc.value.errors)
+
+
+class TestScalarParser:
+    @pytest.mark.parametrize("spec, want", [
+        ("cho(1,(1+i)/2)", cho(1.0, 0.5 + 0.5j)),
+        ("cho(1,0)", cho(1.0, 0.0)),
+        ("cho(2,0)", cho(2.0, 0.0)),
+        ("torus-linear", torus_linear()),
+        ("torus-coupled(0.3)", torus_coupled(0.3)),
+        ("coupling-xx", coupling_xx()),
+        ("sin-x1-cos-xi2", sin_x1_cos_xi2()),
+    ])
+    def test_builtin_specs_unchanged(self, spec, want):
+        assert symbol_from_name(spec) == want
+
+    @pytest.mark.parametrize("expr, want", [
+        ("(1+i)/2", 0.5 + 0.5j), ("-0.5i", -0.5j), ("1e-3", 1e-3),
+        ("2*i + 1", 1 + 2j), ("-(1 - 2i)", -1 + 2j), ("+3", 3),
+    ])
+    def test_arithmetic(self, expr, want):
+        assert _parse_scalar(expr) == want
+
+    def test_power_rejected(self):
+        with pytest.raises(SymbolJSONError):
+            symbol_from_name("cho(2**3)")
+
+    @pytest.mark.parametrize("expr", [
+        # the walker rejects the power node before computing either side
+        "9**9**9", "abs(1)", "__import__('os')", "x", "[1]", "1,2", "", "1/0",
+    ])
+    def test_non_arithmetic_rejected(self, expr):
+        with pytest.raises(SymbolJSONError):
+            _parse_scalar(expr)
 
 
 class TestPhasePoint:

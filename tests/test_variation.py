@@ -203,6 +203,13 @@ class TestCertificate:
         f, value, err = cert
         assert value > 5 * err
 
+    def test_witness_value_is_second_variation(self):
+        # the certificate's cached grid and the quadrature share one tensor grid
+        win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
+        f, value, _ = nonequality_certificate(cho(1.0, 0.0), coupling_xx(), win, 2.0, 32)
+        rhs = second_variation_rhs(f, cho(1.0, 0.0), coupling_xx(), 2.0, 32)
+        assert value == pytest.approx(rhs, rel=1e-12)
+
 
 class TestIntegrationByParts:
     def test_identity_to_1e6_with_kink_aligned_quadrature(self):
