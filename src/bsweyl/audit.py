@@ -13,8 +13,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
+from .density import _unit_samples
 from .symbols import SymbolExpr, real_bracket
 
 NEWTON_TOL = 1e-10
@@ -41,17 +41,12 @@ class AuditReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def _halton_points(n_pts, dim, seed, lo, hi):
-    eng = qmc.Halton(d=dim, scramble=True, seed=seed)
-    return lo + (hi - lo) * eng.random(n_pts)
-
-
 def _zero_set_sample(p: SymbolExpr, budget, seed, box):
     """Gauss-Newton from quasi-random seeds onto {Re p = Im p = 0} in R^{2n}."""
     n = p.n
     dpx = [p.dx(j) for j in range(n)]
     dpxi = [p.dxi(j) for j in range(n)]
-    pts = _halton_points(budget, 2 * n, seed, -box, box)
+    pts = -box + 2 * box * np.concatenate(list(_unit_samples(2 * n, budget, seed, "sobol")))
     x = pts[:, :n].astype(complex)
     xi = pts[:, n:].astype(complex)
     for _ in range(NEWTON_MAX_ITER):
@@ -124,8 +119,8 @@ def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
     """
     n = p.n
     # ellipticity: min |p| over a quasi-random shell C <= |rho|_inf <= 2C
-    shell_raw = _halton_points(sample_budget, 2 * n, seed + 1,
-                               -2 * ball_radius, 2 * ball_radius)
+    shell_raw = -2 * ball_radius + 4 * ball_radius * np.concatenate(
+        list(_unit_samples(2 * n, sample_budget, seed + 1, "sobol")))
     mask = np.max(np.abs(shell_raw), axis=1) >= ball_radius
     shell = shell_raw[mask]
     vals = p.evaluate(shell[:, :n].astype(complex), shell[:, n:].astype(complex))

@@ -91,7 +91,7 @@ class ExperimentConfig:
     box_radius: float = 4.0
     basis_size: int = None
     basis_kind: str = "hermite-tensor"
-    sampler: str = "halton"
+    sampler: str = "sobol"
     order: int = 1                   # variation order (1 or 2)
     f_center: list = field(default_factory=lambda: [0.05, 0.55])
     f_radius: float = 0.35
@@ -136,8 +136,8 @@ class ExperimentConfig:
                 or not all(isinstance(s, int) and not isinstance(s, bool)
                            for s in d["seeds"])):
             errors.append("'seeds' must be a list of integers")
-        if "sampler" in d and d["sampler"] not in ("halton", "random"):
-            errors.append("'sampler' must be 'halton' or 'random'")
+        if "sampler" in d and d["sampler"] not in ("sobol", "random"):
+            errors.append("'sampler' must be 'sobol' or 'random'")
         if "basis_kind" in d and d["basis_kind"] not in ("hermite-tensor", "torus-fourier"):
             errors.append("'basis_kind' must be 'hermite-tensor' or 'torus-fourier'")
         for name in ("f_center", "theta0", "I0"):
@@ -299,8 +299,20 @@ def _run_config(cfg: ExperimentConfig):
 
 def _run_spectral(cfg: ExperimentConfig, outdir):
     p = load_symbol(cfg.symbol or "cho(1,0)")
+    seed = (cfg.seeds or [0])[0]
+    os.makedirs(outdir, exist_ok=True)
     if cfg.experiment in ("bs", "count"):  # the action map of the base symbol
         am = action_map_integrable(_action_symbol(p), I0=tuple(cfg.I0))
+        win = cfg.resolve_window()
+    if cfg.experiment == "bs":  # needs no operator
+        lat = BSLattice(am, cfg.h or 0.1, win, theta0=tuple(cfg.theta0))
+        pts, unresolved = bs_predict(lat)
+        with open(os.path.join(outdir, "bs_lattice.csv"), "w") as fh:
+            fh.write("re,im\n")
+            for z in pts:
+                fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+        return {"experiment": "bs", "pass": not unresolved,
+                "n_points": int(pts.size), "unresolved": len(unresolved)}
     if cfg.deformation is not None:
         d = load_deformation(cfg.deformation)
         p = deformed_quadratic(DeformedSymbol(p, d, cfg.t or 0.0))
@@ -310,34 +322,18 @@ def _run_spectral(cfg: ExperimentConfig, outdir):
     else:
         P = quantize_torus(p, basis)
     if cfg.delta:
-        P = perturb(P, cfg.delta, (cfg.seeds or [0])[0])
-    os.makedirs(outdir, exist_ok=True)
+        P = perturb(P, cfg.delta, seed)
+    s = spectrum(P, delta=cfg.delta or 0.0, seed=seed if cfg.delta else None)
     if cfg.experiment == "spectrum":
-        s = spectrum(P, delta=cfg.delta or 0.0,
-                     seed=(cfg.seeds or [0])[0] if cfg.delta else None)
         s.write_csv(os.path.join(outdir, "spectrum.csv"))
         s.write_meta(os.path.join(outdir, "spectrum_meta.json"))
         return {"experiment": "spectrum", "pass": True,
                 "count": int(s.eigenvalues.size),
                 "residual_bound": s.residual_bound}
-    if cfg.experiment == "bs":
-        win = cfg.resolve_window()
-        lat = BSLattice(am, cfg.h or 0.1, win, theta0=tuple(cfg.theta0))
-        pts, unresolved = bs_predict(lat)
-        with open(os.path.join(outdir, "bs_lattice.csv"), "w") as fh:
-            fh.write("re,im\n")
-            for z in pts:
-                fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
-        return {"experiment": "bs", "pass": not unresolved,
-                "n_points": int(pts.size), "unresolved": len(unresolved)}
     # count
-    win = cfg.resolve_window()
-    s = spectrum(P, delta=cfg.delta or 0.0,
-                 seed=(cfg.seeds or [0])[0] if cfg.delta else None)
     o_grid = omega_density(am, win)
     vol, _ = preimage_volume(p, win, box_radius=cfg.box_radius,
-                             samples=cfg.samples or 10_000_000,
-                             seed=(cfg.seeds or [0])[0])
+                             samples=cfg.samples or 10_000_000, seed=seed)
     rep = count_and_compare(s, win, omega_grid=o_grid, weyl_volume=vol)
     with open(os.path.join(outdir, "count.json"), "w") as fh:
         fh.write(rep.to_json())
@@ -369,7 +365,7 @@ def _add_common(sp):
     sp.add_argument("--basis-size", type=int, default=None)
     sp.add_argument("--basis-kind", default="hermite-tensor",
                     choices=("hermite-tensor", "torus-fourier"))
-    sp.add_argument("--sampler", default="halton", choices=("halton", "random"))
+    sp.add_argument("--sampler", default="sobol", choices=("sobol", "random"))
     sp.add_argument("--f-center", type=float, nargs=2, default=[0.05, 0.55])
     sp.add_argument("--f-radius", type=float, default=0.35)
     sp.add_argument("--coupling", type=float, default=0.3)

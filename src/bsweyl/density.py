@@ -115,7 +115,7 @@ class DensityGrid:
     window: ComplexWindow
     values: np.ndarray
     stderr: np.ndarray
-    method: str  # monte-carlo | tensor-quadrature | jacobian-formula
+    method: str  # monte-carlo | quasi-monte-carlo | tensor-quadrature | jacobian-formula
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -162,9 +162,13 @@ class DensityGrid:
 
 
 def _unit_samples(dim, total, seed, sampler, shard_size=DEFAULT_SHARD):
-    """Yield shards of points in [0,1)^dim; deterministic per (seed, sampler)."""
-    if sampler == "halton":
-        eng = qmc.Halton(d=dim, scramble=True, seed=seed)
+    """Yield shards of points in [0,1)^dim; deterministic per (seed, sampler).
+
+    Sobol' shards continue one sequence; each full power-of-two shard is
+    a balanced block.  scipy warns when the first shard is no power of two.
+    """
+    if sampler == "sobol":
+        eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
         done = 0
         while done < total:
             m = min(shard_size, total - done)
@@ -180,11 +184,49 @@ def _unit_samples(dim, total, seed, sampler, shard_size=DEFAULT_SHARD):
             done += m
             shard += 1
     else:
-        raise ValueError(f"unknown sampler {sampler!r} (use 'halton' or 'random')")
+        raise ValueError(f"unknown sampler {sampler!r} (use 'sobol' or 'random')")
+
+
+def _axis_index(x, edges):
+    """Cell index of each x in [edges[0], edges[-1]] for uniform edges.
+
+    The arithmetic index is corrected against the edges themselves, as
+    np.histogram does on uniform bins, so the cells are those of
+    searchsorted; x == edges[-1] goes to the last cell.
+    """
+    nb = len(edges) - 1
+    lo, hi = edges[0], edges[-1]
+    i = np.minimum(((x - lo) * (nb / (hi - lo))).astype(np.intp), nb - 1)  # x >= lo: floor
+    i -= x < edges[i]
+    i += (x >= edges[i + 1]) & (i != nb - 1)
+    return i
+
+
+def _bin(vals, win: ComplexWindow, weights=None):
+    """Counts (or weight sums) of complex values per window cell.
+
+    Equal to np.histogram2d over (win.re_edges, win.im_edges): points
+    outside the closed window are dropped and the last cell of each axis
+    is closed.  Weights are summed by bincount in sample order, as
+    histogramdd does.
+    """
+    re_edges, im_edges = win.re_edges, win.im_edges
+    x, y = vals.real, vals.imag
+    keep = ((x >= re_edges[0]) & (x <= re_edges[-1])
+            & (y >= im_edges[0]) & (y <= im_edges[-1]))
+    x, y = x[keep], y[keep]
+    nr, ni = win.resolution
+    idx = _axis_index(x, re_edges) * ni + _axis_index(y, im_edges)
+    w = None if weights is None else weights[keep]
+    return np.bincount(idx, w, minlength=nr * ni).reshape(nr, ni)
+
+
+def _sample_method(sampler):
+    return "monte-carlo" if sampler == "random" else "quasi-monte-carlo"
 
 
 def weyl_density(p, win: ComplexWindow, box_radius=4.0, samples=10_000_000,
-                 seed=0, sampler="halton", shard_size=DEFAULT_SHARD) -> DensityGrid:
+                 seed=0, sampler="sobol", shard_size=DEFAULT_SHARD) -> DensityGrid:
     """Histogram estimate of the pushforward of dx dxi under p.
 
     Samples the real box {|(x, xi)|_inf <= box_radius} in R^{2n}, bins
@@ -197,27 +239,23 @@ def weyl_density(p, win: ComplexWindow, box_radius=4.0, samples=10_000_000,
     dim = 2 * n
     boxvol = (2 * box_radius) ** dim
     counts = np.zeros(tuple(win.resolution), dtype=np.int64)
-    re_edges, im_edges = win.re_edges, win.im_edges
     for shard in _unit_samples(dim, samples, seed, sampler, shard_size):
         q = -box_radius + 2 * box_radius * shard
-        vals = p.evaluate(q[:, :n], q[:, n:])
-        h, _, _ = np.histogram2d(vals.real, vals.imag, bins=[re_edges, im_edges])
-        counts += h.astype(np.int64)
+        counts += _bin(p.evaluate(q[:, :n], q[:, n:]), win)
     if counts.sum() == 0:
         raise EmptyGridError("no sample landed in the window")
     scale = boxvol / (samples * win.cell_area)
     values = counts * scale
     phat = counts / samples
     stderr = scale * np.sqrt(np.maximum(counts, 1) * (1 - phat))
-    return DensityGrid(win, values, stderr, "monte-carlo" if sampler == "random"
-                       else "tensor-quadrature",
+    return DensityGrid(win, values, stderr, _sample_method(sampler),
                        meta={"samples": samples, "seed": seed,
                              "box_radius": box_radius, "sampler": sampler,
                              "n": n})
 
 
 def weyl_density_torus(ptilde: SymbolExpr, win: ComplexWindow, eta_box,
-                       samples=10_000_000, seed=0, sampler="halton",
+                       samples=10_000_000, seed=0, sampler="sobol",
                        quadrature_order=None,
                        shard_size=DEFAULT_SHARD) -> DensityGrid:
     """Pushforward of (2 pi)^2 d eta under eta -> ptilde(eta).
@@ -231,7 +269,6 @@ def weyl_density_torus(ptilde: SymbolExpr, win: ComplexWindow, eta_box,
     _require_eta_only(ptilde)
     (lo1, hi1), (lo2, hi2) = eta_box
     area = (hi1 - lo1) * (hi2 - lo2)
-    re_edges, im_edges = win.re_edges, win.im_edges
 
     if quadrature_order is not None:
         xg, wg = np.polynomial.legendre.leggauss(int(quadrature_order))
@@ -242,9 +279,7 @@ def weyl_density_torus(ptilde: SymbolExpr, win: ComplexWindow, eta_box,
         E1, E2 = np.meshgrid(e1, e2, indexing="ij")
         W = np.outer(w1, w2).ravel()
         eta = np.stack([E1.ravel(), E2.ravel()], axis=-1)
-        vals = ptilde.evaluate(np.zeros_like(eta), eta)
-        h, _, _ = np.histogram2d(vals.real, vals.imag,
-                                 bins=[re_edges, im_edges], weights=W)
+        h = _bin(ptilde.evaluate(np.zeros_like(eta), eta), win, W)
         values = TWO_PI_SQ * h / win.cell_area
         values = np.maximum(values, 0.0)
         return DensityGrid(win, values, np.zeros_like(values), "tensor-quadrature",
@@ -255,17 +290,14 @@ def weyl_density_torus(ptilde: SymbolExpr, win: ComplexWindow, eta_box,
     for shard in _unit_samples(2, samples, seed, sampler, shard_size):
         eta = np.stack([lo1 + (hi1 - lo1) * shard[:, 0],
                         lo2 + (hi2 - lo2) * shard[:, 1]], axis=-1)
-        vals = ptilde.evaluate(np.zeros_like(eta), eta)
-        h, _, _ = np.histogram2d(vals.real, vals.imag, bins=[re_edges, im_edges])
-        counts += h.astype(np.int64)
+        counts += _bin(ptilde.evaluate(np.zeros_like(eta), eta), win)
     if counts.sum() == 0:
         raise EmptyGridError("no sample landed in the window")
     scale = TWO_PI_SQ * area / (samples * win.cell_area)
     values = counts * scale
     phat = counts / samples
     stderr = scale * np.sqrt(np.maximum(counts, 1) * (1 - phat))
-    return DensityGrid(win, values, stderr, "monte-carlo" if sampler == "random"
-                       else "tensor-quadrature",
+    return DensityGrid(win, values, stderr, _sample_method(sampler),
                        meta={"samples": samples, "seed": seed, "sampler": sampler,
                              "eta_box": [[lo1, hi1], [lo2, hi2]]})
 
@@ -403,7 +435,7 @@ def omega_density(am: ActionMap, win: ComplexWindow,
 
 
 def preimage_volume(p, window_or_bounds, box_radius=4.0, samples=10_000_000,
-                    seed=0, sampler="halton", shard_size=DEFAULT_SHARD):
+                    seed=0, sampler="sobol", shard_size=DEFAULT_SHARD):
     """vol(p^{-1}(W)) on the real box, with a binomial standard error."""
     if isinstance(window_or_bounds, ComplexWindow):
         lo_r, hi_r, lo_i, hi_i = window_or_bounds.bounds

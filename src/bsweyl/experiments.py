@@ -40,7 +40,7 @@ class IntegrableEqualityConfig:
     samples: int = 10_000_000
     seed: int = 5
     eta_box: tuple = ((-0.6, 0.6), (-0.6, 0.6))
-    sampler: str = "halton"
+    sampler: str = "sobol"
     rel_floor: float = 0.03
     sigma_factor: float = 3.0
 

@@ -183,3 +183,10 @@ def quantize_quadratic_dense(q, N, h):
                     op = op @ Ps[j]
         M += t.coeff * op
     return M
+
+
+def histogram2d_bin(vals, win, weights=None):
+    """Window-cell counts (or weight sums) of complex values via np.histogram2d."""
+    h, _, _ = np.histogram2d(vals.real, vals.imag, bins=[win.re_edges, win.im_edges],
+                             weights=weights)
+    return h if weights is not None else h.astype(np.int64)

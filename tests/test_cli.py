@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bsweyl
+from bsweyl import cli
 from bsweyl.cli import EXPERIMENTS, ConfigError, ExperimentConfig, _action_symbol, main
 from bsweyl.symbols import cho, torus_linear
 
@@ -134,7 +135,7 @@ class TestCLIRuns:
                                 seed_list=None, samples=1000, order=1,
                                 quadrature_order=16, box_radius=2.0,
                                 basis_size=8, basis_kind="hermite-tensor",
-                                sampler="halton", f_center=[0.0, 0.0],
+                                sampler="sobol", f_center=[0.0, 0.0],
                                 f_radius=0.3, coupling=0.3, outdir=None)
         cfg = _args_to_config("audit", ns)
         assert cfg.seeds == [0, 1, 2, 3, 4]
@@ -196,6 +197,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
+    def test_renamed_sampler_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "density", "sampler": "halton"}))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: 'sampler' must be 'sobol' or 'random'"]
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -234,6 +243,32 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 2, cfg
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_density_tagged_quasi_monte_carlo(tmp_path, capsys):
+    win = '{"center": [0.5, 0.5], "half_widths": [0.4, 0.4], "resolution": [4, 4]}'
+    assert main(["density", "--symbol", "cho(1,(1+i)/2)", "--samples", "1024",
+                 "--box-radius", "2.5", "--window", win, "--outdir", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "quasi-monte-carlo"
+    meta = json.loads((tmp_path / "density_meta.json").read_text())
+    assert meta["method"] == "quasi-monte-carlo" and meta["sampler"] == "sobol"
+
+
+def test_bs_builds_no_operator(tmp_path, capsys, monkeypatch):
+    args = ["bs", "--h", "0.1", "--window", WIN]
+    assert main(args + ["--basis-size", "6", "--outdir", str(tmp_path / "a")]) == 0
+
+    def fail(*a, **k):
+        raise AssertionError("bs must not build or perturb an operator")
+
+    monkeypatch.setattr(cli, "quantize_quadratic", fail)
+    monkeypatch.setattr(cli, "perturb", fail)
+    assert main(args + ["--basis-size", "60", "--delta", "1e-4",
+                        "--outdir", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    lattice = (tmp_path / "a" / "bs_lattice.csv").read_text()
+    assert len(lattice.splitlines()) > 1
+    assert (tmp_path / "b" / "bs_lattice.csv").read_text() == lattice
 
 
 class TestActionSymbolFromSymbol:

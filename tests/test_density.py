@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bsweyl import density
 from bsweyl.density import (ActionMap, ComplexWindow,
                             EmptyGridError, SingularActionMapError,
                             action_map_integrable, ellipticity_margin_check,
@@ -11,7 +12,7 @@ from bsweyl.symbols import (DimensionMismatchError, SymbolExpr, cho,
                             coupling_xx, torus_coupled, torus_linear)
 from bsweyl.variation import TestFunction
 
-from oracles import bisection_invert_2d
+from oracles import bisection_invert_2d, histogram2d_bin
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 
@@ -89,6 +90,58 @@ class TestWeylDensity:
         vol, err = preimage_volume(p, win, box_radius=2.5, samples=2_000_000,
                                    seed=12)
         assert grid.total_mass == pytest.approx(vol, abs=6 * err + 1e-9)
+
+
+class TestBinning:
+    WIN = ComplexWindow.from_bounds(-0.4, 0.4, -0.37, 0.41, (16, 12))
+
+    def _points(self):
+        rng = np.random.default_rng(0)
+        z = rng.uniform(-0.5, 0.5, 200_000) + 1j * rng.uniform(-0.5, 0.5, 200_000)
+        re, im = self.WIN.re_edges, self.WIN.im_edges
+        on_edges = rng.choice(re, 1000) + 1j * rng.choice(im, 1000)  # interior and both ends
+        closing = re[-1] + 1j * im[[0, 5, -1]]  # the closing right edge
+        return np.concatenate([z, on_edges, closing, [np.nan + 0j]])
+
+    def test_counts_equal_histogram2d(self):
+        z = self._points()
+        got = density._bin(z, self.WIN)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, histogram2d_bin(z, self.WIN))
+        assert got[-1, 0] >= 1 and got[-1, -1] >= 1
+
+    def test_weighted_sums_bitwise_equal_histogram2d(self):
+        z = self._points()
+        w = np.random.default_rng(1).random(z.size)
+        assert density._bin(z, self.WIN, w).tobytes() == \
+            histogram2d_bin(z, self.WIN, w).tobytes()
+
+    @pytest.mark.parametrize("p, win, box", [
+        (SymbolExpr.monomial(1.0, (0,), (1,), n=1) + SymbolExpr.monomial(1j, (1,), (0,), n=1)
+         + SymbolExpr.monomial(0.3, (2,), (0,), n=1),
+         ComplexWindow.from_bounds(-1.0, 1.0, -1.0, 1.0, (16, 16)), 2.0),
+        (cho(1.0, complex(0.5, 0.5)), ComplexWindow.from_bounds(0.0, 1.0, 0.0, 1.0, (16, 16)),
+         2.5),
+    ], ids=["2d", "4d"])
+    def test_iid_grid_unchanged_by_binning(self, p, win, box, monkeypatch):
+        # iid samples do not depend on the binning: the grids must equal
+        # the histogram2d ones bit for bit
+        got = weyl_density(p, win, box_radius=box, samples=1_500_000, seed=1,
+                           sampler="random", shard_size=1 << 19)
+        monkeypatch.setattr(density, "_bin", histogram2d_bin)
+        want = weyl_density(p, win, box_radius=box, samples=1_500_000, seed=1,
+                            sampler="random", shard_size=1 << 19)
+        assert got.method == "monte-carlo"
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.stderr.tobytes() == want.stderr.tobytes()
+
+    def test_quadrature_grid_unchanged_by_binning(self, monkeypatch):
+        win = ComplexWindow.from_bounds(-0.3, 0.3, -0.3, 0.3, (8, 8))
+        args = (torus_coupled(0.3), win, ((-0.5, 0.5), (-0.5, 0.5)))
+        got = weyl_density_torus(*args, quadrature_order=256)
+        monkeypatch.setattr(density, "_bin", histogram2d_bin)
+        assert got.values.tobytes() == \
+            weyl_density_torus(*args, quadrature_order=256).values.tobytes()
 
 
 class TestTorusQuadratureRoute:
