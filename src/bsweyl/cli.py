@@ -23,8 +23,9 @@ from .audit import audit
 from .density import (ComplexWindow, action_map_integrable,
                       ellipticity_margin_check, omega_density,
                       preimage_volume, weyl_density)
-from .experiments import (DeformationSplitsConfig, IntegrableEqualityConfig,
-                          RandomWeylMigrationConfig, run_deformation_splits,
+from .experiments import (BSExactnessConfig, DeformationSplitsConfig,
+                          IntegrableEqualityConfig, RandomWeylMigrationConfig,
+                          run_bs_exactness, run_deformation_splits,
                           run_integrable_equality, run_random_weyl_migration)
 from .flow import (Deformation, DeformedSymbol, deformed_quadratic, load_deformation,
                    symbol_to_quadratic)
@@ -35,10 +36,6 @@ from .variation import (TestFunction, VariationReport, first_variation_rhs,
                         moment_derivative_fd, second_variation_rhs)
 
 ENV_OUTDIR = "BSWEYL_OUTDIR"
-
-EXPERIMENTS = ("audit", "density", "deform-density", "variation", "spectrum",
-               "bs", "count", "integrable-equality", "deformation-splits",
-               "random-weyl-migration")
 
 
 class ConfigError(ValueError):
@@ -152,12 +149,10 @@ class ExperimentConfig:
             raise ConfigError(errors)
         return cls(**d)
 
-    def resolve_window(self, default=None, resolution=(64, 64)):
+    def resolve_window(self):
         w = self.window
         if w is None:
-            if default is None:
-                raise ConfigError(["this experiment needs a 'window'"])
-            return default
+            raise ConfigError(["this experiment needs a 'window'"])
         errors = []
         if not isinstance(w, dict):
             raise ConfigError(["'window' must be an object"])
@@ -167,7 +162,7 @@ class ExperimentConfig:
         try:
             center = complex(w["center"][0], w["center"][1])
             hw = (float(w["half_widths"][0]), float(w["half_widths"][1]))
-            res = tuple(w.get("resolution", resolution))
+            res = tuple(w.get("resolution", (64, 64)))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             errors.append(f"window: {exc}")
             raise ConfigError(errors) from exc
@@ -190,186 +185,232 @@ def _manifest(outdir, config_dict, report):
         json.dump(manifest, fh, indent=2)
 
 
-def _run_config(cfg: ExperimentConfig):
-    """Dispatch a resolved config; returns (report dict, artifacts writer ran)."""
-    outdir = cfg.outdir or os.environ.get(ENV_OUTDIR) or f"out-{cfg.experiment}"
-    exp = cfg.experiment
+def _unused(cfg: ExperimentConfig, *names):
+    """Reject set fields that this experiment would silently ignore."""
+    errors = [f"{cfg.experiment} does not take a {name!r}"
+              for name in names if getattr(cfg, name) is not None]
+    if errors:
+        raise ConfigError(errors)
 
-    if exp == "audit":
-        p = load_symbol(cfg.symbol or "cho(1,(1+i)/2)")
-        rep_obj = audit(p, sample_budget=min(cfg.samples or 4096, 4096),
-                        ball_radius=cfg.box_radius, seed=(cfg.seeds or [0])[0])
-        report = json.loads(rep_obj.to_json())
-        report["experiment"] = "audit"
-        report["pass"] = rep_obj.ellipticity_flag != "fail"
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "audit.json"), "w") as fh:
-            fh.write(rep_obj.to_json())
-    elif exp in ("density", "deform-density"):
-        win = cfg.resolve_window()
-        p = load_symbol(cfg.symbol or "cho(1,(1+i)/2)")
-        if exp == "deform-density":
-            d = load_deformation(cfg.deformation) if cfg.deformation else None
-            if d is None:
-                raise ConfigError(["deform-density needs a 'deformation'"])
-            p = DeformedSymbol(p, d, cfg.t or 0.0)
-        margin_ok, margin = ellipticity_margin_check(
-            p, win, cfg.box_radius, seed=(cfg.seeds or [0])[0])
-        grid = weyl_density(p, win, box_radius=cfg.box_radius,
-                            samples=cfg.samples or 10_000_000,
-                            seed=(cfg.seeds or [0])[0], sampler=cfg.sampler)
-        os.makedirs(outdir, exist_ok=True)
-        grid.write_csv(os.path.join(outdir, "density.csv"))
-        grid.write_meta(os.path.join(outdir, "density_meta.json"))
-        report = {"experiment": exp, "pass": True,
-                  "total_mass": grid.total_mass, "method": grid.method,
-                  "boundary_margin_ok": bool(margin_ok),
-                  "boundary_margin": margin}
-    elif exp == "variation":
-        p = load_symbol(cfg.symbol or "cho(1,0)")
-        if cfg.deformation is None:
-            raise ConfigError(["variation needs a 'deformation'"])
-        d = load_deformation(cfg.deformation)
-        G = d.generators[0]
-        f = TestFunction(complex(cfg.f_center[0], cfg.f_center[1]), cfg.f_radius)
 
-        def make_pt(t):
-            return deformed_quadratic(DeformedSymbol(p, d, t))
+def _deformation(cfg: ExperimentConfig) -> Deformation:
+    if cfg.deformation is None:
+        raise ConfigError([f"{cfg.experiment} needs a 'deformation'"])
+    return load_deformation(cfg.deformation)
 
-        t = cfg.t or 0.0
-        order = cfg.quadrature_order or 48
-        if cfg.order == 1:
-            rhs = first_variation_rhs(f, make_pt(t), G, cfg.box_radius, order)
-            lhs = moment_derivative_fd(make_pt, t, 1, f=f,
-                                       box_radius=cfg.box_radius,
-                                       quad_order=order)
-            rep = VariationReport.build(lhs, rhs, "first", t)
-        else:
-            rhs = second_variation_rhs(f, p, G, cfg.box_radius, order)
-            lhs = moment_derivative_fd(make_pt, 0.0, 2, f=f,
-                                       box_radius=cfg.box_radius,
-                                       quad_order=order)
-            rep = VariationReport.build(lhs, rhs, "second", 0.0)
-        report = {"experiment": "variation", "pass": True, **asdict(rep)}
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "variation.json"), "w") as fh:
-            fh.write(rep.to_json())
-    elif exp in ("spectrum", "bs", "count"):
-        report = _run_spectral(cfg, outdir)
-    elif exp == "integrable-equality":
-        ie = IntegrableEqualityConfig(coupling=cfg.coupling,
-                                      seed=(cfg.seeds or [5])[0],
-                                      sampler=cfg.sampler)
-        if cfg.samples is not None:
-            ie.samples = cfg.samples
-        ie.eta_box = tuple(tuple(b) for b in cfg.eta_box)
-        if cfg.window is not None:
-            win = cfg.resolve_window()
-            lo_r, hi_r, lo_i, hi_i = win.bounds
-            ie.window = (lo_r, hi_r, lo_i, hi_i)
-            ie.resolution = win.resolution
-        report, _, _ = run_integrable_equality(ie, outdir)
-    elif exp == "deformation-splits":
-        ds = DeformationSplitsConfig(
-            f_center=complex(cfg.f_center[0], cfg.f_center[1]),
-            f_radius=cfg.f_radius)
-        if cfg.t is not None:
-            ds.t = cfg.t
-        if cfg.quadrature_order is not None:
-            ds.quadrature_order = cfg.quadrature_order
-        report = run_deformation_splits(ds, outdir)
-    elif exp == "random-weyl-migration":
-        mg = RandomWeylMigrationConfig()
-        for name in ("t", "h", "delta", "basis_size"):
-            v = getattr(cfg, name)
-            if v is not None:
-                setattr(mg, name, v)
-        if cfg.seeds is not None:
-            mg.seeds = tuple(cfg.seeds)
-        if cfg.window is not None:
-            win = cfg.resolve_window()
-            mg.window = win.bounds
-        report = run_random_weyl_migration(mg, outdir)
-    else:  # pragma: no cover - guarded by validation
-        raise ConfigError([f"unhandled experiment {exp!r}"])
 
-    _manifest(outdir, _config_dict(cfg), report)
+def _given(cfg: ExperimentConfig, *names):
+    """The named fields that the config sets, for an experiment's own dataclass."""
+    return {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
+
+
+def _run_audit(cfg, outdir):
+    _unused(cfg, "deformation")
+    p = load_symbol(cfg.symbol or "cho(1,(1+i)/2)")
+    rep_obj = audit(p, sample_budget=min(cfg.samples or 4096, 4096),
+                    ball_radius=cfg.box_radius, seed=(cfg.seeds or [0])[0])
+    report = json.loads(rep_obj.to_json())
+    report["experiment"] = "audit"
+    report["pass"] = rep_obj.ellipticity_flag != "fail"
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "audit.json"), "w") as fh:
+        fh.write(rep_obj.to_json())
     return report
 
 
-def _run_spectral(cfg: ExperimentConfig, outdir):
-    p = load_symbol(cfg.symbol or "cho(1,0)")
+def _run_density(cfg, outdir):
+    _unused(cfg, "deformation")
+    return _density(cfg, outdir, load_symbol(cfg.symbol or "cho(1,(1+i)/2)"))
+
+
+def _run_deform_density(cfg, outdir):
+    p = load_symbol(cfg.symbol or "cho(1,(1+i)/2)")
+    return _density(cfg, outdir, DeformedSymbol(p, _deformation(cfg), cfg.t or 0.0))
+
+
+def _density(cfg, outdir, p):
+    win = cfg.resolve_window()
     seed = (cfg.seeds or [0])[0]
+    margin_ok, margin = ellipticity_margin_check(p, win, cfg.box_radius, seed=seed)
+    grid = weyl_density(p, win, box_radius=cfg.box_radius,
+                        samples=cfg.samples or 10_000_000,
+                        seed=seed, sampler=cfg.sampler)
     os.makedirs(outdir, exist_ok=True)
-    if cfg.experiment in ("bs", "count"):  # the action map of the base symbol
-        am = action_map_integrable(_action_symbol(p), I0=tuple(cfg.I0))
-        win = cfg.resolve_window()
-    if cfg.experiment == "bs":  # needs no operator
-        lat = BSLattice(am, cfg.h or 0.1, win, theta0=tuple(cfg.theta0))
-        pts, unresolved = bs_predict(lat)
-        with open(os.path.join(outdir, "bs_lattice.csv"), "w") as fh:
-            fh.write("re,im\n")
-            for z in pts:
-                fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
-        return {"experiment": "bs", "pass": not unresolved,
-                "n_points": int(pts.size), "unresolved": len(unresolved)}
+    grid.write_csv(os.path.join(outdir, "density.csv"))
+    grid.write_meta(os.path.join(outdir, "density_meta.json"))
+    return {"experiment": cfg.experiment, "pass": True,
+            "total_mass": grid.total_mass, "method": grid.method,
+            "boundary_margin_ok": bool(margin_ok),
+            "boundary_margin": margin}
+
+
+def _run_variation(cfg, outdir):
+    p = load_symbol(cfg.symbol or "cho(1,0)")
+    d = _deformation(cfg)
+    G = d.generators[0]
+    f = TestFunction(complex(cfg.f_center[0], cfg.f_center[1]), cfg.f_radius)
+
+    def make_pt(t):
+        return deformed_quadratic(DeformedSymbol(p, d, t))
+
+    t = cfg.t or 0.0
+    order = cfg.quadrature_order or 48
+    if cfg.order == 1:
+        rhs = first_variation_rhs(f, make_pt(t), G, cfg.box_radius, order)
+        lhs = moment_derivative_fd(make_pt, t, 1, f=f,
+                                   box_radius=cfg.box_radius,
+                                   quad_order=order)
+        rep = VariationReport.build(lhs, rhs, "first", t)
+    else:
+        rhs = second_variation_rhs(f, p, G, cfg.box_radius, order)
+        lhs = moment_derivative_fd(make_pt, 0.0, 2, f=f,
+                                   box_radius=cfg.box_radius,
+                                   quad_order=order)
+        rep = VariationReport.build(lhs, rhs, "second", 0.0)
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "variation.json"), "w") as fh:
+        fh.write(rep.to_json())
+    return {"experiment": "variation", "pass": True, **asdict(rep)}
+
+
+def _spectrum(cfg, p):
+    """Deform p if asked, quantize it, perturb it with --delta; (p, spectrum)."""
     if cfg.deformation is not None:
-        d = load_deformation(cfg.deformation)
-        p = deformed_quadratic(DeformedSymbol(p, d, cfg.t or 0.0))
+        p = deformed_quadratic(DeformedSymbol(p, load_deformation(cfg.deformation),
+                                              cfg.t or 0.0))
     basis = BasisSpec(cfg.basis_kind, cfg.basis_size or 40, cfg.h or 0.1)
     if cfg.basis_kind == "hermite-tensor":
         P = quantize_quadratic(p, basis)
     else:
         P = quantize_torus(p, basis)
+    seed = (cfg.seeds or [0])[0]
     if cfg.delta:
         P = perturb(P, cfg.delta, seed)
-    s = spectrum(P, delta=cfg.delta or 0.0, seed=seed if cfg.delta else None)
-    if cfg.experiment == "spectrum":
-        s.write_csv(os.path.join(outdir, "spectrum.csv"))
-        s.write_meta(os.path.join(outdir, "spectrum_meta.json"))
-        return {"experiment": "spectrum", "pass": True,
-                "count": int(s.eigenvalues.size),
-                "residual_bound": s.residual_bound}
-    # count
-    o_grid = omega_density(am, win)
+    return p, spectrum(P, delta=cfg.delta or 0.0, seed=seed if cfg.delta else None)
+
+
+def _run_spectrum(cfg, outdir):
+    _, s = _spectrum(cfg, load_symbol(cfg.symbol or "cho(1,0)"))
+    os.makedirs(outdir, exist_ok=True)
+    s.write_csv(os.path.join(outdir, "spectrum.csv"))
+    s.write_meta(os.path.join(outdir, "spectrum_meta.json"))
+    return {"experiment": "spectrum", "pass": True,
+            "count": int(s.eigenvalues.size),
+            "residual_bound": s.residual_bound}
+
+
+def _run_bs(cfg, outdir):
+    """The lattice needs no operator; it ignores a deformation, which leaves it unchanged."""
+    p = load_symbol(cfg.symbol or "cho(1,0)")
+    am = action_map_integrable(_action_symbol(p), I0=tuple(cfg.I0))
+    lat = BSLattice(am, cfg.h or 0.1, cfg.resolve_window(), theta0=tuple(cfg.theta0))
+    pts, unresolved = bs_predict(lat)
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "bs_lattice.csv"), "w") as fh:
+        fh.write("re,im\n")
+        for z in pts:
+            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+    return {"experiment": "bs", "pass": not unresolved,
+            "n_points": int(pts.size), "unresolved": len(unresolved)}
+
+
+def _run_count(cfg, outdir):
+    p = load_symbol(cfg.symbol or "cho(1,0)")
+    am = action_map_integrable(_action_symbol(p), I0=tuple(cfg.I0))
+    win = cfg.resolve_window()
+    p, s = _spectrum(cfg, p)
     vol, _ = preimage_volume(p, win, box_radius=cfg.box_radius,
-                             samples=cfg.samples or 10_000_000, seed=seed)
-    rep = count_and_compare(s, win, omega_grid=o_grid, weyl_volume=vol)
+                             samples=cfg.samples or 10_000_000,
+                             seed=(cfg.seeds or [0])[0])
+    rep = count_and_compare(s, win, omega_grid=omega_density(am, win), weyl_volume=vol)
+    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "count.json"), "w") as fh:
         fh.write(rep.to_json())
     return {"experiment": "count", "pass": True, **json.loads(rep.to_json())}
 
 
-def _config_dict(cfg: ExperimentConfig):
-    return asdict(cfg)
+def _run_integrable_equality(cfg, outdir):
+    _unused(cfg, "symbol", "deformation")
+    ie = IntegrableEqualityConfig(coupling=cfg.coupling, seed=(cfg.seeds or [5])[0],
+                                  eta_box=tuple(tuple(b) for b in cfg.eta_box),
+                                  sampler=cfg.sampler, **_given(cfg, "samples"))
+    if cfg.window is not None:
+        win = cfg.resolve_window()
+        ie.window = win.bounds
+        ie.resolution = win.resolution
+    return run_integrable_equality(ie, outdir)[0]
+
+
+def _run_deformation_splits(cfg, outdir):
+    _unused(cfg, "symbol", "deformation")
+    return run_deformation_splits(DeformationSplitsConfig(
+        f_center=complex(cfg.f_center[0], cfg.f_center[1]), f_radius=cfg.f_radius,
+        **_given(cfg, "t", "quadrature_order")), outdir)
+
+
+def _run_random_weyl_migration(cfg, outdir):
+    _unused(cfg, "symbol", "deformation")
+    mg = RandomWeylMigrationConfig(**_given(cfg, "t", "h", "delta", "basis_size"))
+    if cfg.seeds is not None:
+        mg.seeds = tuple(cfg.seeds)
+    if cfg.window is not None:
+        mg.window = cfg.resolve_window().bounds
+    return run_random_weyl_migration(mg, outdir)
+
+
+def _run_bs_exactness(cfg, outdir):
+    _unused(cfg, "symbol", "deformation")
+    return run_bs_exactness(BSExactnessConfig(**_given(cfg, "h", "basis_size")), outdir)
+
+
+# Every experiment: name -> runner(cfg, outdir) -> report dict with "pass".
+RUNNERS = {
+    "audit": _run_audit,
+    "density": _run_density,
+    "deform-density": _run_deform_density,
+    "variation": _run_variation,
+    "spectrum": _run_spectrum,
+    "bs": _run_bs,
+    "count": _run_count,
+    "integrable-equality": _run_integrable_equality,
+    "deformation-splits": _run_deformation_splits,
+    "random-weyl-migration": _run_random_weyl_migration,
+    "bs-exactness": _run_bs_exactness,
+}
+EXPERIMENTS = tuple(RUNNERS)
+
+
+def _run_config(cfg: ExperimentConfig):
+    """Run a validated config, write its manifest and return the report."""
+    outdir = cfg.outdir or os.environ.get(ENV_OUTDIR) or f"out-{cfg.experiment}"
+    report = RUNNERS[cfg.experiment](cfg, outdir)
+    _manifest(outdir, asdict(cfg), report)
+    return report
 
 
 def _add_common(sp):
+    """Flags for the run config; an omitted flag takes its ExperimentConfig default."""
     sp.add_argument("--symbol", help="builtin name (e.g. 'cho(1,(1+i)/2)') or symbol JSON file")
     sp.add_argument("--G", help="generator: builtin name or symbol JSON file")
-    sp.add_argument("--t", type=float, default=None, help="deformation parameter")
+    sp.add_argument("--t", type=float, help="deformation parameter")
     sp.add_argument("--window", help="window JSON file or inline JSON")
-    sp.add_argument("--h", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--seeds", type=int, default=None,
-                    help="number of seeds, run as 0..N-1")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="single seed (overrides --seeds)")
-    sp.add_argument("--seed-list", type=int, nargs="+", default=None,
+    sp.add_argument("--h", type=float)
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--seeds", type=int, help="number of seeds, run as 0..N-1")
+    sp.add_argument("--seed", type=int, help="single seed (overrides --seeds)")
+    sp.add_argument("--seed-list", type=int, nargs="+",
                     help="explicit seed list (overrides both)")
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--order", type=int, default=1, choices=(1, 2),
-                    help="variation order")
-    sp.add_argument("--quadrature-order", type=int, default=None)
-    sp.add_argument("--box-radius", type=float, default=4.0)
-    sp.add_argument("--basis-size", type=int, default=None)
-    sp.add_argument("--basis-kind", default="hermite-tensor",
-                    choices=("hermite-tensor", "torus-fourier"))
-    sp.add_argument("--sampler", default="sobol", choices=("sobol", "random"))
-    sp.add_argument("--f-center", type=float, nargs=2, default=[0.05, 0.55])
-    sp.add_argument("--f-radius", type=float, default=0.35)
-    sp.add_argument("--coupling", type=float, default=0.3)
-    sp.add_argument("--outdir", default=None)
+    sp.add_argument("--samples", type=int)
+    sp.add_argument("--order", type=int, choices=(1, 2), help="variation order")
+    sp.add_argument("--quadrature-order", type=int)
+    sp.add_argument("--box-radius", type=float)
+    sp.add_argument("--basis-size", type=int)
+    sp.add_argument("--basis-kind", choices=("hermite-tensor", "torus-fourier"))
+    sp.add_argument("--sampler", choices=("sobol", "random"))
+    sp.add_argument("--f-center", type=float, nargs=2)
+    sp.add_argument("--f-radius", type=float)
+    sp.add_argument("--coupling", type=float)
+    sp.add_argument("--outdir")
 
 
 def _load_maybe_file(text):
@@ -386,40 +427,33 @@ def _load_maybe_file(text):
 
 def _args_to_config(exp, args):
     d = {"experiment": exp}
-    sym = _load_maybe_file(getattr(args, "symbol", None))
+    sym = _load_maybe_file(args.symbol)
     if sym is not None:
         d["symbol"] = sym
-    G = _load_maybe_file(getattr(args, "G", None))
+    G = _load_maybe_file(args.G)
     if G is not None:
         d["deformation"] = {"G": G}
-    win = _load_maybe_file(getattr(args, "window", None))
-    if isinstance(win, dict):
+    win = _load_maybe_file(args.window)
+    if win is not None:
         d["window"] = win
-    if getattr(args, "seed_list", None) is not None:
+    if args.seed_list is not None:
         d["seeds"] = list(args.seed_list)
-    elif getattr(args, "seed", None) is not None:
+    elif args.seed is not None:
         d["seeds"] = [args.seed]
-    elif getattr(args, "seeds", None) is not None:
+    elif args.seeds is not None:
         d["seeds"] = list(range(args.seeds))
-    for name, key in (("t", "t"), ("h", "h"), ("delta", "delta"),
-                      ("samples", "samples"),
-                      ("order", "order"),
-                      ("quadrature_order", "quadrature_order"),
-                      ("box_radius", "box_radius"),
-                      ("basis_size", "basis_size"),
-                      ("basis_kind", "basis_kind"), ("sampler", "sampler"),
-                      ("f_radius", "f_radius"), ("coupling", "coupling"),
-                      ("outdir", "outdir")):
-        if hasattr(args, name):
-            v = getattr(args, name)
-            if v is not None:
-                d[key] = v
-    if hasattr(args, "f_center"):
+    for name in ("t", "h", "delta", "samples", "order", "quadrature_order",
+                 "box_radius", "basis_size", "basis_kind", "sampler",
+                 "f_radius", "coupling", "outdir"):
+        v = getattr(args, name)
+        if v is not None:
+            d[name] = v
+    if args.f_center is not None:
         d["f_center"] = list(args.f_center)
     return ExperimentConfig.from_dict(d)
 
 
-def main(argv=None) -> int:
+def _parser():
     parser = argparse.ArgumentParser(
         prog="bsweyl",
         description="Action density vs Weyl density experiments for "
@@ -436,8 +470,11 @@ def main(argv=None) -> int:
 
     spr = sub.add_parser("run", help="run from a config (or manifest) JSON file")
     spr.add_argument("--config", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     # ConfigError, SymbolJSONError, QuantizationError and JSONDecodeError
     # are all ValueErrors: bad input, whether found parsing or running

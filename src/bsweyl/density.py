@@ -456,6 +456,21 @@ def preimage_volume(p, window_or_bounds, box_radius=4.0, samples=10_000_000,
     return vol, stderr
 
 
+def box_face_points(n, box_radius, n_samples, entropy):
+    """(x, xi): n_samples random points on the faces of [-box_radius, box_radius]^(2n).
+
+    Each point is uniform in the box with one random coordinate pushed to
+    a random face; `entropy` seeds the generator.
+    """
+    dim = 2 * n
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    pts = -box_radius + 2 * box_radius * rng.random((n_samples, dim))
+    face = rng.integers(0, dim, n_samples)
+    sign = rng.integers(0, 2, n_samples) * 2 - 1
+    pts[np.arange(n_samples), face] = sign * box_radius
+    return pts[:, :n], pts[:, n:]
+
+
 def ellipticity_margin_check(p, win: ComplexWindow, box_radius,
                              n_samples=20000, seed=0, margin_factor=0.2):
     """Check that p(boundary of box) stays away from the window.
@@ -465,14 +480,7 @@ def ellipticity_margin_check(p, win: ComplexWindow, box_radius,
     preimage mass is cut off at the box boundary.  Heuristic evidence,
     reported not proved.
     """
-    n = p.n
-    dim = 2 * n
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 991)))
-    pts = -box_radius + 2 * box_radius * rng.random((n_samples, dim))
-    face = rng.integers(0, dim, n_samples)
-    sign = rng.integers(0, 2, n_samples) * 2 - 1
-    pts[np.arange(n_samples), face] = sign * box_radius
-    vals = p.evaluate(pts[:, :n], pts[:, n:])
+    vals = p.evaluate(*box_face_points(p.n, box_radius, n_samples, (seed, 991)))
     lo_r, hi_r, lo_i, hi_i = win.bounds
     dr = np.maximum(np.maximum(lo_r - vals.real, vals.real - hi_r), 0.0)
     di = np.maximum(np.maximum(lo_i - vals.imag, vals.imag - hi_i), 0.0)

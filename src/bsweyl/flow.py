@@ -191,7 +191,7 @@ def _rk45(rhs, t0, t1, y0, rtol, atol, h0):
     return y, n_steps
 
 
-def flow_points(d: Deformation, t: float, x0, xi0, track_excursion=True):
+def flow_points(d: Deformation, t: float, x0, xi0):
     """Flow a batch of points (no Jacobian); x0, xi0 shaped (..., n)."""
     n = d.n
     x0 = np.asarray(x0, dtype=complex)
@@ -204,12 +204,11 @@ def flow_points(d: Deformation, t: float, x0, xi0, track_excursion=True):
         return np.concatenate([vx, vxi], axis=1)
 
     y, _ = _rk45(rhs, 0.0, t, y0, d.tol, d.tol, d.step_hint)
-    exc = float(np.max(np.abs(y.imag))) if track_excursion and y.size else 0.0
+    exc = float(np.max(np.abs(y.imag))) if y.size else 0.0
     return (y[:, :n].reshape(shape + (n,)), y[:, n:].reshape(shape + (n,)), exc)
 
 
-def integrate_flow(d: Deformation, t: float, rho: PhasePoint,
-                   with_jacobian=True) -> FlowResult:
+def integrate_flow(d: Deformation, t: float, rho: PhasePoint) -> FlowResult:
     """Integrate the deformation flow from rho to time t.
 
     The complex variational equation dJ/dt = A(kappa_t) J rides along so
@@ -223,15 +222,6 @@ def integrate_flow(d: Deformation, t: float, rho: PhasePoint,
     if rho.n != n:
         raise DimensionMismatchError(f"point dim {rho.n} != generator dim {n}")
     dim = 2 * n
-    if not with_jacobian:
-        x, xi, exc = flow_points(d, t, rho.x[None, :], rho.xi[None, :])
-        certified = exc <= d.tube_radius
-        if not certified:
-            warnings.warn("flow left the declared tube; result not certified",
-                          RuntimeWarning, stacklevel=2)
-        return FlowResult(PhasePoint(x[0], xi[0]), np.eye(dim, dtype=complex) * np.nan,
-                          float("nan"), certified, exc, 0)
-
     y0 = np.concatenate([rho.x, rho.xi, np.eye(dim, dtype=complex).ravel()])[None, :]
 
     def rhs(tt, y):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .density import box_face_points
 from .flow import DeformedSymbol, deformed_quadratic
 from .symbols import SymbolExpr, poisson_bracket, real_bracket
 
@@ -206,14 +207,7 @@ def moment(f: TestFunction, p, box_radius, order=48,
 
 def _warn_if_support_leaks(f, p, box_radius, n_samples=4096, seed=17):
     """f o p must vanish near the box boundary or mass is being cut off."""
-    n = p.n
-    dim = 2 * n
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 313)))
-    pts = -box_radius + 2 * box_radius * rng.random((n_samples, dim))
-    face = rng.integers(0, dim, n_samples)
-    sign = rng.integers(0, 2, n_samples) * 2 - 1
-    pts[np.arange(n_samples), face] = sign * box_radius
-    vals = f.value(p.evaluate(pts[:, :n], pts[:, n:]))
+    vals = f.value(p.evaluate(*box_face_points(p.n, box_radius, n_samples, (seed, 313))))
     if np.max(np.abs(vals)) > 0:
         warnings.warn("test function support reaches the integration box "
                       "boundary; enlarge box_radius", RuntimeWarning, stacklevel=3)

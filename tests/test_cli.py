@@ -8,7 +8,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bsweyl
 from bsweyl import cli
-from bsweyl.cli import EXPERIMENTS, ConfigError, ExperimentConfig, _action_symbol, main
+from bsweyl.cli import (ENV_OUTDIR, EXPERIMENTS, ConfigError, ExperimentConfig,
+                        _action_symbol, _args_to_config, _parser, main)
+from bsweyl.experiments import (BSExactnessConfig, DeformationSplitsConfig,
+                                IntegrableEqualityConfig, RandomWeylMigrationConfig,
+                                run_bs_exactness)
 from bsweyl.symbols import cho, torus_linear
 
 # The CLI subprocess runs in a temporary working directory, where a relative
@@ -263,7 +267,9 @@ def test_bs_builds_no_operator(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "quantize_quadratic", fail)
     monkeypatch.setattr(cli, "perturb", fail)
+    # a deformation leaves the action map, so the lattice, unchanged
     assert main(args + ["--basis-size", "60", "--delta", "1e-4",
+                        "--G", "coupling-xx", "--t", "0.2",
                         "--outdir", str(tmp_path / "b")]) == 0
     capsys.readouterr()
     lattice = (tmp_path / "a" / "bs_lattice.csv").read_text()
@@ -294,3 +300,70 @@ class TestActionSymbolFromSymbol:
         # h (k + 1/2) + 2 i h (k' + 1/2) inside [0.2, 0.5] x [0.25, 0.45]
         assert rep["n_points"] == len(pts) == 3
         assert all(abs(z.imag - 0.3) < 1e-12 for z in pts)
+
+
+class TestRunnerTable:
+    # the named experiments and the dataclass each one hands its run_* function
+    NAMED = {"integrable-equality": ("run_integrable_equality", IntegrableEqualityConfig),
+             "deformation-splits": ("run_deformation_splits", DeformationSplitsConfig),
+             "random-weyl-migration": ("run_random_weyl_migration",
+                                       RandomWeylMigrationConfig),
+             "bs-exactness": ("run_bs_exactness", BSExactnessConfig)}
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_named_experiment_runs_its_defaults(self, name, tmp_path, monkeypatch, capsys):
+        fn, config_cls = self.NAMED[name]
+        calls = []
+
+        def fake(cfg, outdir):
+            calls.append((cfg, outdir))
+            report = {"experiment": name, "pass": True}
+            return (report, None, None) if name == "integrable-equality" else report
+
+        monkeypatch.setattr(cli, fn, fake)
+        monkeypatch.delenv(ENV_OUTDIR, raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main([name]) == 0
+        capsys.readouterr()
+        assert calls == [(config_cls(), f"out-{name}")]
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_flag_defaults_are_the_config_defaults(self, name):
+        args = _parser().parse_args([name])
+        assert _args_to_config(name, args) == ExperimentConfig(experiment=name)
+
+    @pytest.mark.parametrize("route", ["subcommand", "experiment", "run"])
+    def test_bs_exactness_reachable(self, route, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        outdir = str(tmp_path / "cli")
+        argv = {"subcommand": ["bs-exactness", "--h", "0.1", "--basis-size", "16",
+                               "--outdir", outdir],
+                "experiment": ["experiment", "bs-exactness", "--h", "0.1",
+                               "--basis-size", "16", "--outdir", outdir],
+                "run": ["run", "--config", "cfg.json"]}[route]
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"experiment": "bs-exactness", "h": 0.1, "basis_size": 16, "outdir": outdir}))
+        # at h = 0.1 lattice points sit on the count window's edges, so the
+        # count check fails and the run exits 1; a small basis keeps it fast
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["h"] == 0.1
+        run_bs_exactness(BSExactnessConfig(h=0.1, basis_size=16), str(tmp_path / "direct"))
+        assert ((tmp_path / "cli" / "report.json").read_bytes()
+                == (tmp_path / "direct" / "report.json").read_bytes())
+
+    @pytest.mark.parametrize("argv", [
+        [name, flag, value]
+        for name in ("integrable-equality", "deformation-splits",
+                     "random-weyl-migration", "bs-exactness")
+        for flag, value in (("--symbol", "cho(2,0)"), ("--G", "coupling-xx"))
+    ] + [
+        ["audit", "--G", "coupling-xx"],
+        ["density", "--G", "coupling-xx", "--t", "0.2", "--window", WIN],
+        ["integrable-equality", "--window", "no-such-window.json"],
+    ])
+    def test_ignored_input_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not list(tmp_path.iterdir())
