@@ -44,8 +44,6 @@ class AuditReport:
 def _zero_set_sample(p: SymbolExpr, budget, seed, box):
     """Gauss-Newton from quasi-random seeds onto {Re p = Im p = 0} in R^{2n}."""
     n = p.n
-    dpx = [p.dx(j) for j in range(n)]
-    dpxi = [p.dxi(j) for j in range(n)]
     pts = -box + 2 * box * np.concatenate(list(_unit_samples(2 * n, budget, seed, "sobol")))
     x = pts[:, :n].astype(complex)
     xi = pts[:, n:].astype(complex)
@@ -55,7 +53,7 @@ def _zero_set_sample(p: SymbolExpr, budget, seed, box):
         if np.all(np.abs(vals) <= NEWTON_TOL):
             break
         # complex gradient -> real Jacobian of (Re p, Im p) on real points
-        grads = np.stack([d.evaluate(x, xi) for d in dpx + dpxi], axis=-1)
+        grads = p.grad(x, xi)
         J = np.stack([grads.real, grads.imag], axis=-2)  # (m, 2, 2n)
         # Gauss-Newton step: minimum-norm solution of J s = res
         JJt = J @ np.swapaxes(J, -1, -2)
@@ -79,8 +77,7 @@ def _independence_measure(p: SymbolExpr, pts):
     n = p.n
     x = pts[:, :n].astype(complex)
     xi = pts[:, n:].astype(complex)
-    grads = np.stack([p.dx(j).evaluate(x, xi) for j in range(n)]
-                     + [p.dxi(j).evaluate(x, xi) for j in range(n)], axis=-1)
+    grads = p.grad(x, xi)
     ga, gb = grads.real, grads.imag
     aa = np.sum(ga * ga, axis=-1)
     bb = np.sum(gb * gb, axis=-1)
@@ -130,31 +127,24 @@ def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
         "pass" if ell_min >= ell_thresh else "fail")
 
     zero_pts = _zero_set_sample(p, sample_budget, seed, box=ball_radius / 2)
-    if len(zero_pts) == 0:
-        return AuditReport(
-            ellipticity_min_abs=ell_min, ellipticity_threshold=ell_thresh,
-            ellipticity_flag=ell_flag, n_zero_points=0,
-            independence_min=None, bracket_max=None,
-            bracket_threshold=bracket_threshold, bracket_flag="not-checked",
-            connectivity_flag="not-checked",
-            action_jacobian_cond=_action_cond(action_map, window),
-            sample_budget=sample_budget, ball_radius=ball_radius, seed=seed)
-
-    indep = _independence_measure(p, zero_pts)
-    br = real_bracket(p)
-    if br.is_zero:
-        br_max = 0.0
-    else:
-        bvals = br.evaluate(zero_pts[:, :n].astype(complex),
-                            zero_pts[:, n:].astype(complex))
-        br_max = float(np.max(np.abs(bvals.real)))
-    br_flag = "pass" if br_max < bracket_threshold else "fail"
-    conn = "pass" if _single_cluster(zero_pts) else "fail"
+    indep_min = br_max = None
+    br_flag = conn = "not-checked"
+    if len(zero_pts):
+        indep_min = float(np.min(_independence_measure(p, zero_pts)))
+        br = real_bracket(p)
+        if br.is_zero:
+            br_max = 0.0
+        else:
+            bvals = br.evaluate(zero_pts[:, :n].astype(complex),
+                                zero_pts[:, n:].astype(complex))
+            br_max = float(np.max(np.abs(bvals.real)))
+        br_flag = "pass" if br_max < bracket_threshold else "fail"
+        conn = "pass" if _single_cluster(zero_pts) else "fail"
 
     return AuditReport(
         ellipticity_min_abs=ell_min, ellipticity_threshold=ell_thresh,
         ellipticity_flag=ell_flag, n_zero_points=int(len(zero_pts)),
-        independence_min=float(np.min(indep)), bracket_max=br_max,
+        independence_min=indep_min, bracket_max=br_max,
         bracket_threshold=bracket_threshold, bracket_flag=br_flag,
         connectivity_flag=conn,
         action_jacobian_cond=_action_cond(action_map, window),

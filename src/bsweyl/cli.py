@@ -185,14 +185,6 @@ def _manifest(outdir, config_dict, report):
         json.dump(manifest, fh, indent=2)
 
 
-def _unused(cfg: ExperimentConfig, *names):
-    """Reject set fields that this experiment would silently ignore."""
-    errors = [f"{cfg.experiment} does not take a {name!r}"
-              for name in names if getattr(cfg, name) is not None]
-    if errors:
-        raise ConfigError(errors)
-
-
 def _deformation(cfg: ExperimentConfig) -> Deformation:
     if cfg.deformation is None:
         raise ConfigError([f"{cfg.experiment} needs a 'deformation'"])
@@ -205,7 +197,6 @@ def _given(cfg: ExperimentConfig, *names):
 
 
 def _run_audit(cfg, outdir):
-    _unused(cfg, "deformation")
     p = load_symbol(cfg.symbol or "cho(1,(1+i)/2)")
     rep_obj = audit(p, sample_budget=min(cfg.samples or 4096, 4096),
                     ball_radius=cfg.box_radius, seed=(cfg.seeds or [0])[0])
@@ -219,7 +210,6 @@ def _run_audit(cfg, outdir):
 
 
 def _run_density(cfg, outdir):
-    _unused(cfg, "deformation")
     return _density(cfg, outdir, load_symbol(cfg.symbol or "cho(1,(1+i)/2)"))
 
 
@@ -330,7 +320,6 @@ def _run_count(cfg, outdir):
 
 
 def _run_integrable_equality(cfg, outdir):
-    _unused(cfg, "symbol", "deformation")
     ie = IntegrableEqualityConfig(coupling=cfg.coupling, seed=(cfg.seeds or [5])[0],
                                   eta_box=tuple(tuple(b) for b in cfg.eta_box),
                                   sampler=cfg.sampler, **_given(cfg, "samples"))
@@ -342,14 +331,12 @@ def _run_integrable_equality(cfg, outdir):
 
 
 def _run_deformation_splits(cfg, outdir):
-    _unused(cfg, "symbol", "deformation")
     return run_deformation_splits(DeformationSplitsConfig(
         f_center=complex(cfg.f_center[0], cfg.f_center[1]), f_radius=cfg.f_radius,
         **_given(cfg, "t", "quadrature_order")), outdir)
 
 
 def _run_random_weyl_migration(cfg, outdir):
-    _unused(cfg, "symbol", "deformation")
     mg = RandomWeylMigrationConfig(**_given(cfg, "t", "h", "delta", "basis_size"))
     if cfg.seeds is not None:
         mg.seeds = tuple(cfg.seeds)
@@ -359,31 +346,54 @@ def _run_random_weyl_migration(cfg, outdir):
 
 
 def _run_bs_exactness(cfg, outdir):
-    _unused(cfg, "symbol", "deformation")
     return run_bs_exactness(BSExactnessConfig(**_given(cfg, "h", "basis_size")), outdir)
 
 
-# Every experiment: name -> runner(cfg, outdir) -> report dict with "pass".
+_SPECTRUM = ("symbol", "deformation", "t", "h", "delta", "basis_size", "basis_kind", "seeds")
+
+# Every experiment: name -> (runner(cfg, outdir) -> report dict with "pass",
+# the ExperimentConfig fields the runner takes).
 RUNNERS = {
-    "audit": _run_audit,
-    "density": _run_density,
-    "deform-density": _run_deform_density,
-    "variation": _run_variation,
-    "spectrum": _run_spectrum,
-    "bs": _run_bs,
-    "count": _run_count,
-    "integrable-equality": _run_integrable_equality,
-    "deformation-splits": _run_deformation_splits,
-    "random-weyl-migration": _run_random_weyl_migration,
-    "bs-exactness": _run_bs_exactness,
+    "audit": (_run_audit, ("symbol", "samples", "box_radius", "seeds")),
+    "density": (_run_density,
+                ("symbol", "window", "samples", "box_radius", "sampler", "seeds")),
+    "deform-density": (_run_deform_density,
+                       ("symbol", "deformation", "t", "window", "samples",
+                        "box_radius", "sampler", "seeds")),
+    "variation": (_run_variation,
+                  ("symbol", "deformation", "t", "order", "quadrature_order",
+                   "box_radius", "f_center", "f_radius")),
+    "spectrum": (_run_spectrum, _SPECTRUM),
+    "bs": (_run_bs, ("symbol", "deformation", "t", "window", "h", "theta0", "I0")),
+    "count": (_run_count, _SPECTRUM + ("window", "samples", "box_radius", "I0")),
+    "integrable-equality": (_run_integrable_equality,
+                            ("coupling", "window", "samples", "sampler", "seeds",
+                             "eta_box")),
+    "deformation-splits": (_run_deformation_splits,
+                           ("t", "quadrature_order", "f_center", "f_radius")),
+    "random-weyl-migration": (_run_random_weyl_migration,
+                              ("t", "window", "h", "delta", "basis_size", "seeds")),
+    "bs-exactness": (_run_bs_exactness, ("h", "basis_size")),
 }
 EXPERIMENTS = tuple(RUNNERS)
 
 
 def _run_config(cfg: ExperimentConfig):
-    """Run a validated config, write its manifest and return the report."""
+    """Run a validated config, write its manifest and return the report.
+
+    A field the experiment does not take must keep its default; each
+    one that does not is listed, before anything is written.
+    """
+    runner, takes = RUNNERS[cfg.experiment]
+    default = ExperimentConfig(cfg.experiment)
+    errors = [f"{cfg.experiment} does not take a {name!r}"
+              for name in ExperimentConfig.__dataclass_fields__
+              if name not in takes + ("experiment", "outdir")
+              and getattr(cfg, name) != getattr(default, name)]
+    if errors:
+        raise ConfigError(errors)
     outdir = cfg.outdir or os.environ.get(ENV_OUTDIR) or f"out-{cfg.experiment}"
-    report = RUNNERS[cfg.experiment](cfg, outdir)
+    report = runner(cfg, outdir)
     _manifest(outdir, asdict(cfg), report)
     return report
 

@@ -353,8 +353,7 @@ class ActionMap:
 
     def _jac(self, eta):
         """Real 2x2 Jacobian of (Re ptilde, Im ptilde) wrt eta, shape (...,2,2)."""
-        d1 = self.ptilde.dxi(0).evaluate(np.zeros_like(eta), eta)
-        d2 = self.ptilde.dxi(1).evaluate(np.zeros_like(eta), eta)
+        d1, d2 = (d.evaluate(np.zeros_like(eta), eta) for d in self.ptilde.grad_symbols[2:])
         return np.stack([np.stack([d1.real, d2.real], axis=-1),
                          np.stack([d1.imag, d2.imag], axis=-1)], axis=-2)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -71,54 +70,35 @@ class Deformation:
     def tube_radius(self) -> float:
         return min(g.tube_radius for g in self.generators)
 
-    @cached_property
-    def _grad_symbols(self):
-        """Per t-degree: (dG/dxi list, dG/dx list)."""
-        return [([g.dxi(j) for j in range(self.n)],
-                 [g.dx(j) for j in range(self.n)]) for g in self.generators]
-
-    @cached_property
-    def _hess_symbols(self):
-        """Per t-degree: the 2n x 2n grid of second derivative symbols of V."""
-        out = []
-        for gxi, gx in self._grad_symbols:
-            n = self.n
-            rows = []
-            for j in range(n):  # x-rows: d(i G_xi_j)/d rho_k
-                rows.append([gxi[j].dx(k) for k in range(n)]
-                            + [gxi[j].dxi(k) for k in range(n)])
-            for j in range(n):  # xi-rows: d(-i G_x_j)/d rho_k
-                rows.append([gx[j].dx(k) for k in range(n)]
-                            + [gx[j].dxi(k) for k in range(n)])
-            out.append(rows)
-        return out
-
     def velocity(self, t, x, xi):
         """(dx/dt, dxi/dt) at points of shape (..., n)."""
         n = self.n
         vx = np.zeros(x.shape, dtype=complex)
         vxi = np.zeros(xi.shape, dtype=complex)
-        for m, (gxi, gx) in enumerate(self._grad_symbols):
+        for m, g in enumerate(self.generators):
+            grad = g.grad_symbols
             tm = t ** m
-            for j in range(n):
-                vx[..., j] += tm * gxi[j].evaluate(x, xi)
-                vxi[..., j] += tm * gx[j].evaluate(x, xi)
+            for j in range(n):  # added in place: flow_points passes whole shards
+                vx[..., j] += tm * grad[n + j].evaluate(x, xi)
+                vxi[..., j] += tm * grad[j].evaluate(x, xi)
         return 1j * vx, -1j * vxi
 
     def velocity_jacobian(self, t, x, xi):
-        """Complex Jacobian A = dV/d(x,xi), shape (..., 2n, 2n)."""
+        """Complex Jacobian A = dV/d(x,xi), shape (..., 2n, 2n).
+
+        Row j is the gradient of the j-th velocity component's symbol,
+        dG/dxi_j for the x-rows and dG/dx_j for the xi-rows.
+        """
         n = self.n
         shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
         A = np.zeros(shape + (2 * n, 2 * n), dtype=complex)
-        for m, rows in enumerate(self._hess_symbols):
+        for m, g in enumerate(self.generators):
             tm = t ** m
-            for j in range(2 * n):
+            for j, row in enumerate(g.grad_symbols[n:] + g.grad_symbols[:n]):
                 sgn = 1j if j < n else -1j
-                for k in range(2 * n):
-                    sym = rows[j][k]
-                    if sym.is_zero:
-                        continue
-                    A[..., j, k] += sgn * tm * sym.evaluate(x, xi)
+                for k, sym in enumerate(row.grad_symbols):
+                    if sym.terms:
+                        A[..., j, k] += sgn * tm * sym.evaluate(x, xi)
         return A
 
     def is_polynomial_quadratic(self) -> bool:
@@ -270,7 +250,7 @@ class DeformedSymbol:
         if not self.t:
             return self.base.evaluate(x, xi)
         if self.is_quadratic:
-            return self.as_quadratic().evaluate(x, xi)
+            return deformed_quadratic(self).evaluate(x, xi)
         xe, xie, exc = flow_points(self.deformation, self.t,
                                    np.asarray(x, dtype=complex),
                                    np.asarray(xi, dtype=complex))
@@ -283,9 +263,6 @@ class DeformedSymbol:
     def is_quadratic(self) -> bool:
         return (not self.base.has_trig and self.base.total_degree <= 2
                 and self.deformation.is_polynomial_quadratic())
-
-    def as_quadratic(self) -> SymbolExpr:
-        return deformed_quadratic(self)
 
 
 def deformed_eval(ps: DeformedSymbol, rho: PhasePoint) -> complex:
@@ -327,10 +304,9 @@ def symbol_to_quadratic(sym: SymbolExpr):
 
 def quadratic_to_symbol(Q, l, c, n, tube_radius=8.0) -> SymbolExpr:
     """Inverse of symbol_to_quadratic (Q symmetrized)."""
-    from .symbols import SymbolExpr as SE
     dim = 2 * n
     Q = 0.5 * (np.asarray(Q, dtype=complex) + np.asarray(Q, dtype=complex).T)
-    out = SE.constant(c, n, tube_radius) if c != 0 else SE.zero(n, tube_radius)
+    out = SymbolExpr.constant(c, n, tube_radius)
 
     def unit(i):
         xp = [0] * n
@@ -344,7 +320,7 @@ def quadratic_to_symbol(Q, l, c, n, tube_radius=8.0) -> SymbolExpr:
     for i in range(dim):
         if l[i] != 0:
             xp, xip = unit(i)
-            out = out + SE.monomial(l[i], xp, xip, n, tube_radius)
+            out = out + SymbolExpr.monomial(l[i], xp, xip, n, tube_radius)
     for i in range(dim):
         for j in range(i, dim):
             coeff = Q[i, i] / 2 if i == j else Q[i, j]
@@ -354,7 +330,7 @@ def quadratic_to_symbol(Q, l, c, n, tube_radius=8.0) -> SymbolExpr:
             xpj, xipj = unit(j)
             xp = [a + b for a, b in zip(xpi, xpj)]
             xip = [a + b for a, b in zip(xipi, xipj)]
-            out = out + SE.monomial(coeff, xp, xip, n, tube_radius)
+            out = out + SymbolExpr.monomial(coeff, xp, xip, n, tube_radius)
     return out.simplified()
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import ActionMap, ComplexWindow, DensityGrid, newton_2x2
+from .flow import symbol_to_quadratic
 from .symbols import SymbolExpr
 
 DEFAULT_DIM_CAP = 4096
@@ -228,7 +229,6 @@ def spectrum(P: OperatorMatrix, delta=0.0, seed=None,
 
 def hamilton_matrix(q: SymbolExpr) -> np.ndarray:
     """Linearization of the Hamilton field of a homogeneous quadratic symbol."""
-    from .flow import symbol_to_quadratic
     Q, l, _ = symbol_to_quadratic(q)
     if np.max(np.abs(l)) > 0:
         raise QuantizationError("exact spectrum path needs no linear part")
@@ -252,7 +252,6 @@ def quadratic_exact_spectrum(q: SymbolExpr, h: float, k_max: int,
     """
     F = hamilton_matrix(q)
     n = q.n
-    from .flow import symbol_to_quadratic
     Q, _, c = symbol_to_quadratic(q)
     rng = np.random.default_rng(seed)
     sph = rng.standard_normal((ellipticity_samples, 2 * n))
@@ -300,15 +299,11 @@ class BSLattice:
     h: float
     window: ComplexWindow
     theta0: tuple = (0.5, 0.5)
-    theta_higher: tuple = ()  # theta_j for j >= 1, constant pairs
     newton_tol: float = 1e-10
     max_iter: int = 50
 
     def theta(self) -> np.ndarray:
-        th = np.asarray(self.theta0, dtype=float)
-        for j, tj in enumerate(self.theta_higher, start=1):
-            th = th + np.asarray(tj, dtype=float) * self.h ** j
-        return th
+        return np.asarray(self.theta0, dtype=float)
 
 
 def bs_predict(lat: BSLattice):

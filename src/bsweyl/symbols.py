@@ -26,6 +26,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -291,6 +292,20 @@ class SymbolExpr:
                                 t.xfreq, t.xifreq))
         return SymbolExpr(tuple(out), self.n, self.tube_radius).simplified()
 
+    @cached_property
+    def grad_symbols(self) -> tuple:
+        """The 2n exact first-derivative symbols, x-partials first, built once.
+
+        Each comes from dx/dxi, so it is already simplified: a zero
+        derivative has empty ``terms``.
+        """
+        return (tuple(self.dx(j) for j in range(self.n))
+                + tuple(self.dxi(j) for j in range(self.n)))
+
+    def grad(self, x, xi):
+        """The gradient (d/dx, d/dxi) at points (..., n), stacked to (..., 2n)."""
+        return np.stack([d.evaluate(x, xi) for d in self.grad_symbols], axis=-1)
+
     def conjugate_symbol(self) -> "SymbolExpr":
         """Holomorphic extension of the complex conjugate.
 
@@ -306,10 +321,6 @@ class SymbolExpr:
     def real_part_symbol(self) -> "SymbolExpr":
         """(p + p*)/2; equals Re p on real points."""
         return (self + self.conjugate_symbol()) * 0.5
-
-    def imag_part_symbol(self) -> "SymbolExpr":
-        """(p - p*)/2i; equals Im p on real points."""
-        return (self - self.conjugate_symbol()) * (-0.5j)
 
     def is_real_on_reals(self, tol=1e-12) -> bool:
         diff = self - self.conjugate_symbol()
@@ -354,18 +365,19 @@ def eval_symbol(sym: SymbolExpr, rho: PhasePoint) -> complex:
 def gradient(sym: SymbolExpr, rho: PhasePoint):
     """Exact (dp/dx, dp/dxi) at a point, each a length-n complex vector."""
     _check_point(sym, rho)
-    gx = np.array([complex(sym.dx(j).evaluate(rho.x, rho.xi)) for j in range(sym.n)])
-    gxi = np.array([complex(sym.dxi(j).evaluate(rho.x, rho.xi)) for j in range(sym.n)])
-    return gx, gxi
+    g = sym.grad(rho.x, rho.xi)
+    return g[:sym.n], g[sym.n:]
 
 
 def poisson_bracket(f: SymbolExpr, g: SymbolExpr) -> SymbolExpr:
     """{f, g} = sum_j f_xi_j g_x_j - f_x_j g_xi_j, as a closed-form symbol."""
     if f.n != g.n:
         raise DimensionMismatchError(f"dimension mismatch: {f.n} vs {g.n}")
-    out = SymbolExpr.zero(f.n, min(f.tube_radius, g.tube_radius))
-    for j in range(f.n):
-        out = out + f.dxi(j) * g.dx(j) - f.dx(j) * g.dxi(j)
+    n = f.n
+    fd, gd = f.grad_symbols, g.grad_symbols
+    out = SymbolExpr.zero(n, min(f.tube_radius, g.tube_radius))
+    for j in range(n):
+        out = out + fd[n + j] * gd[j] - fd[j] * gd[n + j]
     return out.simplified()
 
 

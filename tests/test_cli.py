@@ -260,7 +260,7 @@ def test_density_tagged_quasi_monte_carlo(tmp_path, capsys):
 
 def test_bs_builds_no_operator(tmp_path, capsys, monkeypatch):
     args = ["bs", "--h", "0.1", "--window", WIN]
-    assert main(args + ["--basis-size", "6", "--outdir", str(tmp_path / "a")]) == 0
+    assert main(args + ["--outdir", str(tmp_path / "a")]) == 0
 
     def fail(*a, **k):
         raise AssertionError("bs must not build or perturb an operator")
@@ -268,13 +268,18 @@ def test_bs_builds_no_operator(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "quantize_quadratic", fail)
     monkeypatch.setattr(cli, "perturb", fail)
     # a deformation leaves the action map, so the lattice, unchanged
-    assert main(args + ["--basis-size", "60", "--delta", "1e-4",
-                        "--G", "coupling-xx", "--t", "0.2",
+    assert main(args + ["--G", "coupling-xx", "--t", "0.2",
                         "--outdir", str(tmp_path / "b")]) == 0
     capsys.readouterr()
     lattice = (tmp_path / "a" / "bs_lattice.csv").read_text()
     assert len(lattice.splitlines()) > 1
     assert (tmp_path / "b" / "bs_lattice.csv").read_text() == lattice
+    # the operator's size and perturbation are not bs inputs
+    for flag, value in (("--basis-size", "60"), ("--delta", "1e-4")):
+        assert main(args + [flag, value, "--outdir", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: bs does not take a {flag[2:].replace('-', '_')!r}"]
+    assert not (tmp_path / "c").exists()
 
 
 class TestActionSymbolFromSymbol:
@@ -282,8 +287,10 @@ class TestActionSymbolFromSymbol:
         assert _action_symbol(cho(1.0, 0.0)) == torus_linear()
 
     def _run(self, argv, tmp_path, capsys):
-        assert main(argv + ["--h", "0.1", "--basis-size", "6", "--samples", "1000",
-                            "--window", WIN, "--outdir", str(tmp_path)]) == 0
+        if argv[0] == "count":  # bs builds no operator and draws no samples
+            argv = argv + ["--basis-size", "6", "--samples", "1000"]
+        assert main(argv + ["--h", "0.1", "--window", WIN,
+                            "--outdir", str(tmp_path)]) == 0
         return json.loads(capsys.readouterr().out)
 
     def test_count_omega_follows_symbol(self, tmp_path, capsys):
@@ -358,7 +365,7 @@ class TestRunnerTable:
         for flag, value in (("--symbol", "cho(2,0)"), ("--G", "coupling-xx"))
     ] + [
         ["audit", "--G", "coupling-xx"],
-        ["density", "--G", "coupling-xx", "--t", "0.2", "--window", WIN],
+        ["density", "--G", "coupling-xx", "--window", WIN],
         ["integrable-equality", "--window", "no-such-window.json"],
     ])
     def test_ignored_input_exit_2(self, argv, tmp_path, monkeypatch, capsys):
@@ -367,3 +374,32 @@ class TestRunnerTable:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not list(tmp_path.iterdir())
+
+    # a valid value, other than the default, for every field an experiment may take
+    FIELD_VALUES = {
+        "symbol": "cho(2,0)", "deformation": {"G": "coupling-xx"}, "t": 0.1,
+        "window": json.loads(WIN), "h": 0.2, "delta": 1e-3, "seeds": [1],
+        "samples": 64, "quadrature_order": 16, "box_radius": 2.0, "basis_size": 8,
+        "basis_kind": "torus-fourier", "sampler": "random", "order": 2,
+        "f_center": [0.0, 0.0], "f_radius": 0.2, "theta0": [0.0, 0.0],
+        "I0": [0.1, 0.1], "eta_box": [[-0.5, 0.5], [-0.5, 0.5]], "coupling": 0.1,
+    }
+
+    def test_field_values_cover_the_config(self):
+        fields = set(ExperimentConfig.__dataclass_fields__) - {"experiment", "outdir"}
+        assert set(self.FIELD_VALUES) == fields
+        for name in EXPERIMENTS:
+            assert set(cli.RUNNERS[name][1]) <= fields
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_fields_not_taken_exit_2(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        extra = sorted(set(self.FIELD_VALUES) - set(cli.RUNNERS[name][1]))
+        assert extra
+        cfg = {"experiment": name, **{k: self.FIELD_VALUES[k] for k in extra}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert sorted(err) == sorted(f"config error: {name} does not take a {k!r}"
+                                     for k in extra)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -8,7 +8,7 @@ from bsweyl.flow import (Deformation, DeformedSymbol, deformed_eval,
 from bsweyl.symbols import (PhasePoint, SymbolExpr, cho, coupling_xx,
                             eval_symbol, sin_x1_cos_xi2)
 
-from oracles import affine_flow_oracle, quadratic_generator_matrix
+from oracles import affine_flow_oracle, fd_gradient, quadratic_generator_matrix
 
 
 def rand_point(rng, scale=1.0):
@@ -119,6 +119,75 @@ class TestFlowInvariants:
         with pytest.warns(RuntimeWarning):
             res = integrate_flow(d, 0.4, PhasePoint.real([2.0, 2.0], [0.0, 0.0]))
         assert not res.certified
+
+
+def _t_family():
+    g = sin_x1_cos_xi2(tube_radius=8.0)
+    return load_deformation({"G": [g, g], "t_poly_degree": 1})
+
+
+VELOCITY_CASES = {
+    "coupling_xx": lambda: Deformation((coupling_xx(),)),
+    "sin_x1_cos_xi2": lambda: Deformation((sin_x1_cos_xi2(tube_radius=8.0),)),
+    "t_family": _t_family,
+}
+
+
+def _complex_points(seed, m=5):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1, 1, (m, 2)) + 0.2j * rng.uniform(-1, 1, (m, 2)),
+            rng.uniform(-1, 1, (m, 2)) + 0.2j * rng.uniform(-1, 1, (m, 2)))
+
+
+class TestVelocity:
+    T = 0.3
+
+    @pytest.mark.parametrize("case", sorted(VELOCITY_CASES))
+    def test_velocity_is_i_hamilton_field(self, case):
+        # V = (i dG_t/dxi, -i dG_t/dx) with G_t = sum_m t^m G_m
+        d = VELOCITY_CASES[case]()
+        x, xi = _complex_points(1)
+        vx, vxi = d.velocity(self.T, x, xi)
+        for i in range(len(x)):
+            gx = gxi = 0
+            for m, g in enumerate(d.generators):
+                ox, oxi = fd_gradient(g, x[i], xi[i])
+                gx, gxi = gx + self.T ** m * ox, gxi + self.T ** m * oxi
+            assert np.max(np.abs(vx[i] - 1j * gxi)) <= 1e-8
+            assert np.max(np.abs(vxi[i] + 1j * gx)) <= 1e-8
+
+    @pytest.mark.parametrize("case", sorted(VELOCITY_CASES))
+    def test_jacobian_matches_central_differences(self, case):
+        d = VELOCITY_CASES[case]()
+        x, xi = _complex_points(2)
+        A = d.velocity_jacobian(self.T, x, xi)
+        assert A.shape == (len(x), 4, 4)
+        h = 1e-5
+        for k in range(4):
+            e = np.zeros((1, 4))
+            e[0, k] = h
+
+            def v(s):
+                return np.concatenate(d.velocity(self.T, x + s * e[:, :2],
+                                                 xi + s * e[:, 2:]), axis=-1)
+
+            fd = (v(1) - v(-1)) / (2 * h)
+            assert np.max(np.abs(A[..., k] - fd)) <= 1e-8
+
+    def test_repeat_flow_builds_no_symbols(self, monkeypatch):
+        G = sin_x1_cos_xi2(tube_radius=8.0)
+        rho = PhasePoint.real([0.3, -0.2], [0.1, 0.7])
+        integrate_flow(Deformation((G,)), 0.2, rho)  # builds G's derivative symbols
+        calls = []
+        simplified = SymbolExpr.simplified
+
+        def counting(self):
+            calls.append(self)
+            return simplified(self)
+
+        monkeypatch.setattr(SymbolExpr, "simplified", counting)
+        integrate_flow(Deformation((G,)), 0.2, rho)
+        assert not calls
 
 
 class TestDeformedSymbol:

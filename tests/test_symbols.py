@@ -107,6 +107,20 @@ class TestGradient:
             assert np.max(np.abs(gxi - oxi)) <= 1e-6 * scale
 
 
+    def test_batched_grad_matches_fd(self):
+        rng = np.random.default_rng(12)
+        sym = random_symbol(rng)
+        x = rng.uniform(-1, 1, (3, 2)) + 0.1j * rng.uniform(-1, 1, (3, 2))
+        xi = rng.uniform(-1, 1, (3, 2))
+        g = sym.grad(x, xi)
+        assert g.shape == (3, 4)
+        assert sym.grad_symbols is sym.grad_symbols
+        for i in range(3):
+            ox, oxi = fd_gradient(sym, x[i], xi[i])
+            scale = max(1.0, np.max(np.abs(ox)), np.max(np.abs(oxi)))
+            assert np.max(np.abs(g[i] - np.concatenate([ox, oxi]))) <= 1e-6 * scale
+
+
 class TestBracket:
     def test_canonical_pair(self):
         xi1 = SymbolExpr.monomial(1.0, (0, 0), (1, 0))
