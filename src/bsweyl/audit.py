@@ -45,8 +45,8 @@ def _zero_set_sample(p: SymbolExpr, budget, seed, box):
     """Gauss-Newton from quasi-random seeds onto {Re p = Im p = 0} in R^{2n}."""
     n = p.n
     pts = -box + 2 * box * np.concatenate(list(_unit_samples(2 * n, budget, seed, "sobol")))
-    x = pts[:, :n].astype(complex)
-    xi = pts[:, n:].astype(complex)
+    x = pts[:, :n]
+    xi = pts[:, n:]
     for _ in range(NEWTON_MAX_ITER):
         vals = p.evaluate(x, xi)
         res = np.stack([vals.real, vals.imag], axis=-1)
@@ -67,17 +67,15 @@ def _zero_set_sample(p: SymbolExpr, budget, seed, box):
         xi = xi - np.where(upd[:, None], step[:, n:], 0.0)
     vals = p.evaluate(x, xi)
     ok = np.abs(vals) <= NEWTON_TOL
-    ok &= np.max(np.abs(np.concatenate([x, xi], axis=1).real), axis=1) <= 2 * box
-    pts = np.concatenate([x[ok].real, xi[ok].real], axis=1)
-    return pts
+    pts = np.concatenate([x, xi], axis=1)
+    ok &= np.max(np.abs(pts), axis=1) <= 2 * box
+    return pts[ok]
 
 
 def _independence_measure(p: SymbolExpr, pts):
     """|d Re p ^ d Im p| = Gram-determinant area of the two real gradients."""
     n = p.n
-    x = pts[:, :n].astype(complex)
-    xi = pts[:, n:].astype(complex)
-    grads = p.grad(x, xi)
+    grads = p.grad(pts[:, :n], pts[:, n:])
     ga, gb = grads.real, grads.imag
     aa = np.sum(ga * ga, axis=-1)
     bb = np.sum(gb * gb, axis=-1)
@@ -120,7 +118,7 @@ def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
         list(_unit_samples(2 * n, sample_budget, seed + 1, "sobol")))
     mask = np.max(np.abs(shell_raw), axis=1) >= ball_radius
     shell = shell_raw[mask]
-    vals = p.evaluate(shell[:, :n].astype(complex), shell[:, n:].astype(complex))
+    vals = p.evaluate(shell[:, :n], shell[:, n:])
     ell_min = float(np.min(np.abs(vals))) if len(shell) else float("nan")
     ell_thresh = 1.0 / ball_radius
     ell_flag = "not-checked" if not len(shell) else (
@@ -135,8 +133,7 @@ def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
         if br.is_zero:
             br_max = 0.0
         else:
-            bvals = br.evaluate(zero_pts[:, :n].astype(complex),
-                                zero_pts[:, n:].astype(complex))
+            bvals = br.evaluate(zero_pts[:, :n], zero_pts[:, n:])
             br_max = float(np.max(np.abs(bvals.real)))
         br_flag = "pass" if br_max < bracket_threshold else "fail"
         conn = "pass" if _single_cluster(zero_pts) else "fail"

@@ -36,6 +36,7 @@ from .variation import (TestFunction, VariationReport, first_variation_rhs,
                         moment_derivative_fd, second_variation_rhs)
 
 ENV_OUTDIR = "BSWEYL_OUTDIR"
+AUDIT_MAX_SAMPLES = 4096
 
 
 class ConfigError(ValueError):
@@ -197,8 +198,11 @@ def _given(cfg: ExperimentConfig, *names):
 
 
 def _run_audit(cfg, outdir):
+    if (cfg.samples or 0) > AUDIT_MAX_SAMPLES:
+        raise ConfigError([f"audit takes at most {AUDIT_MAX_SAMPLES} samples, "
+                           f"got {cfg.samples}"])
     p = load_symbol(cfg.symbol or "cho(1,(1+i)/2)")
-    rep_obj = audit(p, sample_budget=min(cfg.samples or 4096, 4096),
+    rep_obj = audit(p, sample_budget=cfg.samples or AUDIT_MAX_SAMPLES,
                     ball_radius=cfg.box_radius, seed=(cfg.seeds or [0])[0])
     report = json.loads(rep_obj.to_json())
     report["experiment"] = "audit"
@@ -290,8 +294,10 @@ def _run_spectrum(cfg, outdir):
 
 
 def _run_bs(cfg, outdir):
-    """The lattice needs no operator; it ignores a deformation, which leaves it unchanged."""
+    """The lattice needs no operator; a deformation is checked, then leaves it unchanged."""
     p = load_symbol(cfg.symbol or "cho(1,0)")
+    if cfg.deformation is not None:
+        DeformedSymbol(p, load_deformation(cfg.deformation), cfg.t or 0.0)
     am = action_map_integrable(_action_symbol(p), I0=tuple(cfg.I0))
     lat = BSLattice(am, cfg.h or 0.1, cfg.resolve_window(), theta0=tuple(cfg.theta0))
     pts, unresolved = bs_predict(lat)

@@ -364,12 +364,12 @@ class ActionMap:
         z = np.atleast_1d(z)
 
         def residual(eta):
-            vals = self.ptilde.evaluate(np.zeros_like(eta, dtype=complex), eta)
+            vals = self.ptilde.evaluate(np.zeros_like(eta), eta)
             return np.stack([(vals - z).real, (vals - z).imag], axis=-1), self._jac(eta)
 
         eta, ok = newton_2x2(residual, np.stack([z.real, z.imag], axis=-1).astype(float),
                              self.newton_tol, self.max_iter)
-        vals = self.ptilde.evaluate(np.zeros_like(eta, dtype=complex), eta)
+        vals = self.ptilde.evaluate(np.zeros_like(eta), eta)
         ok &= np.abs(vals - z) <= 10 * self.newton_tol
         if scalar:
             return eta[0], ok[0]

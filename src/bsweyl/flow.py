@@ -239,7 +239,8 @@ class DeformedSymbol:
         if self.base.n != self.deformation.n:
             raise DimensionMismatchError("base symbol and generator dimensions differ")
         if abs(self.t) > self.deformation.t_max:
-            raise ValueError(f"|t| = {abs(self.t)} exceeds t_max")
+            raise ValueError(
+                f"|t| = {abs(self.t)} exceeds t_max = {self.deformation.t_max}")
 
     @property
     def n(self) -> int:

@@ -180,7 +180,7 @@ def quantize_torus(ptilde: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
     ks = np.arange(-K, K + 1)
     grids = np.meshgrid(*([ks] * n), indexing="ij")
     eta = h * np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-    vals = ptilde.evaluate(np.zeros_like(eta, dtype=complex), eta)
+    vals = ptilde.evaluate(np.zeros_like(eta), eta)
     return OperatorMatrix(np.diag(vals), basis, provenance="torus-fourier")
 
 

@@ -234,31 +234,75 @@ class SymbolExpr:
 
     # ------------------------------------------------------------- evaluation
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """The evaluation plan, built once per symbol.
+
+        Axes 0..n-1 are x and n..2n-1 are xi.  Each term becomes its
+        coefficient, its (axis, exponent) factors and its (axis,
+        frequency) phases; alongside go the highest power each axis needs
+        and every (axis, frequency) pair, so that ``evaluate`` builds each
+        power and each phase once and shares it across terms.
+        """
+        terms, top, phases = [], [0] * (2 * self.n), set()
+        for t in self.terms:
+            pows = tuple((k, e) for k, e in enumerate(t.xpow + t.xipow) if e)
+            freqs = tuple((k, f) for k, f in enumerate(t.xfreq + t.xifreq) if f)
+            for k, e in pows:
+                top[k] = max(top[k], e)
+            phases.update(freqs)
+            terms.append((t.coeff, pows, freqs))
+        return tuple(terms), tuple(top), tuple(sorted(phases))
+
     def evaluate(self, x, xi):
-        """Evaluate at arrays of points; x, xi have shape (..., n)."""
-        x = np.asarray(x, dtype=complex)
-        xi = np.asarray(xi, dtype=complex)
+        """Evaluate at arrays of points; x, xi have shape (..., n).
+
+        Arithmetic runs in the points' own dtype: at real points the
+        monomials are real and the complex coefficients enter last, as
+        separate real and imaginary sums.  The result is complex, with
+        the broadcast shape of the points.
+        """
+        x = np.asarray(x)
+        xi = np.asarray(xi)
         if x.shape[-1] != self.n or xi.shape[-1] != self.n:
             raise DimensionMismatchError(
                 f"points have dimension {x.shape[-1]}, symbol has n={self.n}")
         shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-        out = np.zeros(shape, dtype=complex)
-        for t in self.terms:
-            val = np.full(shape, t.coeff, dtype=complex)
-            for j in range(self.n):
-                if t.xpow[j]:
-                    val = val * x[..., j] ** t.xpow[j]
-                if t.xipow[j]:
-                    val = val * xi[..., j] ** t.xipow[j]
-            if any(f != 0 for f in t.xfreq) or any(f != 0 for f in t.xifreq):
-                phase = np.zeros(shape, dtype=complex)
-                for j in range(self.n):
-                    if t.xfreq[j]:
-                        phase = phase + t.xfreq[j] * x[..., j]
-                    if t.xifreq[j]:
-                        phase = phase + t.xifreq[j] * xi[..., j]
-                val = val * np.exp(1j * phase)
-            out += val
+        terms, top, phase_keys = self._plan
+        z = [np.asarray(a[..., j], dtype=complex if np.iscomplexobj(a) else float)
+             for a in (x, xi) for j in range(self.n)]
+        # plain loops fill the tables: a self-recursive closure would form a
+        # reference cycle that keeps them alive until the cyclic GC runs
+        powers = {}  # (axis, e) -> z_axis**e, by repeated multiplication
+        for k, e_max in enumerate(top):
+            for e in range(1, e_max + 1):
+                powers[k, e] = z[k] if e == 1 else powers[k, e - 1] * z[k]
+        phases = {}  # (axis, f) -> exp(i f z_axis); sorted keys put -f before f
+        for k, f in phase_keys:
+            mirror = phases.get((k, -f))
+            phases[k, f] = 1 / mirror if mirror is not None else np.exp(1j * f * z[k])
+        re = im = out = None
+        for c, pows, freqs in terms:
+            factors = [powers[key] for key in pows] + [phases[key] for key in freqs]
+            val = factors[0] if factors else 1.0
+            for f in factors[1:]:
+                val = val * f
+            if np.iscomplexobj(val):
+                if out is None:
+                    out = np.zeros(shape, dtype=complex)
+                out += c * val
+                continue
+            if re is None:
+                re, im = np.zeros(shape), np.zeros(shape)
+            if c.real:
+                re += c.real * val
+            if c.imag:
+                im += c.imag * val
+        if out is None:
+            out = np.zeros(shape, dtype=complex)
+        if re is not None:
+            out.real += re
+            out.imag += im
         return out
 
     def __call__(self, rho: PhasePoint) -> complex:

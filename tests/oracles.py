@@ -31,6 +31,31 @@ def eval_term_by_term(sym, x, xi):
     return total
 
 
+def evaluate_reference(sym, x, xi):
+    """The term-by-term array evaluation: complex points, one phase per term."""
+    x = np.asarray(x, dtype=complex)
+    xi = np.asarray(xi, dtype=complex)
+    shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
+    out = np.zeros(shape, dtype=complex)
+    for t in sym.terms:
+        val = np.full(shape, t.coeff, dtype=complex)
+        for j in range(sym.n):
+            if t.xpow[j]:
+                val = val * x[..., j] ** t.xpow[j]
+            if t.xipow[j]:
+                val = val * xi[..., j] ** t.xipow[j]
+        if any(f != 0 for f in t.xfreq) or any(f != 0 for f in t.xifreq):
+            phase = np.zeros(shape, dtype=complex)
+            for j in range(sym.n):
+                if t.xfreq[j]:
+                    phase = phase + t.xfreq[j] * x[..., j]
+                if t.xifreq[j]:
+                    phase = phase + t.xifreq[j] * xi[..., j]
+            val = val * np.exp(1j * phase)
+        out += val
+    return out
+
+
 def fd_gradient(sym, x, xi, h=1e-6):
     """Central finite differences of the evaluation along real directions."""
     n = sym.n

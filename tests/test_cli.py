@@ -367,6 +367,10 @@ class TestRunnerTable:
         ["audit", "--G", "coupling-xx"],
         ["density", "--G", "coupling-xx", "--window", WIN],
         ["integrable-equality", "--window", "no-such-window.json"],
+        # bs checks the deformation it takes; audit rejects what it would cap
+        ["bs", "--G", "no-such-generator", "--window", WIN],
+        ["bs", "--G", "coupling-xx", "--t", "7", "--window", WIN],
+        ["audit", "--samples", "10000"],
     ])
     def test_ignored_input_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

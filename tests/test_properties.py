@@ -7,18 +7,18 @@ from bsweyl.symbols import SymbolExpr, poisson_bracket, real_bracket
 
 coeffs = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
                             allow_nan=False, allow_infinity=False)
-powers = st.tuples(st.integers(0, 2), st.integers(0, 2))
-freqs = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]),
-                  st.sampled_from([-1.0, 0.0, 1.0]))
+powers = st.integers(0, 2)
+freqs = st.sampled_from([-1.0, 0.0, 1.0])
 
 
 @st.composite
-def symbols(draw, max_terms=3):
+def symbols(draw, max_terms=3, n=2):
     n_terms = draw(st.integers(1, max_terms))
-    out = SymbolExpr.zero(2)
+    pows, fs = st.tuples(*[powers] * n), st.tuples(*[freqs] * n)
+    out = SymbolExpr.zero(n)
     for _ in range(n_terms):
-        out = out + SymbolExpr.monomial(draw(coeffs), draw(powers), draw(powers),
-                                        xfreq=draw(freqs), xifreq=draw(freqs))
+        out = out + SymbolExpr.monomial(draw(coeffs), draw(pows), draw(pows), n,
+                                        xfreq=draw(fs), xifreq=draw(fs))
     return out
 
 

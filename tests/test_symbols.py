@@ -1,7 +1,9 @@
+import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsweyl.symbols import (DimensionMismatchError, PhasePoint, SymbolExpr,
                             SymbolJSONError, cho, coupling_xx, eval_symbol,
@@ -10,7 +12,9 @@ from bsweyl.symbols import (DimensionMismatchError, PhasePoint, SymbolExpr,
                             torus_coupled, torus_linear)
 from bsweyl.symbols import _parse_scalar
 
-from oracles import eval_term_by_term, fd_gradient, real_bracket_from_gradient
+from oracles import (eval_term_by_term, evaluate_reference, fd_gradient,
+                     real_bracket_from_gradient)
+from test_properties import symbols
 
 
 def random_symbol(rng, n=2, n_terms=3, with_trig=True):
@@ -67,6 +71,57 @@ class TestEval:
         with pytest.warns(RuntimeWarning):
             val = eval_symbol(p, rho)
         assert val == pytest.approx(1.0 + 1.0j)
+
+
+class TestEvaluationPlan:
+    """The compiled evaluate against the term-by-term oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from(["real", "complex", "mixed"]), st.data())
+    def test_matches_oracles(self, n, kind, data):
+        sym = data.draw(symbols(n=n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # a broadcast pair: x varies along the first axis, xi along the second
+        x = rng.uniform(-1.5, 1.5, (5, 1, n))
+        xi = rng.uniform(-1.5, 1.5, (1, 4, n))
+        if kind != "real":
+            xi = xi + 1j * rng.uniform(-0.5, 0.5, xi.shape)
+        if kind == "complex":
+            x = x + 1j * rng.uniform(-0.5, 0.5, x.shape)
+        got = sym.evaluate(x, xi)
+        assert got.dtype == complex and got.shape == (5, 4)
+        scale = sum(np.abs(evaluate_reference(SymbolExpr((t,), n), x, xi))
+                    for t in sym.terms)
+        assert np.all(np.abs(got - evaluate_reference(sym, x, xi)) <= 1e-14 * scale)
+        for i in range(5):
+            for j in range(4):
+                want = eval_term_by_term(sym, x[i, 0], xi[0, j])
+                assert abs(got[i, j] - want) <= 1e-14 * scale[i, j]
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)])
+    def test_real_points_give_complex_broadcast_result(self, shape):
+        x = np.ones(shape)
+        vals = coupling_xx().evaluate(x, 2 * x)
+        assert vals.dtype == complex and vals.shape == shape[:-1]
+        assert np.all(vals == 1.0)
+
+    def test_zero_symbol_gives_zeros(self):
+        vals = SymbolExpr.zero(2).evaluate(np.ones((5, 1, 2)), np.ones((1, 4, 2)) + 1j)
+        assert vals.dtype == complex and vals.shape == (5, 4)
+        assert not np.any(vals)
+
+    def test_leaves_no_reference_cycle(self):
+        # tables kept alive by a cycle would outlive the call until the cyclic GC runs
+        p = torus_coupled(0.3) * cho(1.0, 0.5j) + sin_x1_cos_xi2()
+        rng = np.random.default_rng(5)
+        x, xi = rng.uniform(-1, 1, (2, 100_000, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            p.evaluate(x, xi)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGradient:
