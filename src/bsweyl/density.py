@@ -13,6 +13,8 @@ dRe z dIm z:
 
 For a deformed symbol built over an integrable base the action density
 is unchanged by the deformation, so omega of the base is used as is.
+When a deformed symbol has no closed form, only the samples that can
+land in the window go through the flow (see ``_sampled_values``).
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
+from .flow import DeformedSymbol
 from .symbols import DimensionMismatchError, SymbolExpr
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 DEFAULT_SHARD = 1 << 20
+FLOW_SHARD = 1 << 14  # samples flowed at once after the pre-filter
 
 
 class EmptyGridError(RuntimeError):
@@ -95,6 +99,14 @@ class ComplexWindow:
         im = 0.5 * (self.im_edges[:-1] + self.im_edges[1:])
         RE, IM = np.meshgrid(re, im, indexing="ij")
         return RE + 1j * IM
+
+    def distance(self, z) -> np.ndarray:
+        """Euclidean distance from each z to the closed window (0 inside)."""
+        z = np.asarray(z)
+        lo_r, hi_r, lo_i, hi_i = self.bounds
+        dr = np.maximum(np.maximum(lo_r - z.real, z.real - hi_r), 0.0)
+        di = np.maximum(np.maximum(lo_i - z.imag, z.imag - hi_i), 0.0)
+        return np.hypot(dr, di)
 
     def contains(self, z) -> np.ndarray:
         z = np.asarray(z)
@@ -221,6 +233,33 @@ def _bin(vals, win: ComplexWindow, weights=None):
     return np.bincount(idx, w, minlength=nr * ni).reshape(nr, ni)
 
 
+def _sampled_values(p, win, box_radius, samples, seed, sampler, shard_size):
+    """Yield (p at the shard's points, samples flowed) per shard of the box.
+
+    The points are uniform in the real box {|(x, xi)|_inf <= box_radius}.
+    A DeformedSymbol that flows is flowed only where it can land in the
+    closed window: p_t(rho) lies within displacement_bound(rho) of p(rho),
+    so a sample farther than that from the window lands outside it.  Those
+    samples get NaN, which binning and hit counts drop; the others are
+    flowed FLOW_SHARD at a time.
+    """
+    n = p.n
+    flows = isinstance(p, DeformedSymbol) and p.flows
+    for shard in _unit_samples(2 * n, samples, seed, sampler, shard_size):
+        q = -box_radius + 2 * box_radius * shard
+        x, xi = q[:, :n], q[:, n:]
+        if not flows:
+            yield p.evaluate(x, xi), 0
+            continue
+        near = win.distance(p.base.evaluate(x, xi)) <= p.displacement_bound(x, xi)
+        keep = np.flatnonzero(near)
+        vals = np.full(len(q), np.nan, dtype=complex)
+        for start in range(0, keep.size, FLOW_SHARD):
+            k = keep[start:start + FLOW_SHARD]
+            vals[k] = p.evaluate(x[k], xi[k])
+        yield vals, keep.size
+
+
 def _sample_method(sampler):
     return "monte-carlo" if sampler == "random" else "quasi-monte-carlo"
 
@@ -236,12 +275,12 @@ def weyl_density(p, win: ComplexWindow, box_radius=4.0, samples=10_000_000,
     dimension n; only the window is two-dimensional.
     """
     n = p.n
-    dim = 2 * n
-    boxvol = (2 * box_radius) ** dim
+    boxvol = (2 * box_radius) ** (2 * n)
     counts = np.zeros(tuple(win.resolution), dtype=np.int64)
-    for shard in _unit_samples(dim, samples, seed, sampler, shard_size):
-        q = -box_radius + 2 * box_radius * shard
-        counts += _bin(p.evaluate(q[:, :n], q[:, n:]), win)
+    flowed = 0
+    for vals, k in _sampled_values(p, win, box_radius, samples, seed, sampler, shard_size):
+        counts += _bin(vals, win)
+        flowed += k
     if counts.sum() == 0:
         raise EmptyGridError("no sample landed in the window")
     scale = boxvol / (samples * win.cell_area)
@@ -249,7 +288,7 @@ def weyl_density(p, win: ComplexWindow, box_radius=4.0, samples=10_000_000,
     phat = counts / samples
     stderr = scale * np.sqrt(np.maximum(counts, 1) * (1 - phat))
     return DensityGrid(win, values, stderr, _sample_method(sampler),
-                       meta={"samples": samples, "seed": seed,
+                       meta={"samples": samples, "flowed": flowed, "seed": seed,
                              "box_radius": box_radius, "sampler": sampler,
                              "n": n})
 
@@ -435,20 +474,14 @@ def omega_density(am: ActionMap, win: ComplexWindow,
 
 def preimage_volume(p, window_or_bounds, box_radius=4.0, samples=10_000_000,
                     seed=0, sampler="sobol", shard_size=DEFAULT_SHARD):
-    """vol(p^{-1}(W)) on the real box, with a binomial standard error."""
-    if isinstance(window_or_bounds, ComplexWindow):
-        lo_r, hi_r, lo_i, hi_i = window_or_bounds.bounds
-    else:
-        lo_r, hi_r, lo_i, hi_i = window_or_bounds
-    n = p.n
-    dim = 2 * n
-    boxvol = (2 * box_radius) ** dim
+    """vol(p^{-1}(W)) of the open window on the real box, with a binomial standard error."""
+    win = window_or_bounds
+    if not isinstance(win, ComplexWindow):
+        win = ComplexWindow.from_bounds(*win)
+    boxvol = (2 * box_radius) ** (2 * p.n)
     hits = 0
-    for shard in _unit_samples(dim, samples, seed, sampler, shard_size):
-        q = -box_radius + 2 * box_radius * shard
-        vals = p.evaluate(q[:, :n], q[:, n:])
-        hits += int(np.sum((vals.real > lo_r) & (vals.real < hi_r)
-                           & (vals.imag > lo_i) & (vals.imag < hi_i)))
+    for vals, _ in _sampled_values(p, win, box_radius, samples, seed, sampler, shard_size):
+        hits += int(np.count_nonzero(win.contains(vals)))
     phat = hits / samples
     vol = boxvol * phat
     stderr = boxvol * np.sqrt(max(phat * (1 - phat), 1.0 / samples) / samples)
@@ -480,10 +513,6 @@ def ellipticity_margin_check(p, win: ComplexWindow, box_radius,
     reported not proved.
     """
     vals = p.evaluate(*box_face_points(p.n, box_radius, n_samples, (seed, 991)))
-    lo_r, hi_r, lo_i, hi_i = win.bounds
-    dr = np.maximum(np.maximum(lo_r - vals.real, vals.real - hi_r), 0.0)
-    di = np.maximum(np.maximum(lo_i - vals.imag, vals.imag - hi_i), 0.0)
-    dist = np.hypot(dr, di)
-    min_dist = float(np.min(dist))
+    min_dist = float(np.min(win.distance(vals)))
     need = margin_factor * win.diameter
     return min_dist >= need, min_dist

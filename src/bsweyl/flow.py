@@ -16,12 +16,17 @@ from that is reported as the canonical defect.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .symbols import DimensionMismatchError, PhasePoint, SymbolExpr, load_symbol
+
+
+# shrink steps of the trapping radius in DeformedSymbol.displacement_bound
+TRAP_STEPS = 2
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -79,9 +84,27 @@ class Deformation:
             grad = g.grad_symbols
             tm = t ** m
             for j in range(n):  # added in place: flow_points passes whole shards
-                vx[..., j] += tm * grad[n + j].evaluate(x, xi)
-                vxi[..., j] += tm * grad[j].evaluate(x, xi)
+                if grad[n + j].terms:
+                    vx[..., j] += tm * grad[n + j].evaluate(x, xi)
+                if grad[j].terms:
+                    vxi[..., j] += tm * grad[j].evaluate(x, xi)
         return 1j * vx, -1j * vxi
+
+    def speed_bound(self, t, x, xi, r):
+        """{k: bound of |V_k|} over K_r(rho) and every time s with |s| <= |t|.
+
+        k runs over the components of (x, xi) whose velocity is not zero
+        identically: V_k = i dG_s/dxi_k for the x-components and -i dG_s/dx_k
+        for the xi-components, and with G_s = sum_m s^m G_m the bound is
+        sum_m |t|^m sup_{K_r} |dG_m| (``SymbolExpr.box_sup``).
+        """
+        n = self.n
+        out = {}
+        for m, g in enumerate(self.generators):
+            for k, sym in enumerate(g.grad_symbols[n:] + g.grad_symbols[:n]):
+                if sym.terms:
+                    out[k] = out.get(k, 0.0) + abs(t) ** m * sym.box_sup(x, xi, r)
+        return out
 
     def velocity_jacobian(self, t, x, xi):
         """Complex Jacobian A = dV/d(x,xi), shape (..., 2n, 2n).
@@ -165,7 +188,7 @@ def _rk45(rhs, t0, t1, y0, rtol, atol, h0):
             n_steps += 1
         factor = 0.9 * (enorm + 1e-300) ** -0.2
         h = h * min(5.0, max(0.2, factor))
-        if abs(h) < min_h:
+        if abs(h) < min_h and (t1 - t) * direction > 0:  # a last sliver step may be tiny
             raise StepSizeUnderflowError(
                 f"step size underflow at t={t:.6g} (stiff or escaping trajectory)")
     return y, n_steps
@@ -264,6 +287,43 @@ class DeformedSymbol:
     def is_quadratic(self) -> bool:
         return (not self.base.has_trig and self.base.total_degree <= 2
                 and self.deformation.is_polynomial_quadratic())
+
+    @property
+    def flows(self) -> bool:
+        """Whether ``evaluate`` integrates the flow (no closed form applies)."""
+        return bool(self.t) and not self.is_quadratic
+
+    def displacement_bound(self, x, xi):
+        """B(rho) >= |p_t(rho) - p(rho)| at real points rho; inf where not certified.
+
+        While the path s -> kappa_s(rho) stays in a box K_r(rho) (see
+        ``SymbolExpr.box_sup``), |d p(kappa_s rho)/ds| <= sum_k sup_K |d_k p|
+        sup_K |V_k|, so B = |t| sum_k sup_K |d_k p| sup_K |V_k|.  The path
+        cannot leave K_r when |t| sup_{K_r} |V_k| <= r for every k, since each
+        coordinate then moves by at most r.  r starts at 2 |t| sup_{K_0} |V|,
+        twice the move at the speed at rho; TRAP_STEPS steps
+        r <- min(r, |t| sup_{K_r} |V|) shrink it, and the condition is
+        checked at the final r.  Where it fails, or where r exceeds a tube
+        radius, B is inf, so such a sample is always flowed and the tube
+        check still runs.
+        """
+        t, d = abs(self.t), self.deformation
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+
+        def reach(speeds):
+            return t * functools.reduce(np.maximum, speeds.values(), 0.0)
+
+        with np.errstate(over="ignore"):  # an overflowing sup is inf: not certified
+            r = 2 * reach(d.speed_bound(self.t, x, xi, 0.0))
+            for _ in range(TRAP_STEPS):
+                r = np.minimum(r, reach(d.speed_bound(self.t, x, xi, r)))
+            speeds = d.speed_bound(self.t, x, xi, r)
+            trapped = (reach(speeds) <= r) & (r <= min(self.base.tube_radius, d.tube_radius))
+            dp = self.base.grad_symbols
+            drift = sum((dp[k].box_sup(x, xi, r) * v for k, v in speeds.items()
+                         if dp[k].terms), 0.0)
+        shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
+        return np.broadcast_to(np.where(trapped, t * drift, np.inf), shape)
 
 
 def deformed_eval(ps: DeformedSymbol, rho: PhasePoint) -> complex:

@@ -21,6 +21,7 @@ i.e. {f, g} = H_f g with the Hamilton field H_f = f_xi . d_x - f_x . d_xi.
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import operator
 import re
@@ -304,6 +305,44 @@ class SymbolExpr:
             out.real += re
             out.imag += im
         return out
+
+    def box_sup(self, x, xi, r):
+        """Upper bound of |self| over the complex box K_r(rho) about real points rho.
+
+        K_r(rho) = {z : |Re z_k - rho_k| <= r, |Im z_k| <= r on every axis k},
+        for real x, xi of shape (..., n) and r >= 0, a scalar or an array
+        that broadcasts against the points.  On K_r a factor z_k^e is at
+        most hypot(|rho_k| + r, r)^e, and |exp(i f.z)| = exp(-f.Im z), so
+        |self| <= sum_terms |c| * (power bound) * exp(-f.Im z).  That sum is
+        convex in Im z, so its largest value on the box [-r, r]^m of the m
+        axes that carry a frequency is at one of the 2^m vertices.  The
+        result broadcasts against the points; it is 0-d when neither the
+        polynomial factors nor r depend on the point.
+        """
+        terms, top, phase_keys = self._plan
+        r = np.asarray(r, dtype=float)
+        z = [a[..., j] for a in (np.asarray(x), np.asarray(xi)) for j in range(self.n)]
+        powers = {}  # (axis, e) -> bound of |z_axis|^e on the box
+        for k, e_max in enumerate(top):
+            for e in range(1, e_max + 1):
+                powers[k, e] = (np.hypot(np.abs(z[k]) + r, r) if e == 1
+                                else powers[k, e - 1] * powers[k, 1])
+        weights = []
+        for c, pows, freqs in terms:
+            w = abs(c)
+            for key in pows:
+                w = w * powers[key]
+            weights.append((w, freqs))
+        axes = sorted({k for k, _ in phase_keys})
+        best = np.zeros(())
+        for signs in itertools.product((-1.0, 1.0), repeat=len(axes)):
+            im = dict(zip(axes, signs))  # Im z_k = im[k] * r at this vertex
+            total = 0.0
+            for w, freqs in weights:
+                s = sum(f * im[k] for k, f in freqs)
+                total = total + (w * np.exp(-s * r) if s else w)
+            best = np.maximum(best, total)
+        return best
 
     def __call__(self, rho: PhasePoint) -> complex:
         return eval_symbol(self, rho)

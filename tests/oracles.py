@@ -215,3 +215,14 @@ def histogram2d_bin(vals, win, weights=None):
     h, _, _ = np.histogram2d(vals.real, vals.imag, bins=[win.re_edges, win.im_edges],
                              weights=weights)
     return h if weights is not None else h.astype(np.int64)
+
+
+def unfiltered_sobol_values(p, box_radius, samples, seed):
+    """(x, xi, p(x, xi)) at the scrambled Sobol' points of a one-shard density run.
+
+    Every sample goes through ``p.evaluate`` in one batch, with no pre-filter.
+    """
+    from scipy.stats import qmc
+    n = p.n
+    q = -box_radius + 2 * box_radius * qmc.Sobol(d=2 * n, scramble=True, seed=seed).random(samples)
+    return q[:, :n], q[:, n:], p.evaluate(q[:, :n], q[:, n:])

@@ -258,6 +258,16 @@ def test_density_tagged_quasi_monte_carlo(tmp_path, capsys):
     assert meta["method"] == "quasi-monte-carlo" and meta["sampler"] == "sobol"
 
 
+def test_deform_density_meta_counts_flowed_samples(tmp_path, capsys):
+    win = '{"center": [0.0, 0.9], "half_widths": [0.15, 0.3], "resolution": [6, 6]}'
+    assert main(["deform-density", "--symbol", "cho(1,0)", "--G", "sin-x1-cos-xi2",
+                 "--t", "0.2", "--samples", "4096", "--box-radius", "3",
+                 "--window", win, "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "density_meta.json").read_text())
+    assert meta["samples"] == 4096 and 0 < meta["flowed"] < 4096 // 10
+
+
 def test_bs_builds_no_operator(tmp_path, capsys, monkeypatch):
     args = ["bs", "--h", "0.1", "--window", WIN]
     assert main(args + ["--outdir", str(tmp_path / "a")]) == 0

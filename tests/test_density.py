@@ -9,12 +9,20 @@ from bsweyl.density import (ActionMap, ComplexWindow,
                             weyl_density_torus)
 from bsweyl.flow import Deformation, DeformedSymbol
 from bsweyl.symbols import (DimensionMismatchError, SymbolExpr, cho,
-                            coupling_xx, torus_coupled, torus_linear)
+                            coupling_xx, sin_x1_cos_xi2, torus_coupled,
+                            torus_linear)
 from bsweyl.variation import TestFunction
 
-from oracles import bisection_invert_2d, histogram2d_bin
+from oracles import bisection_invert_2d, histogram2d_bin, unfiltered_sobol_values
 
 TWO_PI_SQ = (2 * np.pi) ** 2
+
+
+def sin_x1(tube_radius=8.0):
+    """The flow generator sin(x1) = (e^{i x1} - e^{-i x1}) / 2i."""
+    return (SymbolExpr.monomial(-0.5j, (0, 0), (0, 0), tube_radius=tube_radius, xfreq=(1, 0))
+            + SymbolExpr.monomial(0.5j, (0, 0), (0, 0), tube_radius=tube_radius,
+                                  xfreq=(-1, 0)))
 
 
 class TestWindow:
@@ -26,6 +34,13 @@ class TestWindow:
         z = win.centers_complex()
         assert z.shape == (10, 20)
         assert np.all(win.contains(z))
+
+    def test_distance_to_closed_rectangle(self):
+        win = ComplexWindow.from_bounds(0.0, 1.0, 0.0, 2.0, (4, 4))
+        z = np.array([0.5 + 1j, 1.0 + 2j, -3.0 + 1j, 1.5 - 1j, 4.0 + 6j, np.nan])
+        d = win.distance(z)
+        assert d[:5].tolist() == [0.0, 0.0, 3.0, np.hypot(0.5, 1.0), 5.0]
+        assert np.isnan(d[5])
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -347,3 +362,75 @@ class TestPushforwardConsistency:
         side_b = boxvol * float(np.mean(vals))
         err_b = boxvol * float(np.std(vals)) / np.sqrt(m)
         assert abs(side_a - side_b) <= 3 * np.hypot(err_a, err_b)
+
+
+PREFILTER_CASES = {
+    # the flow-trig density: sin x1 cos xi2 shears cho(1, 0) at t = 0.2
+    "flow_trig": lambda: (
+        DeformedSymbol(cho(1.0, 0.0), Deformation((sin_x1_cos_xi2(tube_radius=8.0),)), 0.2),
+        ComplexWindow.from_bounds(-0.15, 0.15, 0.6, 1.2, (6, 6)), 3.0, 5),
+    # sin x1 moves xi1 by -i t cos x1: the bound is within 20% of the largest move
+    "tight": lambda: (
+        DeformedSymbol(cho(1.0, 0.0), Deformation((sin_x1(),)), 0.3),
+        ComplexWindow.from_bounds(0.2, 0.8, 0.2, 0.8, (4, 4)), 2.0, 3),
+}
+
+
+class TestFlowPreFilter:
+    """Samples that provably land outside the window skip the flow."""
+
+    SAMPLES = 1 << 16
+
+    @pytest.mark.parametrize("case", sorted(PREFILTER_CASES))
+    def test_counts_equal_unfiltered_run(self, case):
+        ps, win, box, seed = PREFILTER_CASES[case]()
+        x, xi, vals = unfiltered_sobol_values(ps, box, self.SAMPLES, seed)
+        want = histogram2d_bin(vals, win)
+        grid = weyl_density(ps, win, box_radius=box, samples=self.SAMPLES, seed=seed)
+        got = np.rint(grid.values * self.SAMPLES * win.cell_area / (2 * box) ** 4)
+        assert np.array_equal(got.astype(np.int64), want) and want.sum() > 150
+        assert want.sum() <= grid.meta["flowed"] < self.SAMPLES // 4
+        vol, _ = preimage_volume(ps, win, box_radius=box, samples=self.SAMPLES, seed=seed)
+        assert vol == (2 * box) ** 4 * (np.count_nonzero(win.contains(vals)) / self.SAMPLES)
+        bound = ps.displacement_bound(x, xi)
+        moved = np.abs(vals - ps.base.evaluate(x, xi))
+        assert np.all(moved <= bound)
+        if case == "tight":
+            assert np.max(moved) >= 0.5 * np.max(bound)
+
+    def test_uncertified_samples_are_flowed(self, monkeypatch):
+        # a cubic generator's speed grows with |rho|: far out, no box traps the path
+        G = SymbolExpr.monomial(0.3, (2, 0), (0, 1))
+        ps = DeformedSymbol(cho(1.0, 0.0), Deformation((G,)), 0.2)
+        win = ComplexWindow.from_bounds(0.2, 0.8, 0.2, 0.8, (4, 4))
+        m = 1 << 12
+        x, xi, _ = unfiltered_sobol_values(ps, 2.5, m, 3)
+        uncertified = ~np.isfinite(ps.displacement_bound(x, xi))
+        assert 0 < uncertified.sum() < m
+        flowed = []
+        evaluate = DeformedSymbol.evaluate
+
+        def recording(self, x, xi):
+            flowed.append(np.concatenate([x, xi], axis=1))
+            return evaluate(self, x, xi)
+
+        monkeypatch.setattr(DeformedSymbol, "evaluate", recording)
+        grid = weyl_density(ps, win, box_radius=2.5, samples=m, seed=3)
+        seen = {tuple(row) for row in np.concatenate(flowed)}
+        q = np.concatenate([x, xi], axis=1)
+        assert all(tuple(row) in seen for row in q[uncertified])
+        assert grid.meta["flowed"] == len(seen) < m
+
+    def test_path_beyond_the_tube_is_flowed_and_warns(self):
+        # the trapping radius (about 0.21) exceeds the generator's tube radius
+        ps = DeformedSymbol(cho(1.0, 0.0), Deformation((sin_x1_cos_xi2(tube_radius=0.1),)), 0.2)
+        win = ComplexWindow.from_bounds(-0.15, 0.15, 0.6, 1.2, (6, 6))
+        with pytest.warns(RuntimeWarning, match="left the declared tube"):
+            grid = weyl_density(ps, win, box_radius=3.0, samples=1 << 12, seed=5)
+        assert grid.meta["flowed"] == 1 << 12
+
+    def test_plain_and_closed_form_symbols_flow_nothing(self):
+        win = ComplexWindow.from_bounds(-0.15, 0.15, 0.6, 1.2, (6, 6))
+        for p in (cho(1.0, 0.0), DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), 0.2)):
+            grid = weyl_density(p, win, box_radius=3.0, samples=1 << 12, seed=5)
+            assert grid.meta["flowed"] == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsweyl.flow import (Deformation, DeformedSymbol, deformed_eval,
                          deformed_quadratic, flow_points, integrate_flow,
@@ -53,6 +54,16 @@ class TestIntegrateFlow:
         assert np.max(np.abs(got - want)) <= 1e-8
         assert np.max(np.abs(res.jacobian - L)) <= 1e-8
 
+    @pytest.mark.parametrize("t", [1e-15, 0.3682478300748469])
+    def test_tiny_last_step_is_no_underflow(self, t):
+        # 0.1 + (t - 0.1) falls one ulp short of t = 0.36824..., so the run
+        # ends with a step of about 5e-17; t = 1e-15 is one such step
+        d = Deformation((sin_x1_cos_xi2(tube_radius=8.0),))
+        rho = PhasePoint.real([0.3, -0.2], [0.1, 0.7])
+        res = integrate_flow(d, t, rho)
+        back = integrate_flow(d, -t, res.endpoint).endpoint
+        assert np.max(np.abs(np.concatenate([back.x - rho.x, back.xi - rho.xi]))) <= 1e-8
+
     def test_t_max_enforced(self):
         d = Deformation((coupling_xx(),), t_max=0.1)
         with pytest.raises(ValueError):
@@ -95,16 +106,18 @@ class TestFlowInvariants:
 
     def test_canonicality_nonshear_generator(self):
         # the built-in generators produce shear flows whose Jacobians are
-        # exactly symplectic; a quartic generator gives a genuinely
-        # nonlinear variational equation, so this bounds integrator error
-        G = (SymbolExpr.monomial(0.3, (2, 0), (2, 0))
-             + SymbolExpr.monomial(0.2, (0, 2), (0, 1)))
-        d = Deformation((G,), tol=1e-10)
+        # exactly symplectic; a quartic generator, and sin x1 cos xi1, which
+        # moves x1 and xi1 together, give genuinely nonlinear variational
+        # equations, so this bounds integrator error
+        quartic = (SymbolExpr.monomial(0.3, (2, 0), (2, 0))
+                   + SymbolExpr.monomial(0.2, (0, 2), (0, 1)))
         rng = np.random.default_rng(20)
-        for _ in range(5):
-            rho = rand_point(rng)
-            res = integrate_flow(d, rng.uniform(-0.3, 0.3), rho)
-            assert 0 < res.canonical_defect <= 100 * d.tol
+        for G in (quartic, _sin_x1_cos_xi1()):
+            d = Deformation((G,), tol=1e-10)
+            for _ in range(5):
+                rho = rand_point(rng)
+                res = integrate_flow(d, rng.uniform(-0.3, 0.3), rho)
+                assert 0 < res.canonical_defect <= 100 * d.tol
 
     def test_symplectic_form_preserved_exactly_for_quadratic(self):
         d = Deformation((coupling_xx(),))
@@ -119,6 +132,14 @@ class TestFlowInvariants:
         with pytest.warns(RuntimeWarning):
             res = integrate_flow(d, 0.4, PhasePoint.real([2.0, 2.0], [0.0, 0.0]))
         assert not res.certified
+
+
+def _sin_x1_cos_xi1():
+    sin_x1 = (SymbolExpr.monomial(-0.5j, (0, 0), (0, 0), tube_radius=8.0, xfreq=(1, 0))
+              + SymbolExpr.monomial(0.5j, (0, 0), (0, 0), tube_radius=8.0, xfreq=(-1, 0)))
+    cos_xi1 = (SymbolExpr.monomial(0.5, (0, 0), (0, 0), tube_radius=8.0, xifreq=(1, 0))
+               + SymbolExpr.monomial(0.5, (0, 0), (0, 0), tube_radius=8.0, xifreq=(-1, 0)))
+    return sin_x1 * cos_xi1
 
 
 def _t_family():
@@ -173,6 +194,21 @@ class TestVelocity:
 
             fd = (v(1) - v(-1)) / (2 * h)
             assert np.max(np.abs(A[..., k] - fd)) <= 1e-8
+
+    def test_zero_derivatives_are_not_evaluated(self, monkeypatch):
+        # dG/dx2 and dG/dxi1 of sin x1 cos xi2 are the zero symbol
+        d = VELOCITY_CASES["sin_x1_cos_xi2"]()
+        assert sum(not g.terms for g in d.generators[0].grad_symbols) == 2
+        seen = []
+        evaluate = SymbolExpr.evaluate
+
+        def recording(self, x, xi):
+            seen.append(self)
+            return evaluate(self, x, xi)
+
+        monkeypatch.setattr(SymbolExpr, "evaluate", recording)
+        d.velocity(self.T, *_complex_points(3))
+        assert len(seen) == 2 and all(sym.terms for sym in seen)
 
     def test_repeat_flow_builds_no_symbols(self, monkeypatch):
         G = sin_x1_cos_xi2(tube_radius=8.0)
@@ -238,6 +274,40 @@ class TestDeformedSymbol:
         v0 = eval_symbol(base, rho)
         vt = deformed_eval(ps, rho)
         assert vt != pytest.approx(v0, rel=1e-6)  # the flow actually moves
+
+
+BOUND_CASES = {
+    "sin_x1_cos_xi2": lambda: Deformation((sin_x1_cos_xi2(tube_radius=8.0),)),
+    "t_family": _t_family,
+    "cubic": lambda: Deformation((SymbolExpr.monomial(0.3, (2, 0), (0, 1))
+                                  + SymbolExpr.monomial(0.2, (0, 1), (1, 1)),)),
+}
+
+
+class TestDisplacementBound:
+    """B(rho) bounds |p_t(rho) - p(rho)| wherever it is finite."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(BOUND_CASES)),
+           st.floats(0.01, 0.4) | st.floats(-0.4, -0.01), st.integers(0, 2 ** 32 - 1))
+    def test_bounds_the_deformation(self, case, t, seed):
+        base = cho(1.0, 0.5 + 0.5j) + sin_x1_cos_xi2(tube_radius=8.0) * 0.3
+        ps = DeformedSymbol(base, BOUND_CASES[case](), t)
+        q = np.random.default_rng(seed).uniform(-2.0, 2.0, (8, 4))
+        x, xi = q[:, :2], q[:, 2:]
+        bound = ps.displacement_bound(x, xi)
+        moved = np.abs(ps.evaluate(x, xi) - base.evaluate(x, xi))
+        assert bound.shape == (8,)
+        # the integrator's error (tolerance 1e-10) is the only slack allowed
+        assert np.all(moved <= bound + 1e-8)
+
+    def test_trig_speed_traps_every_path(self):
+        # sin x1 cos xi2 has speed at most cosh^2 r on K_r wherever rho is, so
+        # r = 0.2 cosh^2 r (about 0.21) certifies far-out points too
+        ps = DeformedSymbol(cho(1.0, 0.0), BOUND_CASES["sin_x1_cos_xi2"](), 0.2)
+        x = np.array([[0.0, 0.0], [50.0, -50.0]])
+        bound = ps.displacement_bound(x, x)
+        assert np.all(np.isfinite(bound)) and bound[0] < 0.13
 
 
 class TestQuadraticConversion:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 
 import numpy as np
@@ -122,6 +123,46 @@ class TestEvaluationPlan:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestBoxSup:
+    """box_sup bounds |sym| on K_r(rho) = {|Re z - rho| <= r, |Im z| <= r}."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.booleans(), st.data())
+    def test_bounds_every_point_of_the_box(self, n, per_point_r, data):
+        sym = data.draw(symbols(n=n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x, xi = rng.uniform(-1.5, 1.5, (2, 6, 1, n))
+        r = rng.uniform(0, 1, (6, 1)) if per_point_r else rng.uniform(0, 1)
+        bound = np.broadcast_to(sym.box_sup(x, xi, r), (6, 1))
+        # 40 points of each box, the first 8 on its corners
+        u, v = rng.uniform(-1, 1, (2, 2, 40, 2 * n))
+        u[:, :8], v[:, :8] = np.sign(u[:, :8]), np.sign(v[:, :8])
+        r = np.asarray(r)[..., None]
+        vals = sym.evaluate(x + r * (u[0, :, :n] + 1j * v[0, :, :n]),
+                            xi + r * (u[1, :, n:] + 1j * v[1, :, n:]))
+        assert vals.shape == (6, 40)
+        assert np.all(np.abs(vals) <= bound * (1 + 1e-12))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_one_term_bound_is_reached_at_a_corner(self, n, data):
+        term = data.draw(symbols(max_terms=1, n=n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x, xi = rng.uniform(-1.5, 1.5, (2, n))
+        r = rng.uniform(0, 1)
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=4 * n)))
+        shift = r * (corners[:, :2 * n] + 1j * corners[:, 2 * n:])
+        vals = term.evaluate(x + np.sign(x) * shift[:, :n], xi + np.sign(xi) * shift[:, n:])
+        assert np.max(np.abs(vals)) == pytest.approx(float(term.box_sup(x, xi, r)), rel=1e-12)
+
+    def test_trig_generator_gives_cosh_squared(self):
+        # the vertex maximum keeps sin x1 cos xi2 at cosh^2 r, where bounding
+        # each term by e^{|f| r} would give e^{2r}
+        for r in (0.0, 0.2, 1.5):
+            sup = sin_x1_cos_xi2().box_sup(np.zeros(2), np.zeros(2), r)
+            assert sup.shape == () and sup == pytest.approx(np.cosh(r) ** 2, rel=1e-15)
 
 
 class TestGradient:
