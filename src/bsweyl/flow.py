@@ -165,7 +165,8 @@ def _rk45(rhs, t0, t1, y0, rtol, atol, h0):
     n_steps = 0
     min_h = 1e-14 * max(abs(span), 1.0)
     while (t1 - t) * direction > 0:
-        if abs(h) > abs(t1 - t):
+        last = abs(h) >= abs(t1 - t)
+        if last:
             h = t1 - t
         ks = []
         for i in range(7):
@@ -183,7 +184,7 @@ def _rk45(rhs, t0, t1, y0, rtol, atol, h0):
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         enorm = float(np.max(np.abs(err) / scale))
         if enorm <= 1.0:
-            t = t + h
+            t = t1 if last else t + h  # t + (t1 - t) may fall an ulp short of t1
             y = y5
             n_steps += 1
         factor = 0.9 * (enorm + 1e-300) ** -0.2

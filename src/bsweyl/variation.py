@@ -31,6 +31,9 @@ QUAD_MIN_ORDER = 8
 FD_STEP_FIRST = 1e-2
 FD_STEP_SECOND = 2e-2
 ERROR_FLOOR = 1e-12
+# relative widening of a certificate grid's reach, so it keeps every node
+# that a bump's rounded |u| < 1 test can accept
+REACH_PAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,47 +55,27 @@ class TestFunction:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", complex(self.center))
 
-    def _uv(self, z):
+    def _support(self, z):
+        """u and v at the points of z inside the open support, and their mask."""
         z = np.asarray(z)
-        return ((z.real - self.center.real) / self.radius,
-                (z.imag - self.center.imag) / self.radius)
-
-    @staticmethod
-    def _g(u):
-        out = np.zeros_like(u, dtype=float)
-        m = np.abs(u) < 1
-        w = 1 - u[m] ** 2
-        out[m] = w ** 3
-        return out
-
-    @staticmethod
-    def _gp(u):
-        out = np.zeros_like(u, dtype=float)
-        m = np.abs(u) < 1
-        w = 1 - u[m] ** 2
-        out[m] = -6 * u[m] * w ** 2
-        return out
-
-    @staticmethod
-    def _gpp(u):
-        out = np.zeros_like(u, dtype=float)
-        m = np.abs(u) < 1
-        w = 1 - u[m] ** 2
-        out[m] = w * (30 * u[m] ** 2 - 6)
-        return out
+        u = (z.real - self.center.real) / self.radius
+        v = (z.imag - self.center.imag) / self.radius
+        m = (np.abs(u) < 1) & (np.abs(v) < 1)
+        return u[m], v[m], m
 
     def value(self, z):
-        u, v = self._uv(z)
-        return self._g(u) * self._g(v)
+        u, v, m = self._support(z)
+        out = np.zeros(m.shape)
+        out[m] = (1 - u ** 2) ** 3 * (1 - v ** 2) ** 3
+        return out
 
     def laplacian(self, z):
-        u, v = self._uv(z)
-        return (self._gpp(u) * self._g(v) + self._g(u) * self._gpp(v)) / self.radius ** 2
-
-    def dz(self, z):
-        """d f / d z = (d_Re - i d_Im) f / 2."""
-        u, v = self._uv(z)
-        return (self._gp(u) * self._g(v) - 1j * self._g(u) * self._gp(v)) / (2 * self.radius)
+        u, v, m = self._support(z)
+        wu, wv = 1 - u ** 2, 1 - v ** 2
+        out = np.zeros(m.shape)
+        out[m] = (wu * (30 * u ** 2 - 6) * wv ** 3
+                  + wu ** 3 * (wv * (30 * v ** 2 - 6))) / self.radius ** 2
+        return out
 
     def support_bounds(self):
         c, r = self.center, self.radius
@@ -142,53 +125,6 @@ def tensor_quadrature(fn, n, box_radius, order):
         # replace them; freeing them at once costs ~20% more page faults
         vals = fn(x, xi)
         total += w_i * float(np.dot(np.asarray(vals, dtype=float), w_rest))
-    return total
-
-
-def separable_polar_quadrature(fn, r_breaks, r_max, order_r=32, order_theta=64):
-    """Integrate fn(x, xi) over R^4 in harmonic action-angle variables.
-
-    Uses x_j = sqrt(2 r_j) cos(theta_j), xi_j = -sqrt(2 r_j) sin(theta_j),
-    dx_j dxi_j = dr_j dtheta_j.  The radial axes are split into
-    Gauss-Legendre panels at the given breakpoints, so integrands whose
-    only non-smoothness sits on action circles (bump supports composed
-    with action-separable symbols) are integrated to near machine
-    accuracy.  Angles use the trapezoid rule, spectrally accurate for
-    the trigonometric-polynomial factors that arise here.
-    """
-    breaks = sorted({0.0, float(r_max), *(float(b) for b in r_breaks
-                                          if 0.0 < b < r_max)})
-    xg, wg = np.polynomial.legendre.leggauss(order_r)
-    r_nodes = []
-    r_weights = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        r_nodes.append(a + (b - a) * (xg + 1) / 2)
-        r_weights.append(wg * (b - a) / 2)
-    r_nodes = np.concatenate(r_nodes)
-    r_weights = np.concatenate(r_weights)
-    theta = 2 * np.pi * np.arange(order_theta) / order_theta
-    w_theta = 2 * np.pi / order_theta
-
-    R1, T1 = np.meshgrid(r_nodes, theta, indexing="ij")
-    x1 = np.sqrt(2 * R1) * np.cos(T1)
-    xi1 = -np.sqrt(2 * R1) * np.sin(T1)
-    w1 = (r_weights[:, None] * np.full(order_theta, w_theta)[None, :]).ravel()
-    x1 = x1.ravel()
-    xi1 = xi1.ravel()
-    total = 0.0
-    m = x1.size
-    block = max(1, (1 << 19) // m)
-    for start in range(0, m, block):  # shard over the first factor's nodes
-        stop = min(start + block, m)
-        b = stop - start
-        x = np.empty((b, m, 2))
-        xi = np.empty((b, m, 2))
-        x[..., 0] = x1[start:stop, None]
-        x[..., 1] = x1[None, :]
-        xi[..., 0] = xi1[start:stop, None]
-        xi[..., 1] = xi1[None, :]
-        vals = np.asarray(fn(x, xi), dtype=float)
-        total += float(np.einsum("i,ij,j->", w1[start:stop], vals, w1))
     return total
 
 
@@ -363,19 +299,37 @@ def quadrature_error_estimate(value_fn, order) -> tuple:
 class _SecondVariationGrid:
     """Cached quadrature data so many test functions can be paired cheaply.
 
-    Stores p(nodes) and weight * |H_p G(nodes)|^2 per shard for one
-    quadrature order; the pairing with a bump then only needs its
-    Laplacian on the cached symbol values.
+    Stores weight * |H_p G(nodes)|^2 per shard for one quadrature order,
+    and p(nodes) only where it lies in ``reach`` = (lo_re, hi_re, lo_im,
+    hi_im), padded by REACH_PAD relative.  A bump supported in ``reach``
+    has a zero Laplacian at every other node, so its pairing scatters the
+    Laplacian at the kept nodes into zeros and equals the full-grid sum.
     """
 
-    def __init__(self, p, hpg, box_radius, order):
-        self.shards = [(p.evaluate(x, xi),
-                        (w_i * w_rest) * np.abs(hpg.evaluate(x, xi)) ** 2)
-                       for w_i, x, xi, w_rest in _tensor_grid(p.n, box_radius, order)]
+    def __init__(self, p, hpg, box_radius, order, reach):
+        self.reach = reach
+        pad = REACH_PAD * max(map(abs, reach))
+        lo_r, hi_r, lo_i, hi_i = np.add(reach, (-pad, pad, -pad, pad))
+        self.shards = []
+        for w_i, x, xi, w_rest in _tensor_grid(p.n, box_radius, order):
+            vals = p.evaluate(x, xi)
+            keep = np.flatnonzero((lo_r < vals.real) & (vals.real < hi_r)
+                                  & (lo_i < vals.imag) & (vals.imag < hi_i))
+            self.shards.append(((w_i * w_rest) * np.abs(hpg.evaluate(x, xi)) ** 2,
+                                keep, vals[keep]))
 
     def pair(self, f: TestFunction) -> float:
-        return float(sum(np.dot(f.laplacian(vals), wh)
-                         for vals, wh in self.shards))
+        lo_r, hi_r, lo_i, hi_i = f.support_bounds()
+        r0, r1, i0, i1 = self.reach
+        if not (r0 <= lo_r and hi_r <= r1 and i0 <= lo_i and hi_i <= i1):
+            raise ValueError("test function support leaves the grid's reach")
+        lap = np.zeros(self.shards[0][0].size)
+        total = 0
+        for wh, keep, vals in self.shards:
+            lap[keep] = f.laplacian(vals)
+            total += np.dot(lap, wh)
+            lap[keep] = 0.0
+        return float(total)
 
 
 def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius,
@@ -398,11 +352,14 @@ def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius,
     hpg = poisson_bracket(p, G)
     if hpg.is_zero:
         return None
-    grid_hi = _SecondVariationGrid(p, hpg, box_radius, order)
-    grid_lo = _SecondVariationGrid(p, hpg, box_radius, max(QUAD_MIN_ORDER, order // 2))
     lo_r, hi_r, lo_i, hi_i = window.bounds
     cs = np.linspace(lo_r, hi_r, centers_per_axis + 2)[1:-1]
     ci = np.linspace(lo_i, hi_i, centers_per_axis + 2)[1:-1]
+    r_max = max(radii) * min(window.half_widths)  # reach: the box holding every bump's support
+    reach = (cs[0] - r_max, cs[-1] + r_max, ci[0] - r_max, ci[-1] + r_max)
+    grid_hi = _SecondVariationGrid(p, hpg, box_radius, order, reach)
+    grid_lo = _SecondVariationGrid(p, hpg, box_radius, max(QUAD_MIN_ORDER, order // 2),
+                                   reach)
     best = None
     for rfrac in radii:
         rad = rfrac * min(window.half_widths)
@@ -414,54 +371,3 @@ def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius,
                 if abs(v) > threshold * err and (best is None or abs(v) > abs(best[1])):
                     best = (f, v, err)
     return best
-
-
-def integration_by_parts_gap(f: TestFunction, p, G: SymbolExpr, box_radius,
-                             order=48, quadrature=None) -> tuple:
-    """Both sides of the Hamilton-field integration-by-parts identity.
-
-    lhs = iint (df/dz)(p) H_p(G) dx dxi
-    rhs = -iint H_p[(df/dz)(p)] G dx dxi
-        = -iint (1/4)(Delta f)(p) {p, conj p} G dx dxi
-
-    using H_p p = 0.  Returns (lhs, rhs) as complex numbers.
-
-    With the default box rule the comparison is limited by the bump
-    profile's curved kink surfaces (percent-scale); pass a kink-aligned
-    ``quadrature`` callable (fn -> value), e.g. built from
-    separable_polar_quadrature, to verify the identity to 1e-6 and
-    below for action-separable bases.
-    """
-    closed = _closed_form(p)
-    if closed is None:
-        raise ValueError("integration-by-parts check needs a closed-form symbol")
-    hpg = poisson_bracket(closed, G)
-    brc = poisson_bracket(closed, closed.conjugate_symbol())
-    n = closed.n
-
-    def integrate(fn):
-        if quadrature is not None:
-            return quadrature(fn)
-        return tensor_quadrature(fn, n, box_radius, order)
-
-    def fn_l_re(x, xi):
-        vals = closed.evaluate(x, xi)
-        return (f.dz(vals) * hpg.evaluate(x, xi)).real
-
-    def fn_l_im(x, xi):
-        vals = closed.evaluate(x, xi)
-        return (f.dz(vals) * hpg.evaluate(x, xi)).imag
-
-    def fn_r_re(x, xi):
-        vals = closed.evaluate(x, xi)
-        w = -(0.25 * f.laplacian(vals)) * brc.evaluate(x, xi) * G.evaluate(x, xi)
-        return w.real
-
-    def fn_r_im(x, xi):
-        vals = closed.evaluate(x, xi)
-        w = -(0.25 * f.laplacian(vals)) * brc.evaluate(x, xi) * G.evaluate(x, xi)
-        return w.imag
-
-    lhs = complex(integrate(fn_l_re), integrate(fn_l_im))
-    rhs = complex(integrate(fn_r_re), integrate(fn_r_im))
-    return lhs, rhs

@@ -64,6 +64,14 @@ class TestIntegrateFlow:
         back = integrate_flow(d, -t, res.endpoint).endpoint
         assert np.max(np.abs(np.concatenate([back.x - rho.x, back.xi - rho.xi]))) <= 1e-8
 
+    def test_clipped_last_step_lands_on_t1(self):
+        # 0.1 + (t - 0.1) falls one ulp short of t = 0.36824...; the clipped
+        # step still ends the run, as at t = 0.37, with no ~5e-17 sliver step
+        d = Deformation((sin_x1_cos_xi2(),))
+        rho = PhasePoint.real([0.3, -0.2], [0.1, 0.7])
+        assert integrate_flow(d, 0.3682478300748469, rho).n_steps == 2
+        assert integrate_flow(d, 0.37, rho).n_steps == 2
+
     def test_t_max_enforced(self):
         d = Deformation((coupling_xx(),), t_max=0.1)
         with pytest.raises(ValueError):

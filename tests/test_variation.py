@@ -1,15 +1,19 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from bsweyl.density import ComplexWindow
 from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
-from bsweyl.symbols import SymbolExpr, cho, coupling_xx, torus_coupled
-from bsweyl.variation import (TestFunction, first_variation_rhs,
-                              integration_by_parts_gap, moment,
+from bsweyl.symbols import (SymbolExpr, cho, coupling_xx, poisson_bracket,
+                            torus_coupled)
+from bsweyl.variation import (TestFunction, _SecondVariationGrid, _tensor_grid,
+                              first_variation_rhs, moment,
                               moment_derivative_fd, nonequality_certificate,
                               second_variation_rhs, tensor_quadrature)
 
-from oracles import polar_moment_oracle
+from oracles import (bump_dz, bump_reference, integration_by_parts_gap,
+                     polar_moment_oracle, separable_polar_quadrature)
 
 
 def make_deformed(t, shift=0j):
@@ -45,7 +49,24 @@ class TestBump:
         d_re = (f.value(np.array([z + h])) - f.value(np.array([z - h])))[0] / (2 * h)
         d_im = (f.value(np.array([z + 1j * h])) - f.value(np.array([z - 1j * h])))[0] / (2 * h)
         want = 0.5 * (d_re - 1j * d_im)
-        assert f.dz(np.array([z]))[0] == pytest.approx(want, rel=1e-6)
+        assert bump_dz(f, np.array([z]))[0] == pytest.approx(want, rel=1e-6)
+
+    def test_matches_per_axis_reference_bitwise(self):
+        # c = 0.25 + 0.5i, r = 0.5: Re z in {-0.25, 0.75} and Im z in
+        # {0, 1} put u or v exactly at -1 or 1
+        f = TestFunction(0.25 + 0.5j, 0.5)
+        rng = np.random.default_rng(5)
+        edge = np.array([-0.25, 0.75, 0.25, 0.6])[:, None] + 1j * np.array([0.0, 1.0, 0.5, 0.2])
+        z = np.concatenate([
+            rng.uniform(-0.5, 1.0, 400) + 1j * rng.uniform(-0.25, 1.25, 400),  # in and out
+            edge.ravel(),
+            rng.uniform(2.0, 3.0, 50) + 1j * rng.uniform(-3.0, -2.0, 50),  # far outside
+        ]).reshape(2, -1)
+        value, lap = bump_reference(f, z)
+        assert np.array_equal(f.value(z), value)
+        assert np.array_equal(f.laplacian(z), lap)
+        assert f.value(z).shape == z.shape
+        assert np.count_nonzero(value) > 100
 
 
 class TestMoment:
@@ -211,13 +232,71 @@ class TestCertificate:
         assert value == pytest.approx(rhs, rel=1e-12)
 
 
+class TestCertificateGrid:
+    # cho's image is the closed first quadrant; the reach also covers a
+    # stretch of the third quadrant, where no node lands
+    REACH = (-0.8, 0.9, -0.8, 0.9)
+    BUMPS = (TestFunction(0.05 + 0.55j, 0.35), TestFunction(0.3 + 0.3j, 0.25),
+             TestFunction(0.6 + 0.1j, 0.3), TestFunction(-0.5 - 0.5j, 0.25))
+
+    @staticmethod
+    def full_grid_pairing(f, p, G, box_radius, order):
+        """The pairing with the bump's Laplacian at every node of every shard."""
+        hpg = poisson_bracket(p, G)
+        return float(sum(
+            np.dot(bump_reference(f, p.evaluate(x, xi))[1],
+                   (w_i * w_rest) * np.abs(hpg.evaluate(x, xi)) ** 2)
+            for w_i, x, xi, w_rest in _tensor_grid(p.n, box_radius, order)))
+
+    def test_pairing_equals_full_grid_bitwise(self):
+        p, G = cho(1.0, 0.0), coupling_xx()
+        grid = _SecondVariationGrid(p, poisson_bracket(p, G), 2.0, 16, self.REACH)
+        for f in self.BUMPS:
+            assert grid.pair(f) == self.full_grid_pairing(f, p, G, 2.0, 16)
+        assert grid.pair(self.BUMPS[-1]) == 0.0
+        assert grid.pair(self.BUMPS[0]) != 0.0
+
+    def test_reach_equal_to_the_support_keeps_every_node(self):
+        # the last bump puts a node's value 1e-9 r inside its right edge,
+        # where the Laplacian is small but not zero
+        p, G = cho(1.0, 0.0), coupling_xx()
+        vals = np.concatenate([p.evaluate(x, xi) for _, x, xi, _ in _tensor_grid(2, 2.0, 16)])
+        z0 = vals[np.argmin(np.abs(vals - (0.5 + 0.5j)))]
+        edge = TestFunction(z0 - 0.3 * (1 - 1e-9), 0.3)
+        assert edge.laplacian(z0) != 0
+        for f in self.BUMPS[:3] + (edge,):
+            grid = _SecondVariationGrid(p, poisson_bracket(p, G), 2.0, 16,
+                                        f.support_bounds())
+            assert grid.pair(f) == self.full_grid_pairing(f, p, G, 2.0, 16)
+
+    def test_certificate_value_is_full_grid_pairing(self):
+        win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
+        f, value, _ = nonequality_certificate(cho(1.0, 0.0), coupling_xx(), win, 2.0, 32)
+        assert value == self.full_grid_pairing(f, cho(1.0, 0.0), coupling_xx(), 2.0, 32)
+
+    def test_support_leaving_reach_rejected(self):
+        p = cho(1.0, 0.0)
+        grid = _SecondVariationGrid(p, poisson_bracket(p, coupling_xx()), 2.0, 8, self.REACH)
+        for f in (TestFunction(0.7 + 0.3j, 0.25), TestFunction(0.3 - 0.7j, 0.2),
+                  TestFunction(0.0, 1.0)):
+            with pytest.raises(ValueError):
+                grid.pair(f)
+
+
+class TestTracerContract:
+    # bench/spans.py binds these arguments by name to count quadrature nodes
+    @pytest.mark.parametrize("fn, names", [(_SecondVariationGrid.__init__, ("p", "order")),
+                                           (tensor_quadrature, ("n", "order"))])
+    def test_node_count_arguments(self, fn, names):
+        assert set(names) <= set(inspect.signature(fn).parameters)
+
+
 class TestIntegrationByParts:
     def test_identity_to_1e6_with_kink_aligned_quadrature(self):
         # integrable branch: rhs carries the bracket {p, conj p}, which
         # is the zero symbol for the oscillator, so the identity says
         # the lhs quadrature must vanish.  Polar panels split exactly at
         # the bump's action-circle kinks, leaving only the identity gap.
-        from bsweyl.variation import separable_polar_quadrature
         f = TestFunction(0.5 + 0.5j, 0.3)
         breaks = (0.2, 0.8)  # support edges of both actions
 
@@ -229,10 +308,9 @@ class TestIntegrationByParts:
                                             None, quadrature=quad)
         assert rhs == 0
         # scale against the gross (unsigned) integrand
-        from bsweyl.symbols import poisson_bracket
         p = cho(1.0, 0.0)
         hpg = poisson_bracket(p, coupling_xx())
-        gross = quad(lambda x, xi: np.abs(f.dz(p.evaluate(x, xi))
+        gross = quad(lambda x, xi: np.abs(bump_dz(f, p.evaluate(x, xi))
                                           * hpg.evaluate(x, xi)))
         assert abs(lhs) <= 1e-6 * max(gross, 1e-12)
 
