@@ -22,8 +22,7 @@ from .variation import (TestFunction, VariationReport, moment,
                         nonequality_certificate)
 from .quantize import (BasisSpec, BSLattice, OperatorMatrix, SpectrumResult,
                        bs_predict, count_and_compare, perturb,
-                       quadratic_exact_spectrum, quantize_quadratic,
-                       quantize_torus, spectrum)
+                       quantize_quadratic, quantize_torus, spectrum)
 
 __version__ = "0.1.0"
 
@@ -43,6 +42,5 @@ __all__ = [
     "first_variation_rhs", "second_variation_rhs", "nonequality_certificate",
     "BasisSpec", "BSLattice", "OperatorMatrix", "SpectrumResult",
     "bs_predict", "count_and_compare", "perturb",
-    "quadratic_exact_spectrum", "quantize_quadratic", "quantize_torus",
-    "spectrum",
+    "quantize_quadratic", "quantize_torus", "spectrum",
 ]

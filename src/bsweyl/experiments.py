@@ -202,19 +202,23 @@ def run_random_weyl_migration(cfg: RandomWeylMigrationConfig = None, outdir=None
                                    seed=cfg.volume_seed)
     weyl_pred = vol / (2 * np.pi * cfg.h) ** 2
 
+    # a spectrum that is written is solved in full first; its count filters it
     s0 = spectrum(P)
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+        s0.write_csv(os.path.join(outdir, "spectrum_unperturbed.csv"))
     n0 = int(s0.in_window(win).size)
     rows = []
     closer = 0
     for seed in cfg.seeds:
         sd = spectrum(perturb(P, cfg.delta, seed), delta=cfg.delta, seed=seed)
+        if outdir:
+            sd.write_csv(os.path.join(outdir, f"spectrum_delta_seed{seed}.csv"))
         nd = int(sd.in_window(win).size)
         is_closer = abs(nd - weyl_pred) < abs(n0 - weyl_pred)
         closer += is_closer
-        rows.append({"seed": seed, "count": nd, "closer": bool(is_closer)})
-        if outdir:
-            os.makedirs(outdir, exist_ok=True)
-            sd.write_csv(os.path.join(outdir, f"spectrum_delta_seed{seed}.csv"))
+        rows.append({"seed": seed, "count": nd, "closer": bool(is_closer),
+                     "solves": sd.solves})
     ok = closer >= cfg.required_closer
     # action-side prediction for context: omega = (2 pi)^2 on the quadrant
     lo_r, hi_r, lo_i, hi_i = cfg.window
@@ -229,12 +233,11 @@ def run_random_weyl_migration(cfg: RandomWeylMigrationConfig = None, outdir=None
         "seeds_closer": int(closer),
         "seeds_total": len(cfg.seeds),
         "per_seed": rows,
+        "unperturbed_solves": s0.solves,
         "h": cfg.h, "delta": cfg.delta, "t": cfg.t,
         "basis_size": cfg.basis_size, "window": list(cfg.window),
     }
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        s0.write_csv(os.path.join(outdir, "spectrum_unperturbed.csv"))
         _write_json(os.path.join(outdir, "report.json"), report)
     return report
 

@@ -18,17 +18,22 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .density import ActionMap, ComplexWindow, DensityGrid, newton_2x2
-from .flow import symbol_to_quadratic
 from .symbols import SymbolExpr
 
 DEFAULT_DIM_CAP = 4096
 SAFE_FACTOR = 0.6  # fraction of the basis size whose quantum numbers are trusted
+SHIFT_INVERT_K0 = 48  # eigenvalues asked of the first shift-invert solve
+SHIFT_INVERT_GROWTH = 1.25  # margin on the area ratio when k grows
 
 
 class QuantizationError(ValueError):
@@ -96,26 +101,92 @@ class OperatorMatrix:
         return float(np.max(np.abs(m - m.conj().T))) <= 1e-12 * scale
 
 
-@dataclass(frozen=True)
 class SpectrumResult:
-    eigenvalues: np.ndarray
-    residual_bound: float
-    delta: float
-    seed: int | None
-    basis: BasisSpec
+    """The spectrum of one operator, solved only as far as it is asked for.
 
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=complex)
+    `eigenvalues` is the full spectrum, sorted lexicographically: a dense
+    backward-stable solve, cached, of each parity block of the operator
+    (see `parity_blocks`).  `in_window` filters that spectrum once it is
+    cached; before, it solves each block near the window only (see
+    `_shift_invert`) and falls back to the block's dense solve, which it
+    caches.  Every solve appends a record to `solves`: its method
+    (`dense`, `dense-blocks` or `shift-invert`), block dims, final
+    Arnoldi k per block (None where dense), fallback reason and seconds.
+    """
+
+    def __init__(self, operator: OperatorMatrix, delta=0.0, seed=None):
+        self.operator = operator
+        self.delta = delta
+        self.seed = seed
+        self.solves = []
+        self._dense = {}  # block number -> its eigenvalues
+
+    @property
+    def basis(self) -> BasisSpec:
+        return self.operator.basis
+
+    @cached_property
+    def residual_bound(self) -> float:
+        P = self.operator
+        return P.dim * np.finfo(float).eps * float(np.linalg.norm(P.matrix, "fro"))
+
+    @cached_property
+    def _blocks(self):
+        return parity_blocks(self.operator)
+
+    def _block(self, idx) -> np.ndarray:
+        M = self.operator.matrix
+        return M if idx is None else M[np.ix_(idx, idx)]
+
+    def _dense_block(self, i) -> np.ndarray:
+        if i not in self._dense:
+            self._dense[i] = _dense_eigvals(self._block(self._blocks[i]))
+        return self._dense[i]
+
+    def _record(self, start, ks, reasons):
+        dense = all(k is None for k in ks)
+        method = ("dense" if len(ks) == 1 else "dense-blocks") if dense else "shift-invert"
+        self.solves.append({
+            "method": method,
+            "blocks": [self.operator.dim if idx is None else int(idx.size)
+                       for idx in self._blocks],
+            "k": ks,
+            "fallback": "; ".join(dict.fromkeys(r for r in reasons if r)) or None,
+            "seconds": time.perf_counter() - start})
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        start = time.perf_counter()
+        solved = len(self._dense)
+        ev = np.concatenate([self._dense_block(i) for i in range(len(self._blocks))])
+        if len(self._dense) > solved:
+            self._record(start, [None] * len(self._blocks), [])
+        ev = ev[np.lexsort((ev.imag, ev.real))]
         ev.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
+        return ev
 
     def in_window(self, win) -> np.ndarray:
-        if isinstance(win, ComplexWindow):
-            return self.eigenvalues[win.contains(self.eigenvalues)]
-        lo_r, hi_r, lo_i, hi_i = win
-        ev = self.eigenvalues
-        return ev[(ev.real > lo_r) & (ev.real < hi_r)
-                  & (ev.imag > lo_i) & (ev.imag < hi_i)]
+        """Eigenvalues strictly inside win (a ComplexWindow or re/im bounds), sorted."""
+        if "eigenvalues" in self.__dict__ or len(self._dense) == len(self._blocks):
+            return _inside(win, self.eigenvalues)
+        lo_r, hi_r, lo_i, hi_i = win.bounds if isinstance(win, ComplexWindow) else win
+        center = complex((lo_r + hi_r) / 2, (lo_i + hi_i) / 2)
+        radius = float(np.hypot(hi_r - lo_r, hi_i - lo_i)) / 2
+        start = time.perf_counter()
+        parts, ks, reasons = [], [], []
+        k = SHIFT_INVERT_K0  # each block starts at the k the one before needed
+        for i, idx in enumerate(self._blocks):
+            ev, reason = None, None
+            if i not in self._dense:
+                ev, k, reason = _shift_invert(self._block(idx), center, radius, k)
+            ks.append(None if ev is None else k)
+            if ev is None:
+                ev = self._dense_block(i)
+            parts.append(_inside(win, ev))
+            reasons.append(reason)
+        self._record(start, ks, reasons)
+        ev = np.concatenate(parts)
+        return ev[np.lexsort((ev.imag, ev.real))]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -129,7 +200,14 @@ class SpectrumResult:
             json.dump({"h": self.basis.h, "basis_kind": self.basis.kind,
                        "basis_size": self.basis.size, "delta": self.delta,
                        "seed": self.seed, "residual_bound": self.residual_bound,
-                       "count": int(self.eigenvalues.size)}, fh, indent=2)
+                       "count": self.operator.dim, "solves": self.solves}, fh, indent=2)
+
+
+def _inside(win, ev) -> np.ndarray:
+    if isinstance(win, ComplexWindow):
+        return ev[win.contains(ev)]
+    lo_r, hi_r, lo_i, hi_i = win
+    return ev[(ev.real > lo_r) & (ev.real < hi_r) & (ev.imag > lo_i) & (ev.imag < hi_i)]
 
 
 # ------------------------------------------------------------- quantization
@@ -189,103 +267,106 @@ def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
 
     Entries of the unscaled matrix are CN(0, 1); after the 1/sqrt(dim)
     scaling the expected operator norm of Q is O(1).  Deterministic for
-    fixed seed.
+    fixed seed.  Q is scaled and shifted in place, so only one dim x dim
+    complex matrix is built.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if delta == 0:
         return P
     Q = gaussian_perturbation(P.dim, seed)
-    return OperatorMatrix(P.matrix + delta * Q, P.basis,
-                          provenance=P.provenance + f"+delta={delta:g}")
+    Q *= delta
+    Q += P.matrix
+    return OperatorMatrix(Q, P.basis, provenance=P.provenance + f"+delta={delta:g}")
 
 
 def gaussian_perturbation(dim: int, seed: int) -> np.ndarray:
     """The scaled random matrix used by perturb, for direct inspection."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), dim)))
-    Q = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return Q / (np.sqrt(2) * np.sqrt(dim))
+    Q = rng.standard_normal((dim, dim)).astype(complex)
+    Q.imag = rng.standard_normal((dim, dim))
+    Q /= np.sqrt(2) * np.sqrt(dim)
+    return Q
 
 
 def spectrum(P: OperatorMatrix, delta=0.0, seed=None,
              dim_cap=DEFAULT_DIM_CAP) -> SpectrumResult:
-    """All eigenvalues by a dense backward-stable solve, sorted lexicographically."""
+    """The spectrum of P, solved on demand (see SpectrumResult).
+
+    `.eigenvalues` is the full spectrum by a dense solve of each parity
+    block; `.in_window(win)` solves near the window only, unless the full
+    spectrum is already known.  Rejects P above dim_cap.
+    """
     if P.dim > dim_cap:
         raise EigensolveError(f"dimension {P.dim} exceeds cap {dim_cap}")
+    return SpectrumResult(P, delta, seed)
+
+
+def parity_blocks(P: OperatorMatrix) -> list:
+    """Index sets of P's parity blocks, or [None] when P is one block.
+
+    In a hermite-tensor basis a term of even total degree maps the
+    parity of k1 + ... + kn to itself; when both off-parity blocks of
+    the matrix are exactly zero, the spectrum is that of the even and
+    the odd block.  Odd-degree terms and perturbations couple them.
+    """
+    if P.basis.kind != "hermite-tensor":
+        return [None]
+    parity = np.indices((P.basis.size,) * P.basis.n).sum(axis=0).ravel() % 2
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    M = P.matrix
+    if not odd.size or M[np.ix_(even, odd)].any() or M[np.ix_(odd, even)].any():
+        return [None]
+    return [even, odd]
+
+
+def _dense_eigvals(A: np.ndarray) -> np.ndarray:
     try:
-        ev = np.linalg.eigvals(P.matrix)
+        ev = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(f"eigenvalue solve failed: {exc}") from exc
-    if ev.shape[0] != P.dim:
+    if ev.shape[0] != A.shape[0]:
         raise EigensolveError("solver returned a partial spectrum")
-    order = np.lexsort((ev.imag, ev.real))
-    ev = ev[order]
-    resid = P.dim * np.finfo(float).eps * float(np.linalg.norm(P.matrix, "fro"))
-    return SpectrumResult(ev, resid, delta, seed, P.basis)
+    return ev
 
 
-# -------------------------------------------------- quadratic exact spectrum
+def _shift_invert(A: np.ndarray, center: complex, radius: float, k: int):
+    """Every eigenvalue of A within radius of center: (eigenvalues, k, None).
 
-
-def hamilton_matrix(q: SymbolExpr) -> np.ndarray:
-    """Linearization of the Hamilton field of a homogeneous quadratic symbol."""
-    Q, l, _ = symbol_to_quadratic(q)
-    if np.max(np.abs(l)) > 0:
-        raise QuantizationError("exact spectrum path needs no linear part")
-    n = q.n
-    Qxx = Q[:n, :n]
-    Qxxi = Q[:n, n:]
-    Qxix = Q[n:, :n]
-    Qxixi = Q[n:, n:]
-    return np.block([[Qxix, Qxixi], [-Qxx, -Qxxi]])
-
-
-def quadratic_exact_spectrum(q: SymbolExpr, h: float, k_max: int,
-                             ellipticity_samples=200000, seed=0):
-    """Exact spectrum {sum_j (k_j + 1/2) mu_j h} of an elliptic quadratic symbol.
-
-    The mu_j are Hamilton-matrix eigenvalues divided by i, one per +/-
-    pair, selected to lie in the closed right half plane (positive
-    imaginary part on the boundary), which matches the value cone of the
-    built-in models.  Rejects symbols that vanish on the real unit
-    sphere (non-elliptic) or whose Hamilton matrix is defective.
+    Factors A - center I once and runs ARPACK for the k largest
+    eigenvalues mu of its inverse (a fixed start vector keeps the result
+    bitwise reproducible); lambda = center + 1/mu are the k eigenvalues
+    nearest the center.  They hold every eigenvalue of the disc only
+    when the farthest lies beyond radius; otherwise k grows by the
+    ratio of the disc's area to the area they cover, times
+    SHIFT_INVERT_GROWTH.  Returns (None, k, reason) when k would exceed
+    dim/8, where a dense solve is cheaper, when the factor is singular
+    or when ARPACK fails.
     """
-    F = hamilton_matrix(q)
-    n = q.n
-    Q, _, c = symbol_to_quadratic(q)
-    rng = np.random.default_rng(seed)
-    sph = rng.standard_normal((ellipticity_samples, 2 * n))
-    sph /= np.linalg.norm(sph, axis=1, keepdims=True)
-    qvals = 0.5 * np.einsum("mi,ij,mj->m", sph, Q, sph)
-    if np.min(np.abs(qvals)) < 1e-8:
-        raise QuantizationError("symbol is not elliptic on the real sphere")
-    lam = np.linalg.eigvals(F)
-    if np.min(np.abs(lam)) < 1e-10:
-        raise QuantizationError("Hamilton matrix is singular")
-    mus = []
-    used = np.zeros(2 * n, dtype=bool)
-    for i in range(2 * n):
-        if used[i]:
-            continue
-        partner = None
-        for j in range(i + 1, 2 * n):
-            if not used[j] and abs(lam[i] + lam[j]) < 1e-8 * max(abs(lam[i]), 1.0):
-                partner = j
-                break
-        if partner is None:
-            raise QuantizationError("Hamilton eigenvalues do not pair as +/- lambda")
-        used[i] = used[partner] = True
-        cand = lam[i] / 1j
-        if cand.real > 1e-12 or (abs(cand.real) <= 1e-12 and cand.imag > 0):
-            mus.append(cand)
-        else:
-            mus.append(-cand)
-    mus = np.array(mus)
-    grids = np.meshgrid(*([np.arange(k_max)] * n), indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=-1)
-    spec = (ks + 0.5) @ mus * h + c
-    order = np.lexsort((spec.imag, spec.real))
-    return spec[order]
+    n = A.shape[0]
+    limit = n / 8
+    if k <= limit:
+        F = np.array(A, order="F")
+        F[np.diag_indices(n)] -= center
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu = lu_factor(F, overwrite_a=True, check_finite=False)
+        if not np.all(np.diagonal(lu[0])):
+            return None, k, "singular LU"
+        op = LinearOperator((n, n), dtype=complex,
+                            matvec=lambda x: lu_solve(lu, x, check_finite=False))
+        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    while k <= limit:
+        try:
+            mu = eigs(op, k=k, which="LM", v0=v0, return_eigenvectors=False)
+        except ArpackError as exc:
+            return None, k, f"ARPACK: {exc}"
+        ev = center + 1 / mu
+        far = float(np.max(np.abs(ev - center)))
+        if far > radius:
+            return ev, k, None
+        k = int(np.ceil(SHIFT_INVERT_GROWTH * k * (radius / far) ** 2)) if far > 0 else n
+    return None, k, f"k {k} > dim/8 = {limit:g}"
 
 
 # ------------------------------------------------------------ Bohr-Sommerfeld

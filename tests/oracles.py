@@ -2,10 +2,12 @@
 
 Everything in here is intentionally written against the mathematical
 definitions, in plain loops or via scipy, without touching the package's
-own evaluation/differentiation/integration paths.  The exception is
-the integration-by-parts identity at the end, a test-only check that
-integrates the package's symbols and bumps with a given quadrature
-(kink-aligned polar panels, or the package's tensor grid by default).
+own evaluation/differentiation/integration paths.  The exceptions are
+the exact quadratic spectrum, which reads a symbol's quadratic form
+with `symbol_to_quadratic`, and the integration-by-parts identity at
+the end, a test-only check that integrates the package's symbols and
+bumps with a given quadrature (kink-aligned polar panels, or the
+package's tensor grid by default).
 """
 
 import cmath
@@ -13,6 +15,8 @@ import cmath
 import numpy as np
 from scipy.linalg import expm
 
+from bsweyl.flow import symbol_to_quadratic
+from bsweyl.quantize import QuantizationError
 from bsweyl.symbols import poisson_bracket
 from bsweyl.variation import tensor_quadrature
 
@@ -214,6 +218,73 @@ def quantize_quadratic_dense(q, N, h):
                     op = op @ Ps[j]
         M += t.coeff * op
     return M
+
+
+def gaussian_perturbation_reference(dim, seed):
+    """The perturbation matrix as first written: (a + i b) / sqrt(2 dim), out of place."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), dim)))
+    Q = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return Q / (np.sqrt(2) * np.sqrt(dim))
+
+
+def hamilton_matrix(q):
+    """Linearization of the Hamilton field of a homogeneous quadratic symbol."""
+    Q, l, _ = symbol_to_quadratic(q)
+    if np.max(np.abs(l)) > 0:
+        raise QuantizationError("exact spectrum path needs no linear part")
+    n = q.n
+    Qxx = Q[:n, :n]
+    Qxxi = Q[:n, n:]
+    Qxix = Q[n:, :n]
+    Qxixi = Q[n:, n:]
+    return np.block([[Qxix, Qxixi], [-Qxx, -Qxxi]])
+
+
+def quadratic_exact_spectrum(q, h, k_max, ellipticity_samples=200000, seed=0):
+    """Exact spectrum {sum_j (k_j + 1/2) mu_j h} of an elliptic quadratic symbol.
+
+    The mu_j are Hamilton-matrix eigenvalues divided by i, one per +/-
+    pair, selected to lie in the closed right half plane (positive
+    imaginary part on the boundary), which matches the value cone of the
+    built-in models.  Rejects symbols that vanish on the real unit
+    sphere (non-elliptic) or whose Hamilton matrix is defective.
+    """
+    F = hamilton_matrix(q)
+    n = q.n
+    Q, _, c = symbol_to_quadratic(q)
+    rng = np.random.default_rng(seed)
+    sph = rng.standard_normal((ellipticity_samples, 2 * n))
+    sph /= np.linalg.norm(sph, axis=1, keepdims=True)
+    qvals = 0.5 * np.einsum("mi,ij,mj->m", sph, Q, sph)
+    if np.min(np.abs(qvals)) < 1e-8:
+        raise QuantizationError("symbol is not elliptic on the real sphere")
+    lam = np.linalg.eigvals(F)
+    if np.min(np.abs(lam)) < 1e-10:
+        raise QuantizationError("Hamilton matrix is singular")
+    mus = []
+    used = np.zeros(2 * n, dtype=bool)
+    for i in range(2 * n):
+        if used[i]:
+            continue
+        partner = None
+        for j in range(i + 1, 2 * n):
+            if not used[j] and abs(lam[i] + lam[j]) < 1e-8 * max(abs(lam[i]), 1.0):
+                partner = j
+                break
+        if partner is None:
+            raise QuantizationError("Hamilton eigenvalues do not pair as +/- lambda")
+        used[i] = used[partner] = True
+        cand = lam[i] / 1j
+        if cand.real > 1e-12 or (abs(cand.real) <= 1e-12 and cand.imag > 0):
+            mus.append(cand)
+        else:
+            mus.append(-cand)
+    mus = np.array(mus)
+    grids = np.meshgrid(*([np.arange(k_max)] * n), indexing="ij")
+    ks = np.stack([g.ravel() for g in grids], axis=-1)
+    spec = (ks + 0.5) @ mus * h + c
+    order = np.lexsort((spec.imag, spec.real))
+    return spec[order]
 
 
 def histogram2d_bin(vals, win, weights=None):

@@ -1,24 +1,51 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
+
+from bsweyl import quantize
 
 from bsweyl.density import ComplexWindow, action_map_integrable, omega_density
 from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
 from bsweyl.quantize import (BasisSpec, BSLattice, EigensolveError,
                              OperatorMatrix, QuantizationError, bs_predict,
                              count_and_compare, gaussian_perturbation,
-                             hamilton_matrix, perturb,
-                             quadratic_exact_spectrum, quantize_quadratic,
+                             parity_blocks, perturb, quantize_quadratic,
                              quantize_torus, spectrum)
 from bsweyl.symbols import SymbolExpr, cho, coupling_xx, torus_coupled, torus_linear
 
-from oracles import eig2x2, harmonic_lattice, quantize_quadratic_dense
+from oracles import (eig2x2, gaussian_perturbation_reference, hamilton_matrix,
+                     harmonic_lattice, quadratic_exact_spectrum, quantize_quadratic_dense)
 
 
 def osc_1d_in_2d():
     return (SymbolExpr.monomial(0.5, (2, 0), (0, 0))
             + SymbolExpr.monomial(0.5, (0, 0), (2, 0)))
+
+
+def p_t_operator(N, h=0.05, t=0.2):
+    """cho(1, 0) deformed by the x1 x2 generator, quantized at N per axis."""
+    p_t = deformed_quadratic(
+        DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), t))
+    return quantize_quadratic(p_t, BasisSpec("hermite-tensor", N, h))
+
+
+def dense_in_window(M, win):
+    """The window's eigenvalues from a full dense solve, sorted lexicographically."""
+    ev = np.linalg.eigvals(M)
+    lo_r, hi_r, lo_i, hi_i = win
+    ev = ev[(ev.real > lo_r) & (ev.real < hi_r) & (ev.imag > lo_i) & (ev.imag < hi_i)]
+    return ev[np.lexsort((ev.imag, ev.real))]
+
+
+def hausdorff(a, b):
+    return max(np.abs(a[:, None] - b[None, :]).min(axis=1).max(),
+               np.abs(b[:, None] - a[None, :]).min(axis=1).max())
+
+
+COUNT_WINDOW = (0.2, 0.5, 0.25, 0.45)  # C5's count window: 24 perturbed eigenvalues
 
 
 class TestQuantizeQuadratic:
@@ -167,6 +194,17 @@ class TestPerturb:
                              - np.sort_complex(np.array(want)))) <= 1e-12
         split = np.max(np.abs(ev))
         assert 0.05 * np.sqrt(delta) <= split <= 20 * np.sqrt(delta)
+
+
+    @pytest.mark.parametrize("dim,seed", [(36, 0), (576, 7)])
+    def test_in_place_matches_reference_bitwise(self, dim, seed):
+        ref = gaussian_perturbation_reference(dim, seed)
+        Q = gaussian_perturbation(dim, seed)
+        assert np.array_equal(Q.view(np.uint64), ref.view(np.uint64))
+        N = int(round(np.sqrt(dim)))
+        P = quantize_quadratic(cho(1.0, 0.0), BasisSpec("hermite-tensor", N, 0.1))
+        got = perturb(P, 1e-4, seed).matrix
+        assert np.array_equal(got.view(np.uint64), (P.matrix + 1e-4 * ref).view(np.uint64))
 
 
 class TestSpectrum:
@@ -356,3 +394,148 @@ class TestSpectrumInvarianceUnderDeformation:
         assert ev.size == lat.size
         dist = np.abs(ev[:, None] - lat[None, :]).min(axis=1)
         assert np.max(dist) <= 1e-6
+
+
+class TestParityBlocks:
+    def test_split_equals_full_solve_and_exact_spectrum(self):
+        h, N = 0.05, 24
+        P = p_t_operator(N, h)
+        s = spectrum(P)
+        ev = s.eigenvalues
+        assert [r["method"] for r in s.solves] == ["dense-blocks"]
+        assert s.solves[0]["blocks"] == [N * N // 2] * 2
+        # compare inside the truncation-clean region 0.42 N h
+        win = (0.0, 0.42 * N * h, 0.0, 0.42 * N * h)
+        full = dense_in_window(P.matrix, win)
+        inside = s.in_window(win)
+        q = deformed_quadratic(
+            DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), 0.2))
+        exact = quadratic_exact_spectrum(q, h, N)
+        exact = exact[(exact.real > 0) & (exact.real < win[1])
+                      & (exact.imag > 0) & (exact.imag < win[3])]
+        assert inside.size == full.size == exact.size == 100
+        assert hausdorff(inside, full) <= 1e-10
+        assert hausdorff(inside, exact) <= 1e-9
+        assert ev.size == P.dim
+        assert np.array_equal(ev, ev[np.lexsort((ev.imag, ev.real))])
+
+    def test_linear_term_is_not_split(self):
+        q = deformed_quadratic(
+            DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), 0.2))
+        P = quantize_quadratic(q + SymbolExpr.monomial(1.0, (1, 0), (0, 0)),
+                               BasisSpec("hermite-tensor", 12, 0.05))
+        assert parity_blocks(P) == [None]
+        s = spectrum(P)
+        s.eigenvalues
+        assert s.solves[0]["method"] == "dense" and s.solves[0]["blocks"] == [144]
+
+    def test_perturbed_and_torus_operators_are_one_block(self):
+        P = p_t_operator(12)
+        assert len(parity_blocks(P)) == 2
+        assert parity_blocks(perturb(P, 1e-12, 0)) == [None]
+        assert parity_blocks(quantize_torus(torus_linear(),
+                                            BasisSpec("torus-fourier", 3, 0.1))) == [None]
+
+
+@pytest.fixture(scope="module")
+def p_t_1600():
+    return p_t_operator(40)
+
+
+class TestWindowedSpectrum:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_dense_at_dim_1600(self, p_t_1600, seed):
+        Pd = perturb(p_t_1600, 1e-4, seed)
+        s = spectrum(Pd, delta=1e-4, seed=seed)
+        got = s.in_window(COUNT_WINDOW)
+        (rec,) = s.solves
+        assert rec["method"] == "shift-invert" and rec["blocks"] == [1600]
+        assert rec["fallback"] is None and rec["k"][0] >= quantize.SHIFT_INVERT_K0
+        want = dense_in_window(Pd.matrix, COUNT_WINDOW)
+        assert got.size == want.size == 24
+        assert hausdorff(got, want) <= 1e-10
+        assert np.array_equal(got, got[np.lexsort((got.imag, got.real))])
+
+    def test_large_window_takes_dense_fallback(self):
+        Pd = perturb(p_t_operator(24), 1e-4, 3)
+        win = (0.0, 0.85, 0.0, 0.85)
+        s = spectrum(Pd)
+        got = s.in_window(win)
+        (rec,) = s.solves
+        assert rec["method"] == "dense" and rec["k"] == [None]
+        assert rec["fallback"].startswith("k ") and "dim/8 = 72" in rec["fallback"]
+        want = spectrum(Pd).eigenvalues
+        assert np.array_equal(got, want[(want.real > 0) & (want.real < 0.85)
+                                        & (want.imag > 0) & (want.imag < 0.85)])
+        # the fallback solve is the cached full spectrum: no second solve
+        assert np.array_equal(s.eigenvalues, want)
+        assert np.array_equal(s.in_window(COUNT_WINDOW), got[
+            (got.real > 0.2) & (got.real < 0.5) & (got.imag > 0.25) & (got.imag < 0.45)])
+        assert len(s.solves) == 1
+
+    def test_two_calls_bitwise_equal(self):
+        Pd = perturb(p_t_operator(24), 1e-4, 5)
+        s = spectrum(Pd)
+        a = s.in_window(COUNT_WINDOW)
+        b = s.in_window(COUNT_WINDOW)
+        c = spectrum(Pd).in_window(COUNT_WINDOW)
+        assert [r["method"] for r in s.solves] == ["shift-invert"] * 2
+        assert a.size > 0
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.array_equal(a.view(np.uint64), c.view(np.uint64))
+        assert hausdorff(a, dense_in_window(Pd.matrix, COUNT_WINDOW)) <= 1e-10
+
+    def test_parity_blocks_solved_by_shift_invert(self, p_t_1600):
+        s = spectrum(p_t_1600)
+        got = s.in_window(COUNT_WINDOW)
+        (rec,) = s.solves
+        assert rec["method"] == "shift-invert" and rec["blocks"] == [800, 800]
+        lat = harmonic_lattice(0.05, 40)
+        lat = lat[(lat.real > 0.2) & (lat.real < 0.5) & (lat.imag > 0.25) & (lat.imag < 0.45)]
+        assert got.size == lat.size == 24
+        assert hausdorff(got, lat) <= 1e-10
+
+    def test_guard_grows_k_until_the_disc_is_covered(self, p_t_1600):
+        # 80 lattice points; the first 48 per block do not reach the circumradius
+        win = (0.1, 0.6, 0.1, 0.5)
+        s = spectrum(p_t_1600)
+        got = s.in_window(win)
+        (rec,) = s.solves
+        assert rec["method"] == "shift-invert" and rec["fallback"] is None
+        assert min(rec["k"]) > quantize.SHIFT_INVERT_K0
+        lat = harmonic_lattice(0.05, 40)
+        lat = lat[(lat.real > 0.1) & (lat.real < 0.6) & (lat.imag > 0.1) & (lat.imag < 0.5)]
+        assert got.size == lat.size == 80
+        assert hausdorff(got, lat) <= 1e-10
+
+    def test_singular_shift_takes_dense_fallback(self):
+        d = 0.1 * np.arange(441) + 0j
+        M = OperatorMatrix(np.diag(d), BasisSpec("torus-fourier", 10, 0.1))
+        win = ComplexWindow.from_bounds(19.55, 20.45, -0.5, 0.5, (4, 4))
+        assert win.center == d[200]
+        s = spectrum(M)
+        got = s.in_window(win)
+        assert s.solves[0]["fallback"] == "singular LU"
+        assert np.array_equal(got, d[196:205])
+
+    def test_arpack_failure_takes_dense_fallback(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(quantize, "eigs", fail)
+        Pd = perturb(p_t_operator(24), 1e-4, 1)
+        s = spectrum(Pd)
+        got = s.in_window(COUNT_WINDOW)
+        assert s.solves[0]["method"] == "dense"
+        assert s.solves[0]["fallback"].startswith("ARPACK:")
+        assert np.array_equal(got, spectrum(Pd).in_window((0.2, 0.5, 0.25, 0.45)))
+
+    def test_meta_carries_solver_records(self, tmp_path):
+        s = spectrum(p_t_operator(12))
+        s.write_csv(tmp_path / "s.csv")
+        s.write_meta(tmp_path / "m.json")
+        meta = json.loads((tmp_path / "m.json").read_text())
+        assert meta["count"] == 144
+        assert meta["solves"][0]["method"] == "dense-blocks"
+        assert meta["solves"][0]["blocks"] == [72, 72]
+        assert meta["solves"][0]["seconds"] >= 0
