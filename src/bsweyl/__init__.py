@@ -12,7 +12,7 @@ from .symbols import (PhasePoint, SymbolExpr, DimensionMismatchError,
                       sin_x1_cos_xi2, load_symbol)
 from .audit import AuditReport, audit
 from .flow import (Deformation, DeformedSymbol, FlowResult,
-                   integrate_flow, deformed_eval, deformed_quadratic,
+                   integrate_flow, deformed_quadratic,
                    load_deformation, symplectic_matrix)
 from .density import (ActionMap, ComplexWindow, DensityGrid,
                       action_map_integrable, omega_density, preimage_volume,
@@ -33,7 +33,7 @@ __all__ = [
     "load_symbol",
     "AuditReport", "audit",
     "Deformation", "DeformedSymbol", "FlowResult",
-    "integrate_flow", "deformed_eval", "deformed_quadratic",
+    "integrate_flow", "deformed_quadratic",
     "load_deformation", "symplectic_matrix",
     "ActionMap", "ComplexWindow", "DensityGrid",
     "action_map_integrable", "omega_density", "preimage_volume",

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -32,8 +33,9 @@ from .flow import (Deformation, DeformedSymbol, deformed_quadratic, load_deforma
 from .quantize import (BasisSpec, BSLattice, bs_predict, count_and_compare,
                        perturb, quantize_quadratic, quantize_torus, spectrum)
 from .symbols import SymbolExpr, load_symbol
-from .variation import (TestFunction, VariationReport, first_variation_rhs,
-                        moment_derivative_fd, second_variation_rhs)
+from .variation import (SupportLeakWarning, TestFunction, VariationReport,
+                        first_variation_rhs, moment_derivative_fd,
+                        second_variation_rhs)
 
 ENV_OUTDIR = "BSWEYL_OUTDIR"
 AUDIT_MAX_SAMPLES = 4096
@@ -247,24 +249,25 @@ def _run_variation(cfg, outdir):
     def make_pt(t):
         return deformed_quadratic(DeformedSymbol(p, d, t))
 
-    t = cfg.t or 0.0
+    t = (cfg.t or 0.0) if cfg.order == 1 else 0.0
     order = cfg.quadrature_order or 48
-    if cfg.order == 1:
-        rhs = first_variation_rhs(f, make_pt(t), G, cfg.box_radius, order)
-        lhs = moment_derivative_fd(make_pt, t, 1, f=f,
-                                   box_radius=cfg.box_radius,
-                                   quad_order=order)
-        rep = VariationReport.build(lhs, rhs, "first", t)
-    else:
-        rhs = second_variation_rhs(f, p, G, cfg.box_radius, order)
-        lhs = moment_derivative_fd(make_pt, 0.0, 2, f=f,
-                                   box_radius=cfg.box_radius,
-                                   quad_order=order)
-        rep = VariationReport.build(lhs, rhs, "second", 0.0)
+    # a SupportLeakWarning from any entry point is shown and fails the run
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if cfg.order == 1:
+            rhs = first_variation_rhs(f, make_pt(t), G, cfg.box_radius, order)
+        else:
+            rhs = second_variation_rhs(f, p, G, cfg.box_radius, order)
+        lhs = moment_derivative_fd(make_pt, t, cfg.order, f=f,
+                                   box_radius=cfg.box_radius, quad_order=order)
+    rep = VariationReport.build(lhs, rhs, ("first", "second")[cfg.order - 1], t)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    support_ok = not any(issubclass(w.category, SupportLeakWarning) for w in caught)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "variation.json"), "w") as fh:
         fh.write(rep.to_json())
-    return {"experiment": "variation", "pass": True, **asdict(rep)}
+    return {"experiment": "variation", "pass": support_ok, "support_ok": support_ok, **asdict(rep)}
 
 
 def _spectrum(cfg, p):

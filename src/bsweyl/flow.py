@@ -327,13 +327,6 @@ class DeformedSymbol:
         return np.broadcast_to(np.where(trapped, t * drift, np.inf), shape)
 
 
-def deformed_eval(ps: DeformedSymbol, rho: PhasePoint) -> complex:
-    """p_t at a single phase point, via the flow endpoint."""
-    if ps.n != rho.n:
-        raise DimensionMismatchError(f"point dim {rho.n} != symbol dim {ps.n}")
-    return complex(ps.evaluate(rho.x, rho.xi))
-
-
 # ------------------------------------------------- quadratic fast path
 
 

@@ -94,12 +94,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def is_hermitian(self) -> bool:
-        m = self.matrix
-        scale = max(float(np.max(np.abs(m))), 1.0)
-        return float(np.max(np.abs(m - m.conj().T))) <= 1e-12 * scale
-
 
 class SpectrumResult:
     """The spectrum of one operator, solved only as far as it is asked for.

@@ -31,8 +31,6 @@ from functools import cached_property
 
 import numpy as np
 
-REAL_POINT_TOL = 1e-14
-
 
 class DimensionMismatchError(ValueError):
     """Symbol and point (or two symbols) live in different dimensions."""
@@ -70,13 +68,6 @@ class PhasePoint:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def is_real(self) -> bool:
-        return bool(
-            np.max(np.abs(self.x.imag), initial=0.0) <= REAL_POINT_TOL
-            and np.max(np.abs(self.xi.imag), initial=0.0) <= REAL_POINT_TOL
-        )
 
     @property
     def max_imag(self) -> float:

@@ -7,16 +7,20 @@ function f these hold:
     d^2M/dt^2 |_{t=0, integrable base, real G}
               = iint (Delta f)(p) |H_p G|^2  dx dxi
 
-The right-hand sides are evaluated by deterministic tensor
-Gauss-Legendre quadrature over a real box that must contain the support
-of f o p_t; the left-hand sides by Richardson-extrapolated central
-differences of M in t.  A nonzero second-variation pairing certifies
-that the deformed Weyl density splits away from the (deformation
-invariant) action density for small t != 0.
+The right-hand sides are evaluated by deterministic tensor Gauss-Legendre
+quadrature over a real box that must contain the support of f o p_t (each
+entry point warns when it does not).  Each term of a symbol is a product
+of per-axis factors, so on the x-block by xi-block grid a symbol is one
+small GEMM of two factor tables (sum factorization); grid points are
+built only for a p_t with no closed form.  The left-hand sides are
+Richardson-extrapolated central differences of M in t.  A nonzero
+second-variation pairing certifies that the deformed Weyl density splits
+away from the (deformation invariant) action density for small t != 0.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, asdict
@@ -25,7 +29,7 @@ import numpy as np
 
 from .density import box_face_points
 from .flow import DeformedSymbol, deformed_quadratic
-from .symbols import SymbolExpr, poisson_bracket, real_bracket
+from .symbols import DimensionMismatchError, SymbolExpr, poisson_bracket, real_bracket
 
 QUAD_MIN_ORDER = 8
 FD_STEP_FIRST = 1e-2
@@ -85,60 +89,95 @@ class TestFunction:
 # ----------------------------------------------------------------- quadrature
 
 
-def _tensor_grid(n, box_radius, order):
-    """Tensor Gauss-Legendre grid on [-R, R]^{2n}, sharded over its first axis.
+class SupportLeakWarning(RuntimeWarning):
+    """f o p does not vanish on the faces of the integration box."""
 
-    Yields (w_i, pts_x, pts_xi, w_rest) per node of the first axis: the
-    node's weight, the points of the shard split into x and xi parts, and
-    the product weights of the remaining 2n - 1 axes.
-    """
+
+def _tensor_grid(n, box_radius, order):
+    """Nodes and weights of one axis of the Gauss-Legendre grid on [-R, R]^{2n}."""
     order = int(order)
     if order < QUAD_MIN_ORDER:
         raise ValueError(f"quadrature order {order} < {QUAD_MIN_ORDER}")
     if order ** (2 * n) > 5 * 10 ** 8:
         raise ValueError("tensor grid too large; reduce order or dimension")
     x, w = np.polynomial.legendre.leggauss(order)
-    x, w = x * box_radius, w * box_radius
-    rest = 2 * n - 1
-    grids = np.meshgrid(*([x] * rest), indexing="ij")
-    pts_rest = np.stack([g.ravel() for g in grids], axis=-1)
-    w_rest = np.ones(order ** rest)
-    for k in range(rest):
-        shape = [1] * rest
-        shape[k] = order
-        w_rest = w_rest * np.broadcast_to(w.reshape(shape), (order,) * rest).ravel()
-    for i in range(order):
-        pts = np.concatenate(
-            [np.full((pts_rest.shape[0], 1), x[i]), pts_rest], axis=1)
-        yield w[i], pts[:, :n], pts[:, n:], w_rest
+    return x * box_radius, w * box_radius
 
 
-def tensor_quadrature(fn, n, box_radius, order):
-    """Integrate fn over [-R, R]^{2n}; fn maps (pts_x, pts_xi) -> values.
+def _sum_factorized(sym: SymbolExpr, nodes, n):
+    """sym on the grid, as a function of a block of rows: A[rows] @ B.
 
-    Sharded over the leading axis so memory stays bounded; the reduction
-    order is fixed, so results are bitwise reproducible.
+    From ``sym._plan``: column t of A (order^n x T) is term t's x factors
+    on the x-block, row t of B (T x order^n) its coefficient times its xi
+    factors, in ij order.  A table is complex only where a term has a
+    phase on its block (B also where a coefficient is complex); a real A
+    times a complex B is one real GEMM on B's float view.
+    """
+    if sym.n != n:
+        raise DimensionMismatchError(f"symbol has n={sym.n}, grid has n={n}")
+    cols, rows = [], []
+    for c, pows, freqs in sym._plan[0]:
+        axis = [np.ones_like(nodes)] * (2 * n)
+        for k, e in pows:
+            axis[k] = axis[k] * nodes ** e
+        for k, f in freqs:
+            axis[k] = axis[k] * np.exp(1j * f * nodes)
+        cols.append(functools.reduce(np.multiply.outer, axis[:n]).ravel())
+        rows.append((c.real if c.imag == 0 else c)
+                    * functools.reduce(np.multiply.outer, axis[n:]).ravel())
+    size = nodes.size ** n  # no terms: zero tables, the zero symbol
+    A = np.stack(cols, axis=1) if cols else np.zeros((size, 0))
+    B = np.stack(rows) if rows else np.zeros((0, size))
+    if np.iscomplexobj(A):
+        B = B.astype(complex)
+    elif np.iscomplexobj(B):
+        B_float = B.view(float)
+        return lambda block: (A[block] @ B_float).view(complex)
+    return lambda block: A[block] @ B
+
+
+def _slabs(fns, n, box_radius, order):
+    """The grid slab by slab: (row weights, [values of each fn], column weights).
+
+    A slab is the order^(2n-1) nodes that share one first-axis node, as
+    order^(n-1) rows (the other x-axes) by order^n columns (the xi-axes),
+    in ij order when raveled.  A SymbolExpr costs one GEMM of its factor
+    tables; any other fn maps flat points (x, xi), built for it, to values.
+    """
+    nodes, w = _tensor_grid(n, box_radius, order)
+    w_block = functools.reduce(np.multiply.outer, [w] * n).ravel()
+    tables = [_sum_factorized(s, nodes, n) if isinstance(s, SymbolExpr) else None
+              for s in fns]
+    rows = nodes.size ** (n - 1)
+    for i in range(nodes.size):
+        block = slice(i * rows, (i + 1) * rows)
+        if None in tables:
+            axes = np.meshgrid(nodes[i:i + 1], *[nodes] * (2 * n - 1), indexing="ij")
+            pts = np.stack([a.ravel() for a in axes], axis=-1)
+        yield w_block[block], [
+            t(block) if t is not None
+            else np.asarray(fn(pts[:, :n], pts[:, n:])).reshape(rows, -1)
+            for fn, t in zip(fns, tables)], w_block
+
+
+def tensor_quadrature(symbols, integrand, n, box_radius, order):
+    """Integrate integrand(*values) over [-R, R]^{2n}, one value per symbol.
+
+    ``symbols`` holds SymbolExprs, or functions of points (x, xi) where
+    there is no closed form (see ``_slabs``).  Each slab adds
+    w_rows . (integrand @ w_cols) in a fixed order: bitwise reproducible.
     """
     total = 0.0
-    for w_i, x, xi, w_rest in _tensor_grid(n, box_radius, order):
-        # bound to a name, the shard's values live until the next shard's
-        # replace them; freeing them at once costs ~20% more page faults
-        vals = fn(x, xi)
-        total += w_i * float(np.dot(np.asarray(vals, dtype=float), w_rest))
+    for w_rows, vals, w_cols in _slabs(symbols, n, box_radius, order):
+        total += float(w_rows @ (np.asarray(integrand(*vals), dtype=float) @ w_cols))
     return total
 
 
-def moment(f: TestFunction, p, box_radius, order=48,
-           check_support=True) -> float:
+def moment(f: TestFunction, p, box_radius, order=48, check_support=True) -> float:
     """M = iint f(p(x, xi)) dx dxi by tensor Gauss-Legendre quadrature."""
-    n = p.n
     if check_support:
         _warn_if_support_leaks(f, p, box_radius)
-
-    def fn(x, xi):
-        return f.value(p.evaluate(x, xi))
-
-    return tensor_quadrature(fn, n, box_radius, order)
+    return tensor_quadrature((_closed_form(p) or p.evaluate,), f.value, p.n, box_radius, order)
 
 
 def _warn_if_support_leaks(f, p, box_radius, n_samples=4096, seed=17):
@@ -146,15 +185,15 @@ def _warn_if_support_leaks(f, p, box_radius, n_samples=4096, seed=17):
     vals = f.value(p.evaluate(*box_face_points(p.n, box_radius, n_samples, (seed, 313))))
     if np.max(np.abs(vals)) > 0:
         warnings.warn("test function support reaches the integration box "
-                      "boundary; enlarge box_radius", RuntimeWarning, stacklevel=3)
+                      "boundary; enlarge box_radius", SupportLeakWarning, stacklevel=3)
 
 
 def _closed_form(p):
     """Closed-form symbol for p when available (quadratic deformed fast path)."""
     if isinstance(p, SymbolExpr):
         return p
-    if isinstance(p, DeformedSymbol) and p.is_quadratic:
-        return deformed_quadratic(p)
+    if isinstance(p, DeformedSymbol) and not p.flows:
+        return deformed_quadratic(p) if p.t else p.base
     return None
 
 
@@ -165,55 +204,36 @@ def first_variation_rhs(f: TestFunction, p_t, G: SymbolExpr, box_radius,
     For closed-form p_t the bracket is the exact symbol (i/2){p, conj p};
     when that symbol merges to zero the integral is exactly 0.0 and no
     quadrature runs (the integrable branch).  An ODE-defined p_t falls
-    back to a Richardson central-difference bracket of step ``fd_step``.
+    back to a Richardson central-difference bracket of step ``fd_step``,
+    on the grid's points.
     """
-    n = p_t.n
     reG = G.real_part_symbol()
     closed = _closed_form(p_t)
-    if closed is not None:
+    if closed is None:
+        fns = (p_t.evaluate, lambda x, xi: _numeric_real_bracket(p_t, x, xi, fd_step))
+    else:
         br = real_bracket(closed)
         if br.is_zero:
             return 0.0
-
-        def fn(x, xi):
-            vals = closed.evaluate(x, xi)
-            return (f.laplacian(vals) * br.evaluate(x, xi).real
-                    * reG.evaluate(x, xi).real)
-
-        return tensor_quadrature(fn, n, box_radius, order)
-
-    def fn(x, xi):
-        vals = p_t.evaluate(x, xi)
-        br = _numeric_real_bracket(p_t, x, xi, fd_step)
-        return f.laplacian(vals) * br * reG.evaluate(x, xi).real
-
-    return tensor_quadrature(fn, n, box_radius, order)
+        fns = (closed, br)
+    _warn_if_support_leaks(f, p_t, box_radius)
+    return tensor_quadrature(
+        fns + (reG,), lambda v, b, g: f.laplacian(v) * b.real * g.real,
+        p_t.n, box_radius, order)
 
 
 def _numeric_real_bracket(p, x, xi, h):
     """{Re p, Im p} by Richardson central differences of p's evaluation."""
-    n = p.n
-
-    def partials(step):
-        gx = []
-        gxi = []
-        for j in range(n):
-            ej = np.zeros(n)
-            ej[j] = step
-            gx.append((p.evaluate(x + ej, xi) - p.evaluate(x - ej, xi)) / (2 * step))
-            gxi.append((p.evaluate(x, xi + ej) - p.evaluate(x, xi - ej)) / (2 * step))
-        return gx, gxi
 
     def bracket(step):
-        gx, gxi = partials(step)
         out = 0.0
-        for j in range(n):
-            out = out + (gxi[j].real * gx[j].imag - gx[j].real * gxi[j].imag)
+        for e in np.eye(p.n) * step:
+            dx = (p.evaluate(x + e, xi) - p.evaluate(x - e, xi)) / (2 * step)
+            dxi = (p.evaluate(x, xi + e) - p.evaluate(x, xi - e)) / (2 * step)
+            out = out + (dxi.real * dx.imag - dx.real * dxi.imag)
         return out
 
-    b1 = bracket(h)
-    b2 = bracket(h / 2)
-    return (4 * b2 - b1) / 3
+    return (4 * bracket(h / 2) - bracket(h)) / 3
 
 
 def second_variation_rhs(f: TestFunction, p: SymbolExpr, G: SymbolExpr,
@@ -231,12 +251,9 @@ def second_variation_rhs(f: TestFunction, p: SymbolExpr, G: SymbolExpr,
     hpg = poisson_bracket(p, G)
     if hpg.is_zero:
         return 0.0
-
-    def fn(x, xi):
-        vals = p.evaluate(x, xi)
-        return f.laplacian(vals) * np.abs(hpg.evaluate(x, xi)) ** 2
-
-    return tensor_quadrature(fn, p.n, box_radius, order)
+    _warn_if_support_leaks(f, p, box_radius)
+    return tensor_quadrature((p, hpg), lambda v, h: f.laplacian(v) * np.abs(h) ** 2,
+                             p.n, box_radius, order)
 
 
 # -------------------------------------------------------- finite differences
@@ -251,6 +268,8 @@ def moment_derivative_fd(make_pt, t0, order_in_t=1, step=None, *,
     """
     if step is None:
         step = FD_STEP_FIRST if order_in_t == 1 else FD_STEP_SECOND
+    for t in (t0 - step, t0 + step):  # the widest deformations the differences reach
+        _warn_if_support_leaks(f, make_pt(t), box_radius)
 
     def M(t):
         return moment(f, make_pt(t), box_radius, quad_order, check_support=False)
@@ -299,7 +318,7 @@ def quadrature_error_estimate(value_fn, order) -> tuple:
 class _SecondVariationGrid:
     """Cached quadrature data so many test functions can be paired cheaply.
 
-    Stores weight * |H_p G(nodes)|^2 per shard for one quadrature order,
+    Stores weight * |H_p G(nodes)|^2 per slab for one quadrature order,
     and p(nodes) only where it lies in ``reach`` = (lo_re, hi_re, lo_im,
     hi_im), padded by REACH_PAD relative.  A bump supported in ``reach``
     has a zero Laplacian at every other node, so its pairing scatters the
@@ -310,22 +329,22 @@ class _SecondVariationGrid:
         self.reach = reach
         pad = REACH_PAD * max(map(abs, reach))
         lo_r, hi_r, lo_i, hi_i = np.add(reach, (-pad, pad, -pad, pad))
-        self.shards = []
-        for w_i, x, xi, w_rest in _tensor_grid(p.n, box_radius, order):
-            vals = p.evaluate(x, xi)
+        self.slabs = []
+        for w_rows, (vals, h), w_cols in _slabs((p, hpg), p.n, box_radius, order):
+            vals = vals.ravel()
             keep = np.flatnonzero((lo_r < vals.real) & (vals.real < hi_r)
                                   & (lo_i < vals.imag) & (vals.imag < hi_i))
-            self.shards.append(((w_i * w_rest) * np.abs(hpg.evaluate(x, xi)) ** 2,
-                                keep, vals[keep]))
+            self.slabs.append(((np.multiply.outer(w_rows, w_cols) * np.abs(h) ** 2).ravel(),
+                               keep, vals[keep]))
 
     def pair(self, f: TestFunction) -> float:
         lo_r, hi_r, lo_i, hi_i = f.support_bounds()
         r0, r1, i0, i1 = self.reach
         if not (r0 <= lo_r and hi_r <= r1 and i0 <= lo_i and hi_i <= i1):
             raise ValueError("test function support leaves the grid's reach")
-        lap = np.zeros(self.shards[0][0].size)
+        lap = np.zeros(self.slabs[0][0].size)
         total = 0
-        for wh, keep, vals in self.shards:
+        for wh, keep, vals in self.slabs:
             lap[keep] = f.laplacian(vals)
             total += np.dot(lap, wh)
             lap[keep] = 0.0

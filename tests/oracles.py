@@ -417,7 +417,7 @@ def integration_by_parts_gap(f, p, G, box_radius, order=48, quadrature=None):
     brc = poisson_bracket(p, p.conjugate_symbol())
     if quadrature is None:
         def quadrature(fn):
-            return tensor_quadrature(fn, p.n, box_radius, order)
+            return tensor_quadrature((fn,), lambda v: v, p.n, box_radius, order)
 
     def integrate(fn):
         return complex(quadrature(lambda x, xi: fn(x, xi).real),

@@ -119,6 +119,16 @@ class TestCLIRuns:
         assert r.returncode == 0, r.stderr
         rep = json.loads((tmp_path / "v" / "variation.json").read_text())
         assert rep["order"] == "second"
+        assert json.loads(r.stdout)["support_ok"] is True
+
+    def test_variation_truncated_box_fails(self, tmp_path):
+        r = run_cli(["variation", "--G", "coupling-xx", "--t", "0.2",
+                     "--quadrature-order", "16", "--box-radius", "1.0",
+                     "--outdir", str(tmp_path / "v")], cwd=str(tmp_path))
+        assert r.returncode == 1, r.stderr
+        rep = json.loads(r.stdout)
+        assert rep["support_ok"] is False and rep["pass"] is False
+        assert "SupportLeakWarning" in r.stderr
 
     def test_deform_density_subcommand(self, tmp_path):
         win = json.dumps({"center": [0.5, 0.5], "half_widths": [0.4, 0.4],

@@ -351,9 +351,9 @@ class TestScalarParser:
 
 class TestPhasePoint:
     def test_real_detection(self):
-        assert PhasePoint.real([1, 2], [3, 4]).is_real
-        assert PhasePoint([1 + 5e-15j, 2], [3, 4]).is_real
-        assert not PhasePoint([1 + 1e-10j, 2], [3, 4]).is_real
+        assert PhasePoint.real([1, 2], [3, 4]).max_imag == 0.0
+        assert PhasePoint([1 + 5e-15j, 2], [3, 4]).max_imag <= 1e-14
+        assert PhasePoint([1 + 1e-10j, 2], [3, 4]).max_imag == 1e-10
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,17 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsweyl.density import ComplexWindow
 from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
 from bsweyl.symbols import (SymbolExpr, cho, coupling_xx, poisson_bracket,
                             torus_coupled)
-from bsweyl.variation import (TestFunction, _SecondVariationGrid, _tensor_grid,
-                              first_variation_rhs, moment,
-                              moment_derivative_fd, nonequality_certificate,
+from bsweyl.variation import (SupportLeakWarning, TestFunction, _SecondVariationGrid,
+                              _slabs, _warn_if_support_leaks, first_variation_rhs,
+                              moment, moment_derivative_fd, nonequality_certificate,
                               second_variation_rhs, tensor_quadrature)
 
 from oracles import (bump_dz, bump_reference, integration_by_parts_gap,
@@ -112,6 +114,45 @@ class TestMoment:
         f = TestFunction(0.5 + 0.5j, 0.4)
         with pytest.warns(RuntimeWarning):
             moment(f, cho(1.0, 0.0), box_radius=0.8, order=16)
+
+    def test_two_calls_agree_bitwise(self):
+        f = TestFunction(0.05 + 0.55j, 0.35)
+        first = moment(f, deformed_quadratic(make_deformed(0.2)), 2.6, 32)
+        assert moment(f, deformed_quadratic(make_deformed(0.2)), 2.6, 32) == first
+        assert first > 0
+
+
+class TestSupportCheck:
+    """Every entry point warns when f o p_t reaches the integration box's faces."""
+
+    F = TestFunction(0.05 + 0.55j, 0.35)
+
+    def test_first_variation_warns(self):
+        with pytest.warns(SupportLeakWarning):
+            first_variation_rhs(self.F, deformed_quadratic(make_deformed(0.2)),
+                                coupling_xx(), 1.0, 8)
+
+    def test_second_variation_warns(self):
+        with pytest.warns(SupportLeakWarning):
+            second_variation_rhs(self.F, cho(1.0, 0.0), coupling_xx(), 1.0, 8)
+
+    def test_finite_difference_warns_at_the_widest_steps(self):
+        checked = []
+
+        def make_pt(t):
+            checked.append(t)
+            return deformed_quadratic(make_deformed(t))
+
+        with pytest.warns(SupportLeakWarning):
+            moment_derivative_fd(make_pt, 0.2, 1, f=self.F, box_radius=1.0, quad_order=8)
+        assert checked[:2] == [0.2 - 1e-2, 0.2 + 1e-2]
+
+    @pytest.mark.parametrize("t, box_radius", [(0.19, 2.6), (0.2, 2.6), (0.21, 2.6),
+                                               (-0.02, 2.0), (0.0, 2.0), (0.02, 2.0)])
+    def test_silent_on_the_c3_c4_configurations(self, t, box_radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SupportLeakWarning)
+            _warn_if_support_leaks(self.F, make_deformed(t), box_radius)
 
 
 class TestFirstVariation:
@@ -241,12 +282,12 @@ class TestCertificateGrid:
 
     @staticmethod
     def full_grid_pairing(f, p, G, box_radius, order):
-        """The pairing with the bump's Laplacian at every node of every shard."""
-        hpg = poisson_bracket(p, G)
+        """The pairing with the bump's Laplacian at every node of every slab."""
         return float(sum(
-            np.dot(bump_reference(f, p.evaluate(x, xi))[1],
-                   (w_i * w_rest) * np.abs(hpg.evaluate(x, xi)) ** 2)
-            for w_i, x, xi, w_rest in _tensor_grid(p.n, box_radius, order)))
+            np.dot(bump_reference(f, vals.ravel())[1],
+                   (np.multiply.outer(w_rows, w_cols) * np.abs(h) ** 2).ravel())
+            for w_rows, (vals, h), w_cols
+            in _slabs((p, poisson_bracket(p, G)), p.n, box_radius, order)))
 
     def test_pairing_equals_full_grid_bitwise(self):
         p, G = cho(1.0, 0.0), coupling_xx()
@@ -260,7 +301,7 @@ class TestCertificateGrid:
         # the last bump puts a node's value 1e-9 r inside its right edge,
         # where the Laplacian is small but not zero
         p, G = cho(1.0, 0.0), coupling_xx()
-        vals = np.concatenate([p.evaluate(x, xi) for _, x, xi, _ in _tensor_grid(2, 2.0, 16)])
+        vals = np.concatenate([v.ravel() for _, (v,), _ in _slabs((p,), 2, 2.0, 16)])
         z0 = vals[np.argmin(np.abs(vals - (0.5 + 0.5j)))]
         edge = TestFunction(z0 - 0.3 * (1 - 1e-9), 0.3)
         assert edge.laplacian(z0) != 0
@@ -281,6 +322,48 @@ class TestCertificateGrid:
                   TestFunction(0.0, 1.0)):
             with pytest.raises(ValueError):
                 grid.pair(f)
+
+
+@st.composite
+def grid_symbols(draw, n, real_coeffs, trig):
+    """0 to 4 random terms, so the zero symbol is drawn too."""
+    coeffs = (st.floats(-2.0, 2.0) if real_coeffs
+              else st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                      allow_infinity=False))
+    pows = st.tuples(*[st.integers(0, 3)] * n)
+    freqs = st.tuples(*[st.sampled_from([-1.5, 0.0, 1.0] if trig else [0.0])] * n)
+    sym = SymbolExpr.zero(n)
+    for _ in range(draw(st.integers(0, 4))):
+        sym = sym + SymbolExpr.monomial(draw(coeffs), draw(pows), draw(pows), n,
+                                        xfreq=draw(freqs), xifreq=draw(freqs))
+    return sym
+
+
+class TestSlabs:
+    """Sum-factorized slab values against evaluate at the slab's own points."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.booleans(), st.booleans(), st.data())
+    def test_matches_evaluate_at_the_slab_points(self, n, real_coeffs, trig, data):
+        sym = data.draw(grid_symbols(n, real_coeffs, trig))
+        order = data.draw(st.integers(8, 12 if n < 3 else 8))
+
+        def gross(x, xi):  # sum over terms of |term|
+            return sum((np.abs(SymbolExpr((t,), n).evaluate(x, xi)) for t in sym.terms),
+                       np.zeros(len(x)))
+
+        for w_rows, (got, want, scale), w_cols in _slabs(
+                (sym, sym.evaluate, gross), n, 1.3, order):
+            assert got.shape == want.shape == (order ** (n - 1), order ** n)
+            assert w_rows.shape == got.shape[:1] and w_cols.shape == got.shape[1:]
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_zero_symbol_gives_zeros(self):
+        zero = (1j * coupling_xx()).real_part_symbol()
+        assert zero.terms == ()
+        slabs = list(_slabs((zero,), 2, 1.0, 8))
+        assert len(slabs) == 8
+        assert all(v.shape == (8, 64) and not np.any(v) for _, (v,), _ in slabs)
 
 
 class TestTracerContract:
@@ -328,8 +411,7 @@ class TestIntegrationByParts:
 class TestTensorQuadrature:
     def test_separable_gaussianish(self):
         # product of (1 - u^2)^3 restricted to axes: exact 1-d values
-        def fn(x, xi):
-            u = x[:, 0] / 1.0
+        def fn(u):
             out = np.zeros_like(u)
             m = np.abs(u) < 1
             out[m] = (1 - u[m] ** 2) ** 3
@@ -337,9 +419,10 @@ class TestTensorQuadrature:
 
         # integral of the 1-d bump times the xi-axis length; the kink at
         # |u| = 1 sits exactly on the panel edge so GL is exact here
-        val = tensor_quadrature(fn, 1, 1.0, 48)
+        x1 = SymbolExpr.monomial(1.0, (1,), (0,), n=1)
+        val = tensor_quadrature((x1,), fn, 1, 1.0, 48)
         assert val == pytest.approx((32 / 35) * 2.0, rel=1e-12)
 
     def test_too_large_grid_rejected(self):
         with pytest.raises(ValueError):
-            tensor_quadrature(lambda x, xi: x[:, 0], 3, 1.0, 64)
+            tensor_quadrature((lambda x, xi: x[:, 0],), lambda v: v, 3, 1.0, 64)
