@@ -13,8 +13,14 @@ dRe z dIm z:
 
 For a deformed symbol built over an integrable base the action density
 is unchanged by the deformation, so omega of the base is used as is.
-When a deformed symbol has no closed form, only the samples that can
-land in the window go through the flow (see ``_sampled_values``).
+
+Sampling has two units.  A shard (``shard_size``, 2^20 by default) is
+the unit of drawing: it fixes the Sobol' blocks and the per-shard seeds
+of the iid sampler.  A block (``BLOCK`` = 2^14 rows) is the unit of
+work: each shard is scaled to the box, evaluated and binned one block
+at a time, so every temporary stays cache-sized.  When a deformed
+symbol has no closed form, only the samples that can land in the window
+go through the flow, a block of them at a time (see ``_sampled_values``).
 """
 
 from __future__ import annotations
@@ -26,12 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .flow import DeformedSymbol
+from .flow import DeformedSymbol, closed_form
 from .symbols import DimensionMismatchError, SymbolExpr
 
 TWO_PI_SQ = (2 * np.pi) ** 2
-DEFAULT_SHARD = 1 << 20
-FLOW_SHARD = 1 << 14  # samples flowed at once after the pre-filter
+DEFAULT_SHARD = 1 << 20  # samples drawn at once
+BLOCK = 1 << 14  # samples scaled, evaluated and binned (or flowed) at once
 
 
 class EmptyGridError(RuntimeError):
@@ -176,8 +182,10 @@ class DensityGrid:
 def _unit_samples(dim, total, seed, sampler, shard_size=DEFAULT_SHARD):
     """Yield shards of points in [0,1)^dim; deterministic per (seed, sampler).
 
+    A shard is the unit of drawing only; callers evaluate it in BLOCKs.
     Sobol' shards continue one sequence; each full power-of-two shard is
-    a balanced block.  scipy warns when the first shard is no power of two.
+    balanced.  scipy warns when the first shard is no power of two.  iid
+    shards are seeded by (seed, shard index).
     """
     if sampler == "sobol":
         eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
@@ -233,31 +241,44 @@ def _bin(vals, win: ComplexWindow, weights=None):
     return np.bincount(idx, w, minlength=nr * ni).reshape(nr, ni)
 
 
-def _sampled_values(p, win, box_radius, samples, seed, sampler, shard_size):
-    """Yield (p at the shard's points, samples flowed) per shard of the box.
+def _sampled_values(p, win, dim, points, samples, seed, sampler, shard_size):
+    """Yield (p at a block of sample points, samples flowed), block by block.
 
-    The points are uniform in the real box {|(x, xi)|_inf <= box_radius}.
+    ``points`` maps a block of unit-cube rows in [0,1)^dim to the (x, xi)
+    where p is evaluated.  Each shard is mapped and evaluated BLOCK rows
+    at a time; a DeformedSymbol with a closed form is resolved to it once.
     A DeformedSymbol that flows is flowed only where it can land in the
     closed window: p_t(rho) lies within displacement_bound(rho) of p(rho),
-    so a sample farther than that from the window lands outside it.  Those
-    samples get NaN, which binning and hit counts drop; the others are
-    flowed FLOW_SHARD at a time.
+    so a sample farther than that from the window lands outside it and is
+    dropped.  The pre-filter runs per block; the kept samples of the whole
+    shard are then flowed BLOCK at a time, so each RK45 batch is full.
     """
-    n = p.n
-    flows = isinstance(p, DeformedSymbol) and p.flows
-    for shard in _unit_samples(2 * n, samples, seed, sampler, shard_size):
-        q = -box_radius + 2 * box_radius * shard
-        x, xi = q[:, :n], q[:, n:]
-        if not flows:
-            yield p.evaluate(x, xi), 0
-            continue
-        near = win.distance(p.base.evaluate(x, xi)) <= p.displacement_bound(x, xi)
-        keep = np.flatnonzero(near)
-        vals = np.full(len(q), np.nan, dtype=complex)
-        for start in range(0, keep.size, FLOW_SHARD):
-            k = keep[start:start + FLOW_SHARD]
-            vals[k] = p.evaluate(x[k], xi[k])
-        yield vals, keep.size
+    shards = _unit_samples(dim, samples, seed, sampler, shard_size)
+    if not (isinstance(p, DeformedSymbol) and p.flows):
+        if isinstance(p, DeformedSymbol):
+            p = closed_form(p)
+        for shard in shards:
+            for start in range(0, len(shard), BLOCK):
+                yield p.evaluate(*points(shard[start:start + BLOCK])), 0
+        return
+    for shard in shards:
+        keep = []
+        for start in range(0, len(shard), BLOCK):
+            x, xi = points(shard[start:start + BLOCK])
+            near = win.distance(p.base.evaluate(x, xi)) <= p.displacement_bound(x, xi)
+            keep.append(start + np.flatnonzero(near))
+        keep = np.concatenate(keep)
+        for start in range(0, keep.size, BLOCK):
+            x, xi = points(shard[keep[start:start + BLOCK]])
+            yield p.evaluate(x, xi), len(x)
+
+
+def _box_points(n, box_radius):
+    """Map unit rows to (x, xi) in the real box {|(x, xi)|_inf <= box_radius}."""
+    def points(u):
+        q = -box_radius + 2 * box_radius * u
+        return q[:, :n], q[:, n:]
+    return points
 
 
 def _sample_method(sampler):
@@ -278,7 +299,8 @@ def weyl_density(p, win: ComplexWindow, box_radius=4.0, samples=10_000_000,
     boxvol = (2 * box_radius) ** (2 * n)
     counts = np.zeros(tuple(win.resolution), dtype=np.int64)
     flowed = 0
-    for vals, k in _sampled_values(p, win, box_radius, samples, seed, sampler, shard_size):
+    for vals, k in _sampled_values(p, win, 2 * n, _box_points(n, box_radius),
+                                   samples, seed, sampler, shard_size):
         counts += _bin(vals, win)
         flowed += k
     if counts.sum() == 0:
@@ -325,11 +347,14 @@ def weyl_density_torus(ptilde: SymbolExpr, win: ComplexWindow, eta_box,
                            meta={"quadrature_order": int(quadrature_order),
                                  "eta_box": [[lo1, hi1], [lo2, hi2]]})
 
+    def points(u):  # x = 0, the actions eta in eta_box
+        eta = np.stack([lo1 + (hi1 - lo1) * u[:, 0], lo2 + (hi2 - lo2) * u[:, 1]], axis=-1)
+        return np.zeros_like(eta), eta
+
     counts = np.zeros(tuple(win.resolution), dtype=np.int64)
-    for shard in _unit_samples(2, samples, seed, sampler, shard_size):
-        eta = np.stack([lo1 + (hi1 - lo1) * shard[:, 0],
-                        lo2 + (hi2 - lo2) * shard[:, 1]], axis=-1)
-        counts += _bin(ptilde.evaluate(np.zeros_like(eta), eta), win)
+    for vals, _ in _sampled_values(ptilde, win, 2, points, samples, seed, sampler,
+                                   shard_size):
+        counts += _bin(vals, win)
     if counts.sum() == 0:
         raise EmptyGridError("no sample landed in the window")
     scale = TWO_PI_SQ * area / (samples * win.cell_area)
@@ -480,7 +505,8 @@ def preimage_volume(p, window_or_bounds, box_radius=4.0, samples=10_000_000,
         win = ComplexWindow.from_bounds(*win)
     boxvol = (2 * box_radius) ** (2 * p.n)
     hits = 0
-    for vals, _ in _sampled_values(p, win, box_radius, samples, seed, sampler, shard_size):
+    for vals, _ in _sampled_values(p, win, 2 * p.n, _box_points(p.n, box_radius),
+                                   samples, seed, sampler, shard_size):
         hits += int(np.count_nonzero(win.contains(vals)))
     phat = hits / samples
     vol = boxvol * phat

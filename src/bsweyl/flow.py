@@ -272,10 +272,9 @@ class DeformedSymbol:
 
     def evaluate(self, x, xi):
         """Evaluate p_t on arrays of points shaped (..., n)."""
-        if not self.t:
-            return self.base.evaluate(x, xi)
-        if self.is_quadratic:
-            return deformed_quadratic(self).evaluate(x, xi)
+        closed = closed_form(self)
+        if closed is not None:
+            return closed.evaluate(x, xi)
         xe, xie, exc = flow_points(self.deformation, self.t,
                                    np.asarray(x, dtype=complex),
                                    np.asarray(xi, dtype=complex))
@@ -387,6 +386,19 @@ def quadratic_to_symbol(Q, l, c, n, tube_radius=8.0) -> SymbolExpr:
             xip = [a + b for a, b in zip(xipi, xipj)]
             out = out + SymbolExpr.monomial(coeff, xp, xip, n, tube_radius)
     return out.simplified()
+
+
+def closed_form(p):
+    """Closed-form symbol for p when available (quadratic deformed fast path).
+
+    A SymbolExpr is its own closed form; a DeformedSymbol that flows, or
+    any other object, has none (None).
+    """
+    if isinstance(p, SymbolExpr):
+        return p
+    if isinstance(p, DeformedSymbol) and not p.flows:
+        return deformed_quadratic(p) if p.t else p.base
+    return None
 
 
 def deformed_quadratic(ps: DeformedSymbol) -> SymbolExpr:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .density import box_face_points
-from .flow import DeformedSymbol, deformed_quadratic
+from .flow import closed_form
 from .symbols import DimensionMismatchError, SymbolExpr, poisson_bracket, real_bracket
 
 QUAD_MIN_ORDER = 8
@@ -177,7 +177,7 @@ def moment(f: TestFunction, p, box_radius, order=48, check_support=True) -> floa
     """M = iint f(p(x, xi)) dx dxi by tensor Gauss-Legendre quadrature."""
     if check_support:
         _warn_if_support_leaks(f, p, box_radius)
-    return tensor_quadrature((_closed_form(p) or p.evaluate,), f.value, p.n, box_radius, order)
+    return tensor_quadrature((closed_form(p) or p.evaluate,), f.value, p.n, box_radius, order)
 
 
 def _warn_if_support_leaks(f, p, box_radius, n_samples=4096, seed=17):
@@ -186,15 +186,6 @@ def _warn_if_support_leaks(f, p, box_radius, n_samples=4096, seed=17):
     if np.max(np.abs(vals)) > 0:
         warnings.warn("test function support reaches the integration box "
                       "boundary; enlarge box_radius", SupportLeakWarning, stacklevel=3)
-
-
-def _closed_form(p):
-    """Closed-form symbol for p when available (quadratic deformed fast path)."""
-    if isinstance(p, SymbolExpr):
-        return p
-    if isinstance(p, DeformedSymbol) and not p.flows:
-        return deformed_quadratic(p) if p.t else p.base
-    return None
 
 
 def first_variation_rhs(f: TestFunction, p_t, G: SymbolExpr, box_radius,
@@ -208,7 +199,7 @@ def first_variation_rhs(f: TestFunction, p_t, G: SymbolExpr, box_radius,
     on the grid's points.
     """
     reG = G.real_part_symbol()
-    closed = _closed_form(p_t)
+    closed = closed_form(p_t)
     if closed is None:
         fns = (p_t.evaluate, lambda x, xi: _numeric_real_bracket(p_t, x, xi, fd_step))
     else:

@@ -294,6 +294,49 @@ def histogram2d_bin(vals, win, weights=None):
     return h if weights is not None else h.astype(np.int64)
 
 
+def sampled_counts_reference(p, win, box_radius, samples, seed, sampler, shard_size):
+    """(histogram2d counts, samples flowed, open-window hits) of a density run.
+
+    The unblocked sampling loop: each whole shard of ``density._unit_samples``
+    is scaled to the box and evaluated in one call.  A flowing
+    DeformedSymbol keeps the samples that pass the displacement pre-filter
+    and flows them 2^14 at a time in shard order.
+    """
+    from bsweyl.density import _unit_samples
+    from bsweyl.flow import DeformedSymbol
+    n = p.n
+    flows = isinstance(p, DeformedSymbol) and p.flows
+    counts, flowed, hits = np.zeros(tuple(win.resolution), dtype=np.int64), 0, 0
+    for shard in _unit_samples(2 * n, samples, seed, sampler, shard_size):
+        q = -box_radius + 2 * box_radius * shard
+        x, xi = q[:, :n], q[:, n:]
+        if flows:
+            keep = np.flatnonzero(win.distance(p.base.evaluate(x, xi))
+                                  <= p.displacement_bound(x, xi))
+            vals = np.full(len(q), np.nan, dtype=complex)
+            for start in range(0, keep.size, 1 << 14):
+                k = keep[start:start + (1 << 14)]
+                vals[k] = p.evaluate(x[k], xi[k])
+            flowed += keep.size
+        else:
+            vals = p.evaluate(x, xi)
+        counts += histogram2d_bin(vals, win)
+        hits += int(np.count_nonzero(win.contains(vals)))
+    return counts, flowed, hits
+
+
+def torus_counts_reference(ptilde, win, eta_box, samples, seed, sampler, shard_size):
+    """histogram2d counts of ptilde at the actions of whole shards (x = 0)."""
+    from bsweyl.density import _unit_samples
+    (lo1, hi1), (lo2, hi2) = eta_box
+    counts = np.zeros(tuple(win.resolution), dtype=np.int64)
+    for shard in _unit_samples(2, samples, seed, sampler, shard_size):
+        eta = np.stack([lo1 + (hi1 - lo1) * shard[:, 0],
+                        lo2 + (hi2 - lo2) * shard[:, 1]], axis=-1)
+        counts += histogram2d_bin(ptilde.evaluate(np.zeros_like(eta), eta), win)
+    return counts
+
+
 def unfiltered_sobol_values(p, box_radius, samples, seed):
     """(x, xi, p(x, xi)) at the scrambled Sobol' points of a one-shard density run.
 

@@ -278,6 +278,33 @@ def test_deform_density_meta_counts_flowed_samples(tmp_path, capsys):
     assert meta["samples"] == 4096 and 0 < meta["flowed"] < 4096 // 10
 
 
+class TestTruncatedBox:
+    """A box whose faces map into the window cuts the preimage: the run fails."""
+
+    DENSITY_WIN = '{"center": [0.5, 0.5], "half_widths": [0.4, 0.4], "resolution": [4, 4]}'
+    COUNT_WIN = '{"center": [0.35, 0.35], "half_widths": [0.15, 0.1], "resolution": [4, 4]}'
+
+    @pytest.mark.parametrize("argv", [["density"],
+                                      ["deform-density", "--G", "coupling-xx", "--t", "0.2"]])
+    @pytest.mark.parametrize("box, code", [(["--box-radius", "1.0"], 1), ([], 0)])
+    def test_density_exit_code(self, argv, box, code, tmp_path, capsys):
+        assert main(argv + box + ["--samples", "65536", "--window", self.DENSITY_WIN,
+                                  "--outdir", str(tmp_path)]) == code
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["pass"] is rep["boundary_margin_ok"] is (code == 0)
+        assert (rep["boundary_margin"] == 0.0) is (code == 1)
+
+    @pytest.mark.parametrize("box, code", [(["--box-radius", "0.7"], 1), ([], 0)])
+    def test_count_exit_code(self, box, code, tmp_path, capsys):
+        assert main(["count", "--samples", "262144", "--h", "0.05", "--basis-size", "40",
+                     "--window", self.COUNT_WIN, "--outdir", str(tmp_path)] + box) == code
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["pass"] is rep["boundary_margin_ok"] is (code == 0)
+        assert rep["count"] == 24
+        # the truncated box sees only part of the preimage volume
+        assert (abs(rep["weyl_prediction"] - rep["count"]) < 3) is (code == 0)
+
+
 def test_bs_builds_no_operator(tmp_path, capsys, monkeypatch):
     args = ["bs", "--h", "0.1", "--window", WIN]
     assert main(args + ["--outdir", str(tmp_path / "a")]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsweyl import density
+from bsweyl import density, flow
 from bsweyl.density import (ActionMap, ComplexWindow,
                             EmptyGridError, SingularActionMapError,
                             action_map_integrable, ellipticity_margin_check,
@@ -13,7 +13,8 @@ from bsweyl.symbols import (DimensionMismatchError, SymbolExpr, cho,
                             torus_linear)
 from bsweyl.variation import TestFunction
 
-from oracles import bisection_invert_2d, histogram2d_bin, unfiltered_sobol_values
+from oracles import (bisection_invert_2d, histogram2d_bin, sampled_counts_reference,
+                     torus_counts_reference, unfiltered_sobol_values)
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 
@@ -434,3 +435,83 @@ class TestFlowPreFilter:
         for p in (cho(1.0, 0.0), DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), 0.2)):
             grid = weyl_density(p, win, box_radius=3.0, samples=1 << 12, seed=5)
             assert grid.meta["flowed"] == 0
+
+
+BLOCKED_CASES = {
+    "n1": lambda: (SymbolExpr.monomial(1.0, (0,), (1,), n=1)
+                   + SymbolExpr.monomial(1j, (1,), (0,), n=1)
+                   + SymbolExpr.monomial(0.3, (2,), (0,), n=1),
+                   ComplexWindow.from_bounds(-1.0, 1.0, -1.0, 1.0, (16, 16)), 2.0),
+    "n2": lambda: (cho(1.0, complex(0.5, 0.5)),
+                   ComplexWindow.from_bounds(0.0, 1.0, 0.0, 1.0, (16, 16)), 2.5),
+    # a quadratic deformation has a closed form and flows nothing
+    "quadratic": lambda: (DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), 0.2),
+                          ComplexWindow.from_bounds(-0.15, 0.15, 0.6, 1.2, (6, 6)), 3.0),
+    # a wide window keeps more than a block of each shard for the flow
+    "flowing": lambda: (DeformedSymbol(cho(1.0, 0.0), Deformation((sin_x1(),)), 0.3),
+                        ComplexWindow.from_bounds(-1.0, 3.0, -1.0, 3.0, (8, 8)), 2.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
+class TestBlockedSampling:
+    """Blocked evaluation gives the unblocked loop's grids bit for bit."""
+
+    # neither is a multiple of density.BLOCK = 2^14, so shards and blocks end ragged
+    SAMPLES, SHARD = 3 * (1 << 14) + 7, (1 << 15) + 3
+
+    @pytest.mark.parametrize("sampler", ["sobol", "random"])
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_density_and_volume_equal_unblocked_loop(self, case, sampler, monkeypatch):
+        p, win, box = BLOCKED_CASES[case]()
+        batches = []
+        flow_points = flow.flow_points
+
+        def recording(d, t, x0, xi0):
+            batches.append(len(x0))
+            return flow_points(d, t, x0, xi0)
+
+        monkeypatch.setattr(flow, "flow_points", recording)
+        args = (box, self.SAMPLES, 4, sampler, self.SHARD)
+        counts, flowed, hits = sampled_counts_reference(p, win, *args)
+        want_batches, batches[:] = list(batches), []
+        grid = weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4,
+                            sampler=sampler, shard_size=self.SHARD)
+        boxvol = (2 * box) ** (2 * p.n)
+        scale = boxvol / (self.SAMPLES * win.cell_area)
+        assert grid.values.tobytes() == (counts * scale).tobytes()
+        assert grid.meta["flowed"] == flowed
+        assert batches == want_batches
+        if case == "flowing":
+            assert density.BLOCK in batches and len(batches) > 2
+        vol, _ = preimage_volume(p, win, box, self.SAMPLES, 4, sampler, self.SHARD)
+        assert vol == boxvol * (hits / self.SAMPLES)
+
+    def test_closed_form_is_built_once_per_call(self, monkeypatch):
+        # building it integrates the variational flow once; per block would be per 2^14 samples
+        p, win, box = BLOCKED_CASES["quadratic"]()
+        calls = []
+        integrate_flow = flow.integrate_flow
+
+        def recording(*args):
+            calls.append(1)
+            return integrate_flow(*args)
+
+        monkeypatch.setattr(flow, "integrate_flow", recording)
+        weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4,
+                     shard_size=self.SHARD)
+        assert len(calls) == 1
+        preimage_volume(p, win, box, self.SAMPLES, 4, "sobol", self.SHARD)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("sampler", ["sobol", "random"])
+    def test_torus_equal_unblocked_loop(self, sampler):
+        win = ComplexWindow.from_bounds(-0.3, 0.3, -0.3, 0.3, (8, 8))
+        eta_box = ((-0.5, 0.5), (-0.4, 0.6))
+        area = (0.5 - -0.5) * (0.6 - -0.4)
+        counts = torus_counts_reference(torus_coupled(0.3), win, eta_box, self.SAMPLES, 5,
+                                        sampler, self.SHARD)
+        grid = weyl_density_torus(torus_coupled(0.3), win, eta_box, samples=self.SAMPLES,
+                                  seed=5, sampler=sampler, shard_size=self.SHARD)
+        scale = TWO_PI_SQ * area / (self.SAMPLES * win.cell_area)
+        assert grid.values.tobytes() == (counts * scale).tobytes()

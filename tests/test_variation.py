@@ -352,11 +352,17 @@ class TestSlabs:
             return sum((np.abs(SymbolExpr((t,), n).evaluate(x, xi)) for t in sym.terms),
                        np.zeros(len(x)))
 
+        # Where a term is subnormal, each rounding is off by up to half a
+        # subnormal step, an absolute error that 1e-13 * scale underflows
+        # below; a term takes a few roundings, scaled by at most its x
+        # factors' largest value on the box, 1.3^deg_x.
+        floor = sum(8 * 1.3 ** sum(t.xpow) for t in sym.terms) * \
+            np.finfo(float).smallest_subnormal
         for w_rows, (got, want, scale), w_cols in _slabs(
                 (sym, sym.evaluate, gross), n, 1.3, order):
             assert got.shape == want.shape == (order ** (n - 1), order ** n)
             assert w_rows.shape == got.shape[:1] and w_cols.shape == got.shape[1:]
-            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale + floor)
 
     def test_zero_symbol_gives_zeros(self):
         zero = (1j * coupling_xx()).real_part_symbol()
