@@ -265,10 +265,15 @@ def _run_variation(cfg, outdir):
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     support_ok = not any(issubclass(w.category, SupportLeakWarning) for w in caught)
+    # the identity holds when the discrepancy is within deformation-splits' bound
+    tol = (DeformationSplitsConfig.first_tol, DeformationSplitsConfig.second_tol)[cfg.order - 1]
+    discrepancy_ok = bool(rep.discrepancy <= tol)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "variation.json"), "w") as fh:
         fh.write(rep.to_json())
-    return {"experiment": "variation", "pass": support_ok, "support_ok": support_ok, **asdict(rep)}
+    return {"experiment": "variation", "pass": support_ok and discrepancy_ok,
+            "support_ok": support_ok, "discrepancy_ok": discrepancy_ok,
+            "discrepancy_tol": tol, **asdict(rep)}
 
 
 def _spectrum(cfg, p):

@@ -14,7 +14,10 @@ dRe z dIm z:
 For a deformed symbol built over an integrable base the action density
 is unchanged by the deformation, so omega of the base is used as is.
 
-Sampling has two units.  A shard (``shard_size``, 2^20 by default) is
+``weyl_density`` (the phase-space box) and ``weyl_density_torus`` (a
+box of actions) share one histogram estimator, ``_histogram``.
+
+Sampling has two units.  A shard (``DEFAULT_SHARD`` = 2^20 rows) is
 the unit of drawing: it fixes the Sobol' blocks and the per-shard seeds
 of the iid sampler.  A block (``BLOCK`` = 2^14 rows) is the unit of
 work: each shard is scaled to the box, evaluated and binned one block
@@ -28,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import qmc
@@ -38,6 +42,11 @@ from .symbols import DimensionMismatchError, SymbolExpr
 TWO_PI_SQ = (2 * np.pi) ** 2
 DEFAULT_SHARD = 1 << 20  # samples drawn at once
 BLOCK = 1 << 14  # samples scaled, evaluated and binned (or flowed) at once
+NEWTON_MAX_ITER = 50  # steps of newton_2x2
+ACTION_NEWTON_TOL = 1e-12  # residual |ptilde(eta) - z| accepted by ActionMap.eta_of_z
+OMEGA_NAN_LIMIT = 0.01  # fraction of cells where omega_density may fail to invert
+MARGIN_SAMPLES = 20000  # box-face samples of ellipticity_margin_check
+MARGIN_FACTOR = 0.2  # margin, in window diameters, that the box faces must keep
 
 
 class EmptyGridError(RuntimeError):
@@ -77,15 +86,21 @@ class ComplexWindow:
         c, hw = self.center, self.half_widths
         return (c.real - hw[0], c.real + hw[0], c.imag - hw[1], c.imag + hw[1])
 
-    @property
+    @cached_property
     def re_edges(self):
+        """Cell edges along Re z (read-only, built on first use)."""
         lo, hi, _, _ = self.bounds
-        return np.linspace(lo, hi, self.resolution[0] + 1)
+        edges = np.linspace(lo, hi, self.resolution[0] + 1)
+        edges.setflags(write=False)
+        return edges
 
-    @property
+    @cached_property
     def im_edges(self):
+        """Cell edges along Im z (read-only, built on first use)."""
         _, _, lo, hi = self.bounds
-        return np.linspace(lo, hi, self.resolution[1] + 1)
+        edges = np.linspace(lo, hi, self.resolution[1] + 1)
+        edges.setflags(write=False)
+        return edges
 
     @property
     def cell_area(self) -> float:
@@ -133,7 +148,7 @@ class DensityGrid:
     window: ComplexWindow
     values: np.ndarray
     stderr: np.ndarray
-    method: str  # monte-carlo | quasi-monte-carlo | tensor-quadrature | jacobian-formula
+    method: str  # monte-carlo | quasi-monte-carlo (sampled) | jacobian-formula (omega)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -179,32 +194,24 @@ class DensityGrid:
 # ------------------------------------------------------------------ sampling
 
 
-def _unit_samples(dim, total, seed, sampler, shard_size=DEFAULT_SHARD):
+def _unit_samples(dim, total, seed, sampler):
     """Yield shards of points in [0,1)^dim; deterministic per (seed, sampler).
 
-    A shard is the unit of drawing only; callers evaluate it in BLOCKs.
-    Sobol' shards continue one sequence; each full power-of-two shard is
-    balanced.  scipy warns when the first shard is no power of two.  iid
-    shards are seeded by (seed, shard index).
+    A shard (DEFAULT_SHARD rows, read at call time) is the unit of
+    drawing only; callers evaluate it in BLOCKs.  Sobol' shards continue
+    one sequence; each full power-of-two shard is balanced.  scipy warns
+    when the first shard is no power of two.  iid shards are seeded by
+    (seed, shard index).
     """
-    if sampler == "sobol":
-        eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-        done = 0
-        while done < total:
-            m = min(shard_size, total - done)
-            yield eng.random(m)
-            done += m
-    elif sampler == "random":
-        done = 0
-        shard = 0
-        while done < total:
-            m = min(shard_size, total - done)
-            rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
-            yield rng.random((m, dim))
-            done += m
-            shard += 1
-    else:
+    if sampler not in ("sobol", "random"):
         raise ValueError(f"unknown sampler {sampler!r} (use 'sobol' or 'random')")
+    eng = qmc.Sobol(d=dim, scramble=True, seed=seed) if sampler == "sobol" else None
+    for shard, start in enumerate(range(0, total, DEFAULT_SHARD)):
+        m = min(DEFAULT_SHARD, total - start)
+        if eng is not None:
+            yield eng.random(m)
+        else:
+            yield np.random.default_rng(np.random.SeedSequence((seed, shard))).random((m, dim))
 
 
 def _axis_index(x, edges):
@@ -222,13 +229,12 @@ def _axis_index(x, edges):
     return i
 
 
-def _bin(vals, win: ComplexWindow, weights=None):
-    """Counts (or weight sums) of complex values per window cell.
+def _bin(vals, win: ComplexWindow):
+    """Counts of complex values per window cell.
 
     Equal to np.histogram2d over (win.re_edges, win.im_edges): points
     outside the closed window are dropped and the last cell of each axis
-    is closed.  Weights are summed by bincount in sample order, as
-    histogramdd does.
+    is closed.
     """
     re_edges, im_edges = win.re_edges, win.im_edges
     x, y = vals.real, vals.imag
@@ -237,11 +243,10 @@ def _bin(vals, win: ComplexWindow, weights=None):
     x, y = x[keep], y[keep]
     nr, ni = win.resolution
     idx = _axis_index(x, re_edges) * ni + _axis_index(y, im_edges)
-    w = None if weights is None else weights[keep]
-    return np.bincount(idx, w, minlength=nr * ni).reshape(nr, ni)
+    return np.bincount(idx, minlength=nr * ni).reshape(nr, ni)
 
 
-def _sampled_values(p, win, dim, points, samples, seed, sampler, shard_size):
+def _sampled_values(p, win, dim, points, samples, seed, sampler):
     """Yield (p at a block of sample points, samples flowed), block by block.
 
     ``points`` maps a block of unit-cube rows in [0,1)^dim to the (x, xi)
@@ -253,7 +258,7 @@ def _sampled_values(p, win, dim, points, samples, seed, sampler, shard_size):
     dropped.  The pre-filter runs per block; the kept samples of the whole
     shard are then flowed BLOCK at a time, so each RK45 batch is full.
     """
-    shards = _unit_samples(dim, samples, seed, sampler, shard_size)
+    shards = _unit_samples(dim, samples, seed, sampler)
     if not (isinstance(p, DeformedSymbol) and p.flows):
         if isinstance(p, DeformedSymbol):
             p = closed_form(p)
@@ -273,6 +278,30 @@ def _sampled_values(p, win, dim, points, samples, seed, sampler, shard_size):
             yield p.evaluate(x, xi), len(x)
 
 
+def _histogram(p, win, dim, points, measure, samples, seed, sampler, meta):
+    """The pushforward of ``measure`` times the uniform law on the sampled box.
+
+    Bins p at ``samples`` points of [0,1)^dim mapped by ``points`` and
+    scales the counts by measure / (samples * cell area).  The standard
+    error is the per-cell binomial estimate (conservative for the
+    low-discrepancy sampler).  ``meta(flowed)`` is the grid's meta,
+    given the number of samples that went through a flow.
+    """
+    counts = np.zeros(tuple(win.resolution), dtype=np.int64)
+    flowed = 0
+    for vals, k in _sampled_values(p, win, dim, points, samples, seed, sampler):
+        counts += _bin(vals, win)
+        flowed += k
+    if counts.sum() == 0:
+        raise EmptyGridError("no sample landed in the window")
+    scale = measure / (samples * win.cell_area)
+    values = counts * scale
+    phat = counts / samples
+    stderr = scale * np.sqrt(np.maximum(counts, 1) * (1 - phat))
+    method = "monte-carlo" if sampler == "random" else "quasi-monte-carlo"
+    return DensityGrid(win, values, stderr, method, meta=meta(flowed))
+
+
 def _box_points(n, box_radius):
     """Map unit rows to (x, xi) in the real box {|(x, xi)|_inf <= box_radius}."""
     def points(u):
@@ -281,89 +310,40 @@ def _box_points(n, box_radius):
     return points
 
 
-def _sample_method(sampler):
-    return "monte-carlo" if sampler == "random" else "quasi-monte-carlo"
-
-
 def weyl_density(p, win: ComplexWindow, box_radius=4.0, samples=10_000_000,
-                 seed=0, sampler="sobol", shard_size=DEFAULT_SHARD) -> DensityGrid:
+                 seed=0, sampler="sobol") -> DensityGrid:
     """Histogram estimate of the pushforward of dx dxi under p.
 
     Samples the real box {|(x, xi)|_inf <= box_radius} in R^{2n}, bins
-    p(rho) over the window cells and normalizes per cell area.  The
-    reported standard error is the per-cell binomial estimate (for the
-    low-discrepancy sampler it is conservative).  Works in any
-    dimension n; only the window is two-dimensional.
+    p(rho) over the window cells and normalizes per cell area (see
+    ``_histogram``).  Works in any dimension n; only the window is
+    two-dimensional.
     """
     n = p.n
-    boxvol = (2 * box_radius) ** (2 * n)
-    counts = np.zeros(tuple(win.resolution), dtype=np.int64)
-    flowed = 0
-    for vals, k in _sampled_values(p, win, 2 * n, _box_points(n, box_radius),
-                                   samples, seed, sampler, shard_size):
-        counts += _bin(vals, win)
-        flowed += k
-    if counts.sum() == 0:
-        raise EmptyGridError("no sample landed in the window")
-    scale = boxvol / (samples * win.cell_area)
-    values = counts * scale
-    phat = counts / samples
-    stderr = scale * np.sqrt(np.maximum(counts, 1) * (1 - phat))
-    return DensityGrid(win, values, stderr, _sample_method(sampler),
-                       meta={"samples": samples, "flowed": flowed, "seed": seed,
-                             "box_radius": box_radius, "sampler": sampler,
-                             "n": n})
+    return _histogram(p, win, 2 * n, _box_points(n, box_radius),
+                      (2 * box_radius) ** (2 * n), samples, seed, sampler,
+                      lambda flowed: {"samples": samples, "flowed": flowed, "seed": seed,
+                                      "box_radius": box_radius, "sampler": sampler, "n": n})
 
 
 def weyl_density_torus(ptilde: SymbolExpr, win: ComplexWindow, eta_box,
-                       samples=10_000_000, seed=0, sampler="sobol",
-                       quadrature_order=None,
-                       shard_size=DEFAULT_SHARD) -> DensityGrid:
+                       samples=10_000_000, seed=0, sampler="sobol") -> DensityGrid:
     """Pushforward of (2 pi)^2 d eta under eta -> ptilde(eta).
 
     ``ptilde`` must depend on the action variables only (stored in the
     xi slots of a 2-d symbol).  ``eta_box`` is ((lo1, hi1), (lo2, hi2)).
-    With ``quadrature_order`` set, a tensor Gauss-Legendre rule replaces
-    sampling (zero reported stderr; cell-boundary binning error is the
-    caveat, so prefer coarse windows there).
     """
     _require_eta_only(ptilde)
     (lo1, hi1), (lo2, hi2) = eta_box
     area = (hi1 - lo1) * (hi2 - lo2)
 
-    if quadrature_order is not None:
-        xg, wg = np.polynomial.legendre.leggauss(int(quadrature_order))
-        e1 = lo1 + (hi1 - lo1) * (xg + 1) / 2
-        w1 = wg * (hi1 - lo1) / 2
-        e2 = lo2 + (hi2 - lo2) * (xg + 1) / 2
-        w2 = wg * (hi2 - lo2) / 2
-        E1, E2 = np.meshgrid(e1, e2, indexing="ij")
-        W = np.outer(w1, w2).ravel()
-        eta = np.stack([E1.ravel(), E2.ravel()], axis=-1)
-        h = _bin(ptilde.evaluate(np.zeros_like(eta), eta), win, W)
-        values = TWO_PI_SQ * h / win.cell_area
-        values = np.maximum(values, 0.0)
-        return DensityGrid(win, values, np.zeros_like(values), "tensor-quadrature",
-                           meta={"quadrature_order": int(quadrature_order),
-                                 "eta_box": [[lo1, hi1], [lo2, hi2]]})
-
     def points(u):  # x = 0, the actions eta in eta_box
         eta = np.stack([lo1 + (hi1 - lo1) * u[:, 0], lo2 + (hi2 - lo2) * u[:, 1]], axis=-1)
         return np.zeros_like(eta), eta
 
-    counts = np.zeros(tuple(win.resolution), dtype=np.int64)
-    for vals, _ in _sampled_values(ptilde, win, 2, points, samples, seed, sampler,
-                                   shard_size):
-        counts += _bin(vals, win)
-    if counts.sum() == 0:
-        raise EmptyGridError("no sample landed in the window")
-    scale = TWO_PI_SQ * area / (samples * win.cell_area)
-    values = counts * scale
-    phat = counts / samples
-    stderr = scale * np.sqrt(np.maximum(counts, 1) * (1 - phat))
-    return DensityGrid(win, values, stderr, _sample_method(sampler),
-                       meta={"samples": samples, "seed": seed, "sampler": sampler,
-                             "eta_box": [[lo1, hi1], [lo2, hi2]]})
+    return _histogram(ptilde, win, 2, points, TWO_PI_SQ * area, samples, seed, sampler,
+                      lambda _: {"samples": samples, "seed": seed, "sampler": sampler,
+                                 "eta_box": [[lo1, hi1], [lo2, hi2]]})
 
 
 def _require_eta_only(ptilde: SymbolExpr):
@@ -377,17 +357,17 @@ def _require_eta_only(ptilde: SymbolExpr):
 # ------------------------------------------------------------------ actions
 
 
-def newton_2x2(residual, u, tol, max_iter):
+def newton_2x2(residual, u, tol):
     """Batched Newton iteration for real 2x2 systems, steps by Cramer's rule.
 
     ``residual(u)`` maps points u of shape (..., 2) to the residual
     (..., 2) and its Jacobian (..., 2, 2).  Iterates until the largest
-    residual over the still-regular points is <= tol, or max_iter steps.
-    Returns (u, ok) with ok False where the Jacobian became singular;
-    callers apply their own acceptance test to the returned u.
+    residual over the still-regular points is <= tol, or NEWTON_MAX_ITER
+    steps.  Returns (u, ok) with ok False where the Jacobian became
+    singular; callers apply their own acceptance test to the returned u.
     """
     ok = np.ones(u.shape[:-1], dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         res, J = residual(u)
         if not ok.any() or np.max(np.abs(res[ok])) <= tol:
             break
@@ -408,8 +388,6 @@ class ActionMap:
 
     ptilde: SymbolExpr
     I0: tuple = (0.0, 0.0)
-    newton_tol: float = 1e-12
-    max_iter: int = 50
 
     def __post_init__(self):
         _require_eta_only(self.ptilde)
@@ -432,9 +410,9 @@ class ActionMap:
             return np.stack([(vals - z).real, (vals - z).imag], axis=-1), self._jac(eta)
 
         eta, ok = newton_2x2(residual, np.stack([z.real, z.imag], axis=-1).astype(float),
-                             self.newton_tol, self.max_iter)
+                             ACTION_NEWTON_TOL)
         vals = self.ptilde.evaluate(np.zeros_like(eta), eta)
-        ok &= np.abs(vals - z) <= 10 * self.newton_tol
+        ok &= np.abs(vals - z) <= 10 * ACTION_NEWTON_TOL
         if scalar:
             return eta[0], ok[0]
         return eta, ok
@@ -475,19 +453,17 @@ class ActionMap:
         return bool(np.all(det_eta > 0) or np.all(det_eta < 0))
 
 
-def action_map_integrable(ptilde: SymbolExpr, I0=(0.0, 0.0),
-                          newton_tol=1e-12, max_iter=50) -> ActionMap:
+def action_map_integrable(ptilde: SymbolExpr, I0=(0.0, 0.0)) -> ActionMap:
     """Action map I(z) = 2 pi eta(z) + I0 from an eta-only torus symbol."""
-    return ActionMap(ptilde, tuple(I0), newton_tol, max_iter)
+    return ActionMap(ptilde, tuple(I0))
 
 
-def omega_density(am: ActionMap, win: ComplexWindow,
-                  nan_fraction_limit=0.01) -> DensityGrid:
+def omega_density(am: ActionMap, win: ComplexWindow) -> DensityGrid:
     """Action density omega(z) = |det DI(z)| at cell centers (exact formula)."""
     z = win.centers_complex()
     vals = am.jacobian_det(z)
     bad = ~np.isfinite(vals)
-    if bad.mean() > nan_fraction_limit:
+    if bad.mean() > OMEGA_NAN_LIMIT:
         raise SingularActionMapError(
             f"singular action map on {bad.mean():.1%} of cells")
     return DensityGrid(win, vals, np.zeros_like(vals), "jacobian-formula",
@@ -498,7 +474,7 @@ def omega_density(am: ActionMap, win: ComplexWindow,
 
 
 def preimage_volume(p, window_or_bounds, box_radius=4.0, samples=10_000_000,
-                    seed=0, sampler="sobol", shard_size=DEFAULT_SHARD):
+                    seed=0, sampler="sobol"):
     """vol(p^{-1}(W)) of the open window on the real box, with a binomial standard error."""
     win = window_or_bounds
     if not isinstance(win, ComplexWindow):
@@ -506,7 +482,7 @@ def preimage_volume(p, window_or_bounds, box_radius=4.0, samples=10_000_000,
     boxvol = (2 * box_radius) ** (2 * p.n)
     hits = 0
     for vals, _ in _sampled_values(p, win, 2 * p.n, _box_points(p.n, box_radius),
-                                   samples, seed, sampler, shard_size):
+                                   samples, seed, sampler):
         hits += int(np.count_nonzero(win.contains(vals)))
     phat = hits / samples
     vol = boxvol * phat
@@ -529,16 +505,15 @@ def box_face_points(n, box_radius, n_samples, entropy):
     return pts[:, :n], pts[:, n:]
 
 
-def ellipticity_margin_check(p, win: ComplexWindow, box_radius,
-                             n_samples=20000, seed=0, margin_factor=0.2):
+def ellipticity_margin_check(p, win: ComplexWindow, box_radius, seed=0):
     """Check that p(boundary of box) stays away from the window.
 
-    Samples the faces of the integration box and requires the image to
-    avoid the window by at least margin_factor * window diameter, so no
-    preimage mass is cut off at the box boundary.  Heuristic evidence,
-    reported not proved.
+    Samples the faces of the integration box (MARGIN_SAMPLES points) and
+    requires the image to avoid the window by at least MARGIN_FACTOR
+    window diameters, so no preimage mass is cut off at the box
+    boundary.  Heuristic evidence, reported not proved.
     """
-    vals = p.evaluate(*box_face_points(p.n, box_radius, n_samples, (seed, 991)))
+    vals = p.evaluate(*box_face_points(p.n, box_radius, MARGIN_SAMPLES, (seed, 991)))
     min_dist = float(np.min(win.distance(vals)))
-    need = margin_factor * win.diameter
+    need = MARGIN_FACTOR * win.diameter
     return min_dist >= need, min_dist

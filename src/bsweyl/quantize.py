@@ -30,10 +30,11 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 from .density import ActionMap, ComplexWindow, DensityGrid, newton_2x2
 from .symbols import SymbolExpr
 
-DEFAULT_DIM_CAP = 4096
+DIM_CAP = 4096  # largest dimension spectrum() accepts
 SAFE_FACTOR = 0.6  # fraction of the basis size whose quantum numbers are trusted
 SHIFT_INVERT_K0 = 48  # eigenvalues asked of the first shift-invert solve
 SHIFT_INVERT_GROWTH = 1.25  # margin on the area ratio when k grows
+BS_NEWTON_TOL = 1e-10  # residual |I(z) - 2 pi h (k - theta)| accepted by bs_predict
 
 
 class QuantizationError(ValueError):
@@ -70,16 +71,15 @@ class BasisSpec:
     def total_dim(self) -> int:
         return self.axis_dim ** self.n
 
-    def safe_bound(self, factor=SAFE_FACTOR) -> float:
+    def safe_bound(self) -> float:
         """Trusted |Re z|, |Im z| extent for eigenvalues of this basis."""
-        return factor * self.size * self.h
+        return SAFE_FACTOR * self.size * self.h
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
     matrix: np.ndarray
     basis: BasisSpec
-    provenance: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -238,7 +238,7 @@ def quantize_quadratic(q: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
         for xp, pp in zip(t.xpow, t.xipow):
             term_op = np.kron(term_op, factor[xp, pp])
         M += t.coeff * term_op
-    return OperatorMatrix(M, basis, provenance="quadratic-weyl")
+    return OperatorMatrix(M, basis)
 
 
 def quantize_torus(ptilde: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
@@ -253,7 +253,7 @@ def quantize_torus(ptilde: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
     grids = np.meshgrid(*([ks] * n), indexing="ij")
     eta = h * np.stack([g.ravel() for g in grids], axis=-1).astype(float)
     vals = ptilde.evaluate(np.zeros_like(eta), eta)
-    return OperatorMatrix(np.diag(vals), basis, provenance="torus-fourier")
+    return OperatorMatrix(np.diag(vals), basis)
 
 
 def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
@@ -271,7 +271,7 @@ def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
     Q = gaussian_perturbation(P.dim, seed)
     Q *= delta
     Q += P.matrix
-    return OperatorMatrix(Q, P.basis, provenance=P.provenance + f"+delta={delta:g}")
+    return OperatorMatrix(Q, P.basis)
 
 
 def gaussian_perturbation(dim: int, seed: int) -> np.ndarray:
@@ -283,16 +283,15 @@ def gaussian_perturbation(dim: int, seed: int) -> np.ndarray:
     return Q
 
 
-def spectrum(P: OperatorMatrix, delta=0.0, seed=None,
-             dim_cap=DEFAULT_DIM_CAP) -> SpectrumResult:
+def spectrum(P: OperatorMatrix, delta=0.0, seed=None) -> SpectrumResult:
     """The spectrum of P, solved on demand (see SpectrumResult).
 
     `.eigenvalues` is the full spectrum by a dense solve of each parity
     block; `.in_window(win)` solves near the window only, unless the full
-    spectrum is already known.  Rejects P above dim_cap.
+    spectrum is already known.  Rejects P above DIM_CAP.
     """
-    if P.dim > dim_cap:
-        raise EigensolveError(f"dimension {P.dim} exceeds cap {dim_cap}")
+    if P.dim > DIM_CAP:
+        raise EigensolveError(f"dimension {P.dim} exceeds cap {DIM_CAP}")
     return SpectrumResult(P, delta, seed)
 
 
@@ -374,8 +373,6 @@ class BSLattice:
     h: float
     window: ComplexWindow
     theta0: tuple = (0.5, 0.5)
-    newton_tol: float = 1e-10
-    max_iter: int = 50
 
     def theta(self) -> np.ndarray:
         return np.asarray(self.theta0, dtype=float)
@@ -410,11 +407,10 @@ def bs_predict(lat: BSLattice):
         return I - targets, dI
 
     c = lat.window.center
-    u, ok = newton_2x2(residual, np.tile([c.real, c.imag], (len(ks), 1)),
-                       lat.newton_tol, lat.max_iter)
+    u, ok = newton_2x2(residual, np.tile([c.real, c.imag], (len(ks), 1)), BS_NEWTON_TOL)
     z = u[:, 0] + 1j * u[:, 1]
     I, _ = am.actions_and_jacobian(z)
-    solved = ok & (np.max(np.abs(I - targets), axis=-1) <= 10 * lat.newton_tol)
+    solved = ok & (np.max(np.abs(I - targets), axis=-1) <= 10 * BS_NEWTON_TOL)
     inside = solved & lat.window.contains(z)
     unresolved = [tuple(k) for k in ks[~solved]]
     pts = z[inside]
@@ -443,8 +439,7 @@ class ComparisonReport:
 def count_and_compare(s: SpectrumResult, win: ComplexWindow,
                       omega_grid: DensityGrid = None,
                       weyl_volume: float = None,
-                      weyl_grid: DensityGrid = None,
-                      safe_factor=SAFE_FACTOR) -> ComparisonReport:
+                      weyl_grid: DensityGrid = None) -> ComparisonReport:
     """Eigenvalue count in the window against both density predictions.
 
     omega prediction: (2 pi h)^{-2} * integral of omega over the window;
@@ -463,7 +458,7 @@ def count_and_compare(s: SpectrumResult, win: ComplexWindow,
     weyl_pred = float("nan")
     if weyl_volume is not None:
         weyl_pred = weyl_volume / (2 * np.pi * h) ** n_dim
-    bound = s.basis.safe_bound(safe_factor)
+    bound = s.basis.safe_bound()
     lo_r, hi_r, lo_i, hi_i = win.bounds
     flagged = max(abs(lo_r), abs(hi_r), abs(lo_i), abs(hi_i)) > bound
 

@@ -31,6 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
+REAL_TOL = 1e-12  # relative size of p - conj(p) that is_real_on_reals accepts
+
 
 class DimensionMismatchError(ValueError):
     """Symbol and point (or two symbols) live in different dimensions."""
@@ -396,9 +398,9 @@ class SymbolExpr:
         """(p + p*)/2; equals Re p on real points."""
         return (self + self.conjugate_symbol()) * 0.5
 
-    def is_real_on_reals(self, tol=1e-12) -> bool:
+    def is_real_on_reals(self) -> bool:
         diff = self - self.conjugate_symbol()
-        return diff.max_coeff() <= tol * max(self.max_coeff(), 1.0)
+        return diff.max_coeff() <= REAL_TOL * max(self.max_coeff(), 1.0)
 
     # -------------------------------------------------------------------- io
 

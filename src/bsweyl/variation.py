@@ -38,6 +38,8 @@ ERROR_FLOOR = 1e-12
 # relative widening of a certificate grid's reach, so it keeps every node
 # that a bump's rounded |u| < 1 test can accept
 REACH_PAD = 1e-9
+CERT_CENTERS = 4  # bump centers per window axis tried by the certificate
+CERT_RADII = (0.25, 0.4)  # bump radii tried, as fractions of the window half-widths
 
 
 @dataclass(frozen=True)
@@ -343,12 +345,11 @@ class _SecondVariationGrid:
 
 
 def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius,
-                            order=48, centers_per_axis=4, radii=(0.25, 0.4),
-                            threshold=5.0):
+                            order=48, threshold=5.0):
     """Search bump test functions for |second variation| > threshold x error.
 
-    Scans a coarse grid of bump centers over the window and a couple of
-    radii (as fractions of the window half-widths).  Returns
+    Scans a CERT_CENTERS x CERT_CENTERS grid of bump centers inside the
+    window and the CERT_RADII (fractions of the window half-widths).  Returns
     (TestFunction, value, error) for the best witness, or None when the
     budget is exhausted without one -- which is not a disproof.  The
     pairing only senses the deformation where the test function reaches
@@ -363,15 +364,15 @@ def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius,
     if hpg.is_zero:
         return None
     lo_r, hi_r, lo_i, hi_i = window.bounds
-    cs = np.linspace(lo_r, hi_r, centers_per_axis + 2)[1:-1]
-    ci = np.linspace(lo_i, hi_i, centers_per_axis + 2)[1:-1]
-    r_max = max(radii) * min(window.half_widths)  # reach: the box holding every bump's support
+    cs = np.linspace(lo_r, hi_r, CERT_CENTERS + 2)[1:-1]
+    ci = np.linspace(lo_i, hi_i, CERT_CENTERS + 2)[1:-1]
+    r_max = max(CERT_RADII) * min(window.half_widths)  # reach: the box holding every bump's support
     reach = (cs[0] - r_max, cs[-1] + r_max, ci[0] - r_max, ci[-1] + r_max)
     grid_hi = _SecondVariationGrid(p, hpg, box_radius, order, reach)
     grid_lo = _SecondVariationGrid(p, hpg, box_radius, max(QUAD_MIN_ORDER, order // 2),
                                    reach)
     best = None
-    for rfrac in radii:
+    for rfrac in CERT_RADII:
         rad = rfrac * min(window.half_widths)
         for cre in cs:
             for cim in ci:

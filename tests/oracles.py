@@ -294,20 +294,37 @@ def histogram2d_bin(vals, win, weights=None):
     return h if weights is not None else h.astype(np.int64)
 
 
+def unit_shards(dim, total, seed, sampler, shard_size):
+    """The unit-cube draws of a density run, shard_size rows at a time.
+
+    One scrambled Sobol' sequence continued across shards, or iid rows
+    seeded by (seed, shard index), as ``density._unit_samples`` draws them.
+    """
+    from scipy.stats import qmc
+    done, shard = 0, 0
+    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
+    while done < total:
+        m = min(shard_size, total - done)
+        if sampler == "sobol":
+            yield eng.random(m)
+        else:
+            yield np.random.default_rng(np.random.SeedSequence((seed, shard))).random((m, dim))
+        done, shard = done + m, shard + 1
+
+
 def sampled_counts_reference(p, win, box_radius, samples, seed, sampler, shard_size):
     """(histogram2d counts, samples flowed, open-window hits) of a density run.
 
-    The unblocked sampling loop: each whole shard of ``density._unit_samples``
-    is scaled to the box and evaluated in one call.  A flowing
+    The unblocked sampling loop: each whole shard of ``unit_shards`` is
+    scaled to the box and evaluated in one call.  A flowing
     DeformedSymbol keeps the samples that pass the displacement pre-filter
     and flows them 2^14 at a time in shard order.
     """
-    from bsweyl.density import _unit_samples
     from bsweyl.flow import DeformedSymbol
     n = p.n
     flows = isinstance(p, DeformedSymbol) and p.flows
     counts, flowed, hits = np.zeros(tuple(win.resolution), dtype=np.int64), 0, 0
-    for shard in _unit_samples(2 * n, samples, seed, sampler, shard_size):
+    for shard in unit_shards(2 * n, samples, seed, sampler, shard_size):
         q = -box_radius + 2 * box_radius * shard
         x, xi = q[:, :n], q[:, n:]
         if flows:
@@ -327,14 +344,30 @@ def sampled_counts_reference(p, win, box_radius, samples, seed, sampler, shard_s
 
 def torus_counts_reference(ptilde, win, eta_box, samples, seed, sampler, shard_size):
     """histogram2d counts of ptilde at the actions of whole shards (x = 0)."""
-    from bsweyl.density import _unit_samples
     (lo1, hi1), (lo2, hi2) = eta_box
     counts = np.zeros(tuple(win.resolution), dtype=np.int64)
-    for shard in _unit_samples(2, samples, seed, sampler, shard_size):
+    for shard in unit_shards(2, samples, seed, sampler, shard_size):
         eta = np.stack([lo1 + (hi1 - lo1) * shard[:, 0],
                         lo2 + (hi2 - lo2) * shard[:, 1]], axis=-1)
         counts += histogram2d_bin(ptilde.evaluate(np.zeros_like(eta), eta), win)
     return counts
+
+
+def torus_quadrature_density(ptilde, win, eta_box, order):
+    """Weyl density of an eta-only torus symbol by tensor Gauss-Legendre quadrature.
+
+    The pushforward of (2 pi)^2 d eta on eta_box under ptilde, per unit
+    area of each window cell: the order^2 nodes are binned with their
+    weights by np.histogram2d.  Exact up to cell-boundary binning error.
+    """
+    (lo1, hi1), (lo2, hi2) = eta_box
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    e1, e2 = lo1 + (hi1 - lo1) * (xg + 1) / 2, lo2 + (hi2 - lo2) * (xg + 1) / 2
+    E1, E2 = np.meshgrid(e1, e2, indexing="ij")
+    eta = np.stack([E1.ravel(), E2.ravel()], axis=-1)
+    W = np.outer(wg * (hi1 - lo1) / 2, wg * (hi2 - lo2) / 2).ravel()
+    h = histogram2d_bin(ptilde.evaluate(np.zeros_like(eta), eta), win, W)
+    return (2 * np.pi) ** 2 * h / win.cell_area
 
 
 def unfiltered_sobol_values(p, box_radius, samples, seed):

@@ -112,14 +112,28 @@ class TestCLIRuns:
         assert len(lines) == 1 + 64
 
     def test_variation_subcommand(self, tmp_path):
+        # order 16 leaves a discrepancy of about 0.27, far above the 0.03 bound
         r = run_cli(["variation", "--order", "2", "--symbol", "cho(1,0)",
                      "--G", "coupling-xx", "--quadrature-order", "16",
                      "--box-radius", "2.0",
                      "--outdir", str(tmp_path / "v")], cwd=str(tmp_path))
-        assert r.returncode == 0, r.stderr
+        assert r.returncode == 1, r.stderr
         rep = json.loads((tmp_path / "v" / "variation.json").read_text())
         assert rep["order"] == "second"
-        assert json.loads(r.stdout)["support_ok"] is True
+        out = json.loads(r.stdout)
+        assert out["support_ok"] is True
+        assert out["discrepancy_ok"] is False and out["pass"] is False
+        assert out["discrepancy"] > out["discrepancy_tol"] == 0.03
+
+    def test_variation_resolved_quadrature_passes(self, tmp_path):
+        r = run_cli(["variation", "--order", "2", "--symbol", "cho(1,0)",
+                     "--G", "coupling-xx", "--quadrature-order", "32",
+                     "--box-radius", "2.0",
+                     "--outdir", str(tmp_path / "v")], cwd=str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        assert out["support_ok"] is True and out["discrepancy_ok"] is True
+        assert out["discrepancy"] <= 0.03
 
     def test_variation_truncated_box_fails(self, tmp_path):
         r = run_cli(["variation", "--G", "coupling-xx", "--t", "0.2",

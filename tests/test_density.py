@@ -14,7 +14,8 @@ from bsweyl.symbols import (DimensionMismatchError, SymbolExpr, cho,
 from bsweyl.variation import TestFunction
 
 from oracles import (bisection_invert_2d, histogram2d_bin, sampled_counts_reference,
-                     torus_counts_reference, unfiltered_sobol_values)
+                     torus_counts_reference, torus_quadrature_density,
+                     unfiltered_sobol_values)
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 
@@ -42,6 +43,14 @@ class TestWindow:
         d = win.distance(z)
         assert d[:5].tolist() == [0.0, 0.0, 3.0, np.hypot(0.5, 1.0), 5.0]
         assert np.isnan(d[5])
+
+    def test_edges_built_once_and_read_only(self):
+        win = ComplexWindow.from_bounds(0.0, 1.0, -0.5, 0.5, (10, 20))
+        assert win.re_edges is win.re_edges and win.im_edges is win.im_edges
+        assert win.re_edges.tolist() == np.linspace(0.0, 1.0, 11).tolist()
+        assert win.im_edges.tolist() == np.linspace(-0.5, 0.5, 21).tolist()
+        with pytest.raises(ValueError):
+            win.re_edges[0] = 2.0
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -126,12 +135,6 @@ class TestBinning:
         assert np.array_equal(got, histogram2d_bin(z, self.WIN))
         assert got[-1, 0] >= 1 and got[-1, -1] >= 1
 
-    def test_weighted_sums_bitwise_equal_histogram2d(self):
-        z = self._points()
-        w = np.random.default_rng(1).random(z.size)
-        assert density._bin(z, self.WIN, w).tobytes() == \
-            histogram2d_bin(z, self.WIN, w).tobytes()
-
     @pytest.mark.parametrize("p, win, box", [
         (SymbolExpr.monomial(1.0, (0,), (1,), n=1) + SymbolExpr.monomial(1j, (1,), (0,), n=1)
          + SymbolExpr.monomial(0.3, (2,), (0,), n=1),
@@ -142,35 +145,26 @@ class TestBinning:
     def test_iid_grid_unchanged_by_binning(self, p, win, box, monkeypatch):
         # iid samples do not depend on the binning: the grids must equal
         # the histogram2d ones bit for bit
+        monkeypatch.setattr(density, "DEFAULT_SHARD", 1 << 19)
         got = weyl_density(p, win, box_radius=box, samples=1_500_000, seed=1,
-                           sampler="random", shard_size=1 << 19)
+                           sampler="random")
         monkeypatch.setattr(density, "_bin", histogram2d_bin)
         want = weyl_density(p, win, box_radius=box, samples=1_500_000, seed=1,
-                            sampler="random", shard_size=1 << 19)
+                            sampler="random")
         assert got.method == "monte-carlo"
         assert got.values.tobytes() == want.values.tobytes()
         assert got.stderr.tobytes() == want.stderr.tobytes()
 
-    def test_quadrature_grid_unchanged_by_binning(self, monkeypatch):
-        win = ComplexWindow.from_bounds(-0.3, 0.3, -0.3, 0.3, (8, 8))
-        args = (torus_coupled(0.3), win, ((-0.5, 0.5), (-0.5, 0.5)))
-        got = weyl_density_torus(*args, quadrature_order=256)
-        monkeypatch.setattr(density, "_bin", histogram2d_bin)
-        assert got.values.tobytes() == \
-            weyl_density_torus(*args, quadrature_order=256).values.tobytes()
 
 
 class TestTorusQuadratureRoute:
     def test_mass_matches_jacobian_route(self):
         ptilde = torus_coupled(0.3)
         win = ComplexWindow.from_bounds(-0.3, 0.3, -0.3, 0.3, (8, 8))
-        gq = weyl_density_torus(ptilde, win, ((-0.5, 0.5), (-0.5, 0.5)),
-                                quadrature_order=1024)
+        wq = torus_quadrature_density(ptilde, win, ((-0.5, 0.5), (-0.5, 0.5)), 1024)
         am = action_map_integrable(ptilde)
         go = omega_density(am, win)
-        assert gq.method == "tensor-quadrature"
-        assert np.all(gq.stderr == 0)
-        assert gq.total_mass == pytest.approx(go.total_mass, rel=2e-3)
+        assert wq.sum() * win.cell_area == pytest.approx(go.total_mass, rel=2e-3)
 
     def test_rejects_angle_dependence(self):
         bad = SymbolExpr.monomial(1.0, (1, 0), (0, 0))
@@ -453,6 +447,11 @@ BLOCKED_CASES = {
 }
 
 
+def binomial_stderr(counts, samples, scale):
+    """The per-cell binomial standard error of a histogram density."""
+    return scale * np.sqrt(np.maximum(counts, 1) * (1 - counts / samples))
+
+
 @pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
 class TestBlockedSampling:
     """Blocked evaluation gives the unblocked loop's grids bit for bit."""
@@ -472,19 +471,21 @@ class TestBlockedSampling:
             return flow_points(d, t, x0, xi0)
 
         monkeypatch.setattr(flow, "flow_points", recording)
+        monkeypatch.setattr(density, "DEFAULT_SHARD", self.SHARD)
         args = (box, self.SAMPLES, 4, sampler, self.SHARD)
         counts, flowed, hits = sampled_counts_reference(p, win, *args)
         want_batches, batches[:] = list(batches), []
         grid = weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4,
-                            sampler=sampler, shard_size=self.SHARD)
+                            sampler=sampler)
         boxvol = (2 * box) ** (2 * p.n)
         scale = boxvol / (self.SAMPLES * win.cell_area)
         assert grid.values.tobytes() == (counts * scale).tobytes()
+        assert grid.stderr.tobytes() == binomial_stderr(counts, self.SAMPLES, scale).tobytes()
         assert grid.meta["flowed"] == flowed
         assert batches == want_batches
         if case == "flowing":
             assert density.BLOCK in batches and len(batches) > 2
-        vol, _ = preimage_volume(p, win, box, self.SAMPLES, 4, sampler, self.SHARD)
+        vol, _ = preimage_volume(p, win, box, self.SAMPLES, 4, sampler)
         assert vol == boxvol * (hits / self.SAMPLES)
 
     def test_closed_form_is_built_once_per_call(self, monkeypatch):
@@ -498,20 +499,22 @@ class TestBlockedSampling:
             return integrate_flow(*args)
 
         monkeypatch.setattr(flow, "integrate_flow", recording)
-        weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4,
-                     shard_size=self.SHARD)
+        monkeypatch.setattr(density, "DEFAULT_SHARD", self.SHARD)
+        weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4)
         assert len(calls) == 1
-        preimage_volume(p, win, box, self.SAMPLES, 4, "sobol", self.SHARD)
+        preimage_volume(p, win, box, self.SAMPLES, 4, "sobol")
         assert len(calls) == 2
 
     @pytest.mark.parametrize("sampler", ["sobol", "random"])
-    def test_torus_equal_unblocked_loop(self, sampler):
+    def test_torus_equal_unblocked_loop(self, sampler, monkeypatch):
         win = ComplexWindow.from_bounds(-0.3, 0.3, -0.3, 0.3, (8, 8))
         eta_box = ((-0.5, 0.5), (-0.4, 0.6))
         area = (0.5 - -0.5) * (0.6 - -0.4)
         counts = torus_counts_reference(torus_coupled(0.3), win, eta_box, self.SAMPLES, 5,
                                         sampler, self.SHARD)
+        monkeypatch.setattr(density, "DEFAULT_SHARD", self.SHARD)
         grid = weyl_density_torus(torus_coupled(0.3), win, eta_box, samples=self.SAMPLES,
-                                  seed=5, sampler=sampler, shard_size=self.SHARD)
+                                  seed=5, sampler=sampler)
         scale = TWO_PI_SQ * area / (self.SAMPLES * win.cell_area)
         assert grid.values.tobytes() == (counts * scale).tobytes()
+        assert grid.stderr.tobytes() == binomial_stderr(counts, self.SAMPLES, scale).tobytes()

@@ -226,8 +226,8 @@ class TestSpectrum:
     def test_dimension_cap(self):
         basis = BasisSpec("hermite-tensor", 70, 0.05)
         P = OperatorMatrix(np.eye(70 ** 2, dtype=complex), basis)
-        with pytest.raises(EigensolveError):
-            spectrum(P, dim_cap=4096)
+        with pytest.raises(EigensolveError, match="exceeds cap 4096"):
+            spectrum(P)
 
     def test_perturbation_continuity(self):
         # eigenvalues of P_delta approach those of P as delta -> 0
