@@ -12,13 +12,14 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .density import _unit_samples
+from .density import _unit_samples, newton_2xm
 from .symbols import SymbolExpr, real_bracket
 
-NEWTON_TOL = 1e-10
-NEWTON_MAX_ITER = 50
+ZERO_TOL = 1e-10  # |p| at which a point counts as on the zero set
 
 
 @dataclass
@@ -42,32 +43,20 @@ class AuditReport:
 
 
 def _zero_set_sample(p: SymbolExpr, budget, seed, box):
-    """Gauss-Newton from quasi-random seeds onto {Re p = Im p = 0} in R^{2n}."""
+    """Gauss-Newton from quasi-random seeds onto {Re p = Im p = 0} in R^{2n}.
+
+    Keeps the points where |p| <= ZERO_TOL inside the box of radius 2 box.
+    """
     n = p.n
     pts = -box + 2 * box * np.concatenate(list(_unit_samples(2 * n, budget, seed, "sobol")))
-    x = pts[:, :n]
-    xi = pts[:, n:]
-    for _ in range(NEWTON_MAX_ITER):
-        vals = p.evaluate(x, xi)
-        res = np.stack([vals.real, vals.imag], axis=-1)
-        if np.all(np.abs(vals) <= NEWTON_TOL):
-            break
-        # complex gradient -> real Jacobian of (Re p, Im p) on real points
-        grads = p.grad(x, xi)
-        J = np.stack([grads.real, grads.imag], axis=-2)  # (m, 2, 2n)
-        # Gauss-Newton step: minimum-norm solution of J s = res
-        JJt = J @ np.swapaxes(J, -1, -2)
-        try:
-            lam = np.linalg.solve(JJt + 1e-14 * np.eye(2), res[..., None])
-        except np.linalg.LinAlgError:
-            break
-        step = (np.swapaxes(J, -1, -2) @ lam)[..., 0]
-        upd = ~ (np.abs(vals) <= NEWTON_TOL)
-        x = x - np.where(upd[:, None], step[:, :n], 0.0)
-        xi = xi - np.where(upd[:, None], step[:, n:], 0.0)
-    vals = p.evaluate(x, xi)
-    ok = np.abs(vals) <= NEWTON_TOL
-    pts = np.concatenate([x, xi], axis=1)
+
+    def residual(u):  # (Re p, Im p) and its real Jacobian on real points
+        vals, grads = p.evaluate(u[:, :n], u[:, n:]), p.grad(u[:, :n], u[:, n:])
+        return (np.stack([vals.real, vals.imag], axis=-1),
+                np.stack([grads.real, grads.imag], axis=-2))
+
+    pts, _ = newton_2xm(residual, pts, ZERO_TOL)
+    ok = np.abs(p.evaluate(pts[:, :n], pts[:, n:])) <= ZERO_TOL
     ok &= np.max(np.abs(pts), axis=1) <= 2 * box
     return pts[ok]
 
@@ -84,23 +73,12 @@ def _independence_measure(p: SymbolExpr, pts):
 
 
 def _single_cluster(pts, radius=0.2) -> bool:
-    """Union-find single-linkage connectivity at the given radius."""
+    """Single-linkage connectivity at the given radius: one connected component."""
     m = len(pts)
-    parent = np.arange(m)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    tree = cKDTree(pts)
-    for i, j in tree.query_pairs(radius):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    roots = {find(i) for i in range(m)}
-    return len(roots) == 1
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                       shape=(m, m))
+    return connected_components(graph, directed=False)[0] == 1
 
 
 def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,

@@ -39,6 +39,7 @@ from .variation import (SupportLeakWarning, TestFunction, VariationReport,
 
 ENV_OUTDIR = "BSWEYL_OUTDIR"
 AUDIT_MAX_SAMPLES = 4096
+BOX_RADIUS = 4.0  # phase-space box of audit, density, deform-density and count
 
 
 class ConfigError(ValueError):
@@ -88,7 +89,7 @@ class ExperimentConfig:
     seeds: list = None
     samples: int = None
     quadrature_order: int = None
-    box_radius: float = 4.0
+    box_radius: float = None
     basis_size: int = None
     basis_kind: str = "hermite-tensor"
     sampler: str = "sobol"
@@ -205,7 +206,7 @@ def _run_audit(cfg, outdir):
                            f"got {cfg.samples}"])
     p = load_symbol(cfg.symbol or "cho(1,(1+i)/2)")
     rep_obj = audit(p, sample_budget=cfg.samples or AUDIT_MAX_SAMPLES,
-                    ball_radius=cfg.box_radius, seed=(cfg.seeds or [0])[0])
+                    ball_radius=cfg.box_radius or BOX_RADIUS, seed=(cfg.seeds or [0])[0])
     report = json.loads(rep_obj.to_json())
     report["experiment"] = "audit"
     report["pass"] = rep_obj.ellipticity_flag != "fail"
@@ -227,8 +228,9 @@ def _run_deform_density(cfg, outdir):
 def _density(cfg, outdir, p):
     win = cfg.resolve_window()
     seed = (cfg.seeds or [0])[0]
-    margin_ok, margin = ellipticity_margin_check(p, win, cfg.box_radius, seed=seed)
-    grid = weyl_density(p, win, box_radius=cfg.box_radius,
+    box = cfg.box_radius or BOX_RADIUS
+    margin_ok, margin = ellipticity_margin_check(p, win, box, seed=seed)
+    grid = weyl_density(p, win, box_radius=box,
                         samples=cfg.samples or 10_000_000,
                         seed=seed, sampler=cfg.sampler)
     os.makedirs(outdir, exist_ok=True)
@@ -252,15 +254,18 @@ def _run_variation(cfg, outdir):
 
     t = (cfg.t or 0.0) if cfg.order == 1 else 0.0
     order = cfg.quadrature_order or 48
+    # deformation-splits' boxes, which order 48 resolves
+    box = cfg.box_radius or (DeformationSplitsConfig.box_radius_first,
+                             DeformationSplitsConfig.box_radius_second)[cfg.order - 1]
     # a SupportLeakWarning from any entry point is shown and fails the run
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if cfg.order == 1:
-            rhs = first_variation_rhs(f, make_pt(t), G, cfg.box_radius, order)
+            rhs = first_variation_rhs(f, make_pt(t), G, box, order)
         else:
-            rhs = second_variation_rhs(f, p, G, cfg.box_radius, order)
+            rhs = second_variation_rhs(f, p, G, box, order)
         lhs = moment_derivative_fd(make_pt, t, cfg.order, f=f,
-                                   box_radius=cfg.box_radius, quad_order=order)
+                                   box_radius=box, quad_order=order)
     rep = VariationReport.build(lhs, rhs, ("first", "second")[cfg.order - 1], t)
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
@@ -273,7 +278,7 @@ def _run_variation(cfg, outdir):
         fh.write(rep.to_json())
     return {"experiment": "variation", "pass": support_ok and discrepancy_ok,
             "support_ok": support_ok, "discrepancy_ok": discrepancy_ok,
-            "discrepancy_tol": tol, **asdict(rep)}
+            "discrepancy_tol": tol, "box_radius": box, **asdict(rep)}
 
 
 def _spectrum(cfg, p):
@@ -326,8 +331,9 @@ def _run_count(cfg, outdir):
     seed = (cfg.seeds or [0])[0]
     p, s = _spectrum(cfg, p)
     # the Weyl prediction is a preimage volume, so it needs the box that _density checks
-    margin_ok, margin = ellipticity_margin_check(p, win, cfg.box_radius, seed=seed)
-    vol, _ = preimage_volume(p, win, box_radius=cfg.box_radius,
+    box = cfg.box_radius or BOX_RADIUS
+    margin_ok, margin = ellipticity_margin_check(p, win, box, seed=seed)
+    vol, _ = preimage_volume(p, win, box_radius=box,
                              samples=cfg.samples or 10_000_000, seed=seed)
     rep = count_and_compare(s, win, omega_grid=omega_density(am, win), weyl_volume=vol)
     os.makedirs(outdir, exist_ok=True)
@@ -431,7 +437,8 @@ def _add_common(sp):
     sp.add_argument("--samples", type=int)
     sp.add_argument("--order", type=int, choices=(1, 2), help="variation order")
     sp.add_argument("--quadrature-order", type=int)
-    sp.add_argument("--box-radius", type=float)
+    sp.add_argument("--box-radius", type=float,
+                    help="phase-space box (default 4.0; variation 2.6, or 2.0 at order 2)")
     sp.add_argument("--basis-size", type=int)
     sp.add_argument("--basis-kind", choices=("hermite-tensor", "torus-fourier"))
     sp.add_argument("--sampler", choices=("sobol", "random"))

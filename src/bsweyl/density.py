@@ -42,7 +42,7 @@ from .symbols import DimensionMismatchError, SymbolExpr
 TWO_PI_SQ = (2 * np.pi) ** 2
 DEFAULT_SHARD = 1 << 20  # samples drawn at once
 BLOCK = 1 << 14  # samples scaled, evaluated and binned (or flowed) at once
-NEWTON_MAX_ITER = 50  # steps of newton_2x2
+NEWTON_MAX_ITER = 50  # steps of newton_2xm
 ACTION_NEWTON_TOL = 1e-12  # residual |ptilde(eta) - z| accepted by ActionMap.eta_of_z
 OMEGA_NAN_LIMIT = 0.01  # fraction of cells where omega_density may fail to invert
 MARGIN_SAMPLES = 20000  # box-face samples of ellipticity_margin_check
@@ -357,27 +357,32 @@ def _require_eta_only(ptilde: SymbolExpr):
 # ------------------------------------------------------------------ actions
 
 
-def newton_2x2(residual, u, tol):
-    """Batched Newton iteration for real 2x2 systems, steps by Cramer's rule.
+def newton_2xm(residual, u, tol):
+    """Batched Newton iteration for two real equations in m real unknowns.
 
-    ``residual(u)`` maps points u of shape (..., 2) to the residual
-    (..., 2) and its Jacobian (..., 2, 2).  Iterates until the largest
-    residual over the still-regular points is <= tol, or NEWTON_MAX_ITER
-    steps.  Returns (u, ok) with ok False where the Jacobian became
-    singular; callers apply their own acceptance test to the returned u.
+    ``residual(u)`` maps points u of shape (..., m) to the residual
+    (..., 2) and its Jacobian J (..., 2, m).  Each step is the
+    minimum-norm solution s = J^T (J J^T)^{-1} res, with the 2x2 J J^T
+    inverted by Cramer's rule; for m = 2 this is Newton's step.
+    Iterates until the largest residual over the still-regular points
+    is <= tol, or NEWTON_MAX_ITER steps.  Returns (u, ok) with ok False
+    where J J^T became singular; callers apply their own acceptance test
+    to the returned u.
     """
     ok = np.ones(u.shape[:-1], dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         res, J = residual(u)
         if not ok.any() or np.max(np.abs(res[ok])) <= tol:
             break
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+        J0, J1 = J[..., 0, :], J[..., 1, :]
+        a, b, c = np.sum(J0 * J0, -1), np.sum(J0 * J1, -1), np.sum(J1 * J1, -1)  # J J^T
+        det = a * c - b * b
         bad = np.abs(det) < 1e-300
         ok &= ~bad
         det = np.where(bad, 1.0, det)
-        step = np.stack([(J[..., 1, 1] * res[..., 0] - J[..., 0, 1] * res[..., 1]) / det,
-                         (-J[..., 1, 0] * res[..., 0] + J[..., 0, 0] * res[..., 1]) / det],
-                        axis=-1)
+        lam0 = (c * res[..., 0] - b * res[..., 1]) / det
+        lam1 = (a * res[..., 1] - b * res[..., 0]) / det
+        step = lam0[..., None] * J0 + lam1[..., None] * J1
         u = u - np.where(ok[..., None], step, 0.0)
     return u, ok
 
@@ -409,7 +414,7 @@ class ActionMap:
             vals = self.ptilde.evaluate(np.zeros_like(eta), eta)
             return np.stack([(vals - z).real, (vals - z).imag], axis=-1), self._jac(eta)
 
-        eta, ok = newton_2x2(residual, np.stack([z.real, z.imag], axis=-1).astype(float),
+        eta, ok = newton_2xm(residual, np.stack([z.real, z.imag], axis=-1).astype(float),
                              ACTION_NEWTON_TOL)
         vals = self.ptilde.evaluate(np.zeros_like(eta), eta)
         ok &= np.abs(vals - z) <= 10 * ACTION_NEWTON_TOL

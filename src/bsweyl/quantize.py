@@ -27,14 +27,14 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .density import ActionMap, ComplexWindow, DensityGrid, newton_2x2
+from .density import ActionMap, ComplexWindow, DensityGrid
 from .symbols import SymbolExpr
 
 DIM_CAP = 4096  # largest dimension spectrum() accepts
 SAFE_FACTOR = 0.6  # fraction of the basis size whose quantum numbers are trusted
 SHIFT_INVERT_K0 = 48  # eigenvalues asked of the first shift-invert solve
 SHIFT_INVERT_GROWTH = 1.25  # margin on the area ratio when k grows
-BS_NEWTON_TOL = 1e-10  # residual |I(z) - 2 pi h (k - theta)| accepted by bs_predict
+BS_NEWTON_TOL = 1e-10  # round trip |I(z_k) - 2 pi h (k - theta)| accepted by bs_predict
 
 
 class QuantizationError(ValueError):
@@ -379,11 +379,13 @@ class BSLattice:
 
 
 def bs_predict(lat: BSLattice):
-    """Solve I(z) = 2 pi h (k - theta) for every admissible k in the window.
+    """The Bohr-Sommerfeld points z_k = ptilde(h (k - theta) - I0 / 2 pi) in the window.
 
-    Returns (points, unresolved) where unresolved lists the k whose
-    Newton solve failed.  Uses the action-map Jacobian for the Newton
-    steps; k candidates come from the bounding box of I over the window.
+    I(z) = 2 pi eta(z) + I0 equals 2 pi h (k - theta) exactly at z_k, so
+    nothing is solved; k candidates come from the bounding box of I over
+    the window.  Returns (points, unresolved) where unresolved lists the
+    k whose round trip I(z_k) misses 2 pi h (k - theta) by more than
+    10 BS_NEWTON_TOL, or where eta_of_z(z_k) fails.
     """
     am = lat.action_map
     h = lat.h
@@ -400,17 +402,13 @@ def bs_predict(lat: BSLattice):
     k2 = np.arange(np.floor(lo[1]) - 1, np.ceil(hi[1]) + 2, dtype=int)
     K1, K2 = np.meshgrid(k1, k2, indexing="ij")
     ks = np.stack([K1.ravel(), K2.ravel()], axis=-1)
+    I0 = np.asarray(am.I0)
+    eta = h * (ks - th) - I0 / (2 * np.pi)
+    z = am.ptilde.evaluate(np.zeros_like(eta), eta)
+    eta_z, ok = am.eta_of_z(z)
     targets = 2 * np.pi * h * (ks - th)
-
-    def residual(u):  # Newton in u = (Re z, Im z), all targets at once
-        I, dI = am.actions_and_jacobian(u[:, 0] + 1j * u[:, 1])
-        return I - targets, dI
-
-    c = lat.window.center
-    u, ok = newton_2x2(residual, np.tile([c.real, c.imag], (len(ks), 1)), BS_NEWTON_TOL)
-    z = u[:, 0] + 1j * u[:, 1]
-    I, _ = am.actions_and_jacobian(z)
-    solved = ok & (np.max(np.abs(I - targets), axis=-1) <= 10 * BS_NEWTON_TOL)
+    solved = ok & (np.max(np.abs(2 * np.pi * eta_z + I0 - targets), axis=-1)
+                   <= 10 * BS_NEWTON_TOL)
     inside = solved & lat.window.contains(z)
     unresolved = [tuple(k) for k in ks[~solved]]
     pts = z[inside]

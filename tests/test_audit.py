@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsweyl.audit import audit
+from bsweyl.audit import _single_cluster, audit
 from bsweyl.density import ComplexWindow, action_map_integrable
 from bsweyl.symbols import SymbolExpr, cho, torus_linear
 
@@ -83,3 +83,15 @@ class TestAudit:
         d = json.loads(rep.to_json())
         assert d["connectivity_flag"] in ("pass", "fail", "not-checked")
         assert d["bracket_max"] >= 0.0
+
+
+class TestSingleCluster:
+    def test_coincident_points_are_one_cluster(self):
+        # every pair is at distance zero, and still an edge of the graph
+        assert _single_cluster(np.zeros((4096, 4)))
+
+    def test_far_apart_clouds_are_two_clusters(self):
+        rng = np.random.default_rng(0)
+        cloud = 0.01 * rng.standard_normal((200, 4))
+        assert _single_cluster(cloud)
+        assert not _single_cluster(np.concatenate([cloud, cloud + 5.0]))

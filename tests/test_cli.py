@@ -135,6 +135,18 @@ class TestCLIRuns:
         assert out["support_ok"] is True and out["discrepancy_ok"] is True
         assert out["discrepancy"] <= 0.03
 
+    @pytest.mark.parametrize("argv", [["--G", "coupling-xx", "--t", "0.2"],
+                                      ["--order", "2", "--symbol", "cho(1,0)",
+                                       "--G", "coupling-xx"]])
+    def test_variation_default_box_passes(self, argv, tmp_path, capsys):
+        # without --box-radius, variation takes deformation-splits' box for its order
+        assert main(["variation", *argv, "--outdir", str(tmp_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        cfg = DeformationSplitsConfig
+        assert out["box_radius"] == (cfg.box_radius_first if "--t" in argv
+                                     else cfg.box_radius_second)
+        assert out["discrepancy_ok"] is True and out["pass"] is True
+
     def test_variation_truncated_box_fails(self, tmp_path):
         r = run_cli(["variation", "--G", "coupling-xx", "--t", "0.2",
                      "--quadrature-order", "16", "--box-radius", "1.0",

@@ -241,6 +241,24 @@ class TestActionMap:
             am.actions_and_jacobian(np.array([-0.5 + 0.1j]))
 
 
+class TestNewton:
+    def test_underdetermined_linear_system_one_step(self):
+        # two equations in four unknowns: from u = 0 one step lands on the
+        # minimum-norm solution A^+ b, and the next residual stops the loop
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((2, 4))
+        b = rng.standard_normal(2)
+        calls = []
+
+        def residual(u):
+            calls.append(1)
+            return u @ A.T - b, np.broadcast_to(A, u.shape[:-1] + A.shape)
+
+        u, ok = density.newton_2xm(residual, np.zeros((1, 4)), 1e-12)
+        assert ok.all() and len(calls) == 2
+        assert np.max(np.abs(u[0] - np.linalg.pinv(A) @ b)) <= 1e-14
+
+
 class TestOmegaDensity:
     def test_linear_model_flat(self):
         am = action_map_integrable(torus_linear())

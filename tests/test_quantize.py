@@ -305,6 +305,21 @@ class TestBSPredict:
         assert pts.size == want.size
         assert np.max(np.abs(pts - want)) <= 1e-10
 
+    def test_points_are_ptilde_at_the_action_lattice(self):
+        # I(z) = 2 pi h (k - theta) holds at z = ptilde(h (k - theta) - I0 / 2 pi)
+        h, theta, I0 = 0.05, np.array([0.3, 0.7]), np.array([0.1, -0.2])
+        am = action_map_integrable(torus_coupled(0.3), I0=tuple(I0))
+        win = ComplexWindow.from_bounds(-0.5, 0.5, -0.5, 0.5, (8, 8))
+        pts, unresolved = bs_predict(BSLattice(am, h, win, theta0=tuple(theta)))
+        assert not unresolved
+        ks = np.stack(np.meshgrid(np.arange(-40, 41), np.arange(-40, 41)), -1).reshape(-1, 2)
+        eta = h * (ks - theta) - I0 / (2 * np.pi)
+        want = am.ptilde.evaluate(np.zeros_like(eta), eta)
+        want = want[win.contains(want)]
+        want = want[np.lexsort((want.imag, want.real))]
+        assert pts.size == want.size > 300
+        assert np.array_equal(pts, want)
+
     def test_half_h_quadruples_count(self):
         # boundary cells bias small windows; at this size the lattice
         # area term dominates and the ratio sits within 10% of 4
