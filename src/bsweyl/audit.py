@@ -20,6 +20,7 @@ from .density import _unit_samples, newton_2xm
 from .symbols import SymbolExpr, real_bracket
 
 ZERO_TOL = 1e-10  # |p| at which a point counts as on the zero set
+INDEPENDENCE_MIN = 1e-6  # |d Re p ^ d Im p| on the zero set below which independence fails
 
 
 @dataclass
@@ -29,6 +30,7 @@ class AuditReport:
     ellipticity_flag: str
     n_zero_points: int
     independence_min: float | None
+    independence_flag: str
     bracket_max: float | None
     bracket_threshold: float
     bracket_flag: str
@@ -104,9 +106,10 @@ def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
 
     zero_pts = _zero_set_sample(p, sample_budget, seed, box=ball_radius / 2)
     indep_min = br_max = None
-    br_flag = conn = "not-checked"
+    indep_flag = br_flag = conn = "not-checked"
     if len(zero_pts):
         indep_min = float(np.min(_independence_measure(p, zero_pts)))
+        indep_flag = "pass" if indep_min >= INDEPENDENCE_MIN else "fail"
         br = real_bracket(p)
         if br.is_zero:
             br_max = 0.0
@@ -119,7 +122,7 @@ def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
     return AuditReport(
         ellipticity_min_abs=ell_min, ellipticity_threshold=ell_thresh,
         ellipticity_flag=ell_flag, n_zero_points=int(len(zero_pts)),
-        independence_min=indep_min, bracket_max=br_max,
+        independence_min=indep_min, independence_flag=indep_flag, bracket_max=br_max,
         bracket_threshold=bracket_threshold, bracket_flag=br_flag,
         connectivity_flag=conn,
         action_jacobian_cond=_action_cond(action_map, window),

@@ -442,15 +442,13 @@ class ActionMap:
                        TWO_PI_SQ / np.abs(det_eta), np.nan)
         return out
 
-    def constant_sign_on(self, win) -> bool:
-        """Whether det DI keeps one sign over the window grid.
+    def constant_sign_at(self, eta, ok) -> bool:
+        """Whether det DI keeps one sign at eta, inverted by eta_of_z with flags ok.
 
-        A sign change would contradict the action map being a
-        diffeomorphism there; the density and lattice machinery assume
-        it holds.
+        False if any point failed to invert.  A sign change would
+        contradict the action map being a diffeomorphism there; the
+        density and lattice machinery assume it holds.
         """
-        z = win.centers_complex().ravel()
-        eta, ok = self.eta_of_z(z)
         if not np.all(ok):
             return False
         J = self._jac(eta)

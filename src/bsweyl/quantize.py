@@ -21,19 +21,19 @@ import json
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .density import ActionMap, ComplexWindow, DensityGrid
+from .density import ActionMap, ComplexWindow, DensityGrid, SingularActionMapError
 from .symbols import SymbolExpr
 
 DIM_CAP = 4096  # largest dimension spectrum() accepts
 SAFE_FACTOR = 0.6  # fraction of the basis size whose quantum numbers are trusted
-SHIFT_INVERT_K0 = 48  # eigenvalues asked of the first shift-invert solve
-SHIFT_INVERT_GROWTH = 1.25  # margin on the area ratio when k grows
+SHIFT_INVERT_GROWTH = 1.25  # margin on each estimate of the eigenvalues a disc holds
 BS_NEWTON_TOL = 1e-10  # round trip |I(z_k) - 2 pi h (k - theta)| accepted by bs_predict
 
 
@@ -105,7 +105,8 @@ class SpectrumResult:
     `_shift_invert`) and falls back to the block's dense solve, which it
     caches.  Every solve appends a record to `solves`: its method
     (`dense`, `dense-blocks` or `shift-invert`), block dims, final
-    Arnoldi k per block (None where dense), fallback reason and seconds.
+    Arnoldi k and ARPACK `passes` per block (None and 0 where dense;
+    passes > 1 means rejected passes), fallback reason and seconds.
     """
 
     def __init__(self, operator: OperatorMatrix, delta=0.0, seed=None):
@@ -137,7 +138,7 @@ class SpectrumResult:
             self._dense[i] = _dense_eigvals(self._block(self._blocks[i]))
         return self._dense[i]
 
-    def _record(self, start, ks, reasons):
+    def _record(self, start, ks, passes, reasons):
         dense = all(k is None for k in ks)
         method = ("dense" if len(ks) == 1 else "dense-blocks") if dense else "shift-invert"
         self.solves.append({
@@ -145,6 +146,7 @@ class SpectrumResult:
             "blocks": [self.operator.dim if idx is None else int(idx.size)
                        for idx in self._blocks],
             "k": ks,
+            "passes": passes,
             "fallback": "; ".join(dict.fromkeys(r for r in reasons if r)) or None,
             "seconds": time.perf_counter() - start})
 
@@ -154,7 +156,7 @@ class SpectrumResult:
         solved = len(self._dense)
         ev = np.concatenate([self._dense_block(i) for i in range(len(self._blocks))])
         if len(self._dense) > solved:
-            self._record(start, [None] * len(self._blocks), [])
+            self._record(start, [None] * len(self._blocks), [0] * len(self._blocks), [])
         ev = ev[np.lexsort((ev.imag, ev.real))]
         ev.setflags(write=False)
         return ev
@@ -167,18 +169,18 @@ class SpectrumResult:
         center = complex((lo_r + hi_r) / 2, (lo_i + hi_i) / 2)
         radius = float(np.hypot(hi_r - lo_r, hi_i - lo_i)) / 2
         start = time.perf_counter()
-        parts, ks, reasons = [], [], []
-        k = SHIFT_INVERT_K0  # each block starts at the k the one before needed
+        parts, ks, passes, reasons = [], [], [], []
         for i, idx in enumerate(self._blocks):
-            ev, reason = None, None
+            ev, k, n_pass, reason = None, None, 0, None
             if i not in self._dense:
-                ev, k, reason = _shift_invert(self._block(idx), center, radius, k)
+                ev, k, n_pass, reason = _shift_invert(self._block(idx), center, radius)
             ks.append(None if ev is None else k)
+            passes.append(n_pass)
             if ev is None:
                 ev = self._dense_block(i)
             parts.append(_inside(win, ev))
             reasons.append(reason)
-        self._record(start, ks, reasons)
+        self._record(start, ks, passes, reasons)
         ev = np.concatenate(parts)
         return ev[np.lexsort((ev.imag, ev.real))]
 
@@ -207,19 +209,12 @@ def _inside(win, ev) -> np.ndarray:
 # ------------------------------------------------------------- quantization
 
 
-def _axis_ops(N, h):
-    A = np.diag(np.sqrt(np.arange(1, N)), 1).astype(complex)  # lowering
-    Ad = A.conj().T
-    X = np.sqrt(h / 2) * (A + Ad)
-    P = 1j * np.sqrt(h / 2) * (Ad - A)  # hD in the h-scaled Hermite basis
-    return X, P
-
-
 def quantize_quadratic(q: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
     """Weyl quantization of a degree <= 2 polynomial symbol in Hermite basis.
 
     Each term is a Kronecker product of N x N per-axis factors, looked up
-    by the term's (x-power, xi-power) on that axis.  Same-index x_j xi_j
+    by the term's (x-power, xi-power) on that axis; the banded factors
+    make each product sparse, and the sum is made dense once.  Same-index x_j xi_j
     factors are symmetrized, (X P + P X)/2; operators on distinct tensor
     factors commute so no further ordering enters.
     """
@@ -229,16 +224,16 @@ def quantize_quadratic(q: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
         raise QuantizationError("symbol must be polynomial of total degree <= 2")
     if q.n != basis.n:
         raise QuantizationError(f"symbol dim {q.n} != basis dim {basis.n}")
-    X, P = _axis_ops(basis.size, basis.h)
+    A = np.diag(np.sqrt(np.arange(1, basis.size)), 1).astype(complex)  # lowering
+    X = np.sqrt(basis.h / 2) * (A + A.conj().T)
+    P = 1j * np.sqrt(basis.h / 2) * (A.conj().T - A)  # hD in the h-scaled Hermite basis
     factor = {(0, 0): np.eye(basis.size, dtype=complex), (1, 0): X, (0, 1): P,
               (2, 0): X @ X, (0, 2): P @ P, (1, 1): 0.5 * (X @ P + P @ X)}
-    M = np.zeros((basis.total_dim,) * 2, dtype=complex)
+    factor = {f: sparse.csr_matrix(op) for f, op in factor.items()}  # dense products, same bits
+    M = sparse.csr_matrix((basis.total_dim,) * 2, dtype=complex)
     for t in q.simplified().terms:
-        term_op = np.ones((1, 1), dtype=complex)
-        for xp, pp in zip(t.xpow, t.xipow):
-            term_op = np.kron(term_op, factor[xp, pp])
-        M += t.coeff * term_op
-    return OperatorMatrix(M, basis)
+        M = M + t.coeff * reduce(sparse.kron, [factor[f] for f in zip(t.xpow, t.xipow)])
+    return OperatorMatrix(M.toarray(), basis)
 
 
 def quantize_torus(ptilde: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
@@ -323,21 +318,25 @@ def _dense_eigvals(A: np.ndarray) -> np.ndarray:
     return ev
 
 
-def _shift_invert(A: np.ndarray, center: complex, radius: float, k: int):
-    """Every eigenvalue of A within radius of center: (eigenvalues, k, None).
+def _shift_invert(A: np.ndarray, center: complex, radius: float):
+    """Every eigenvalue of A within radius of center: (eigenvalues, k, passes, None).
 
     Factors A - center I once and runs ARPACK for the k largest
     eigenvalues mu of its inverse (a fixed start vector keeps the result
     bitwise reproducible); lambda = center + 1/mu are the k eigenvalues
-    nearest the center.  They hold every eigenvalue of the disc only
-    when the farthest lies beyond radius; otherwise k grows by the
-    ratio of the disc's area to the area they cover, times
-    SHIFT_INVERT_GROWTH.  Returns (None, k, reason) when k would exceed
-    dim/8, where a dense solve is cheaper, when the factor is singular
-    or when ARPACK fails.
+    nearest the center.  The first k is SHIFT_INVERT_GROWTH times the
+    count of A's diagonal in the disc, which in the Hermite basis follows
+    the lattice.  The k hold the disc only when the farthest lies beyond
+    radius; otherwise k grows by the ratio of the disc's area to the area
+    they cover, times SHIFT_INVERT_GROWTH.  Returns (None, k, passes,
+    reason) when k exceeds dim/8, where a dense solve is cheaper, when
+    the factor is singular or when ARPACK fails.
     """
     n = A.shape[0]
     limit = n / 8
+    inside = np.count_nonzero(np.abs(np.diagonal(A) - center) <= radius)
+    k = int(np.ceil(SHIFT_INVERT_GROWTH * max(1, inside)))
+    passes = 0
     if k <= limit:
         F = np.array(A, order="F")
         F[np.diag_indices(n)] -= center
@@ -345,21 +344,22 @@ def _shift_invert(A: np.ndarray, center: complex, radius: float, k: int):
             warnings.simplefilter("ignore", LinAlgWarning)
             lu = lu_factor(F, overwrite_a=True, check_finite=False)
         if not np.all(np.diagonal(lu[0])):
-            return None, k, "singular LU"
+            return None, k, passes, "singular LU"
         op = LinearOperator((n, n), dtype=complex,
                             matvec=lambda x: lu_solve(lu, x, check_finite=False))
         v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
     while k <= limit:
+        passes += 1
         try:
             mu = eigs(op, k=k, which="LM", v0=v0, return_eigenvectors=False)
         except ArpackError as exc:
-            return None, k, f"ARPACK: {exc}"
+            return None, k, passes, f"ARPACK: {exc}"
         ev = center + 1 / mu
         far = float(np.max(np.abs(ev - center)))
         if far > radius:
-            return ev, k, None
+            return ev, k, passes, None
         k = int(np.ceil(SHIFT_INVERT_GROWTH * k * (radius / far) ** 2)) if far > 0 else n
-    return None, k, f"k {k} > dim/8 = {limit:g}"
+    return None, k, passes, f"k {k} > dim/8 = {limit:g}"
 
 
 # ------------------------------------------------------------ Bohr-Sommerfeld
@@ -390,19 +390,21 @@ def bs_predict(lat: BSLattice):
     am = lat.action_map
     h = lat.h
     th = lat.theta()
-    if not am.constant_sign_on(lat.window):
+    I0 = np.asarray(am.I0)
+    eta_grid, ok = am.eta_of_z(lat.window.centers_complex().ravel())
+    if not am.constant_sign_at(eta_grid, ok):
         warnings.warn("action map is not a diffeomorphism on the window; "
                       "lattice predictions are unreliable", RuntimeWarning,
                       stacklevel=2)
-    z_grid = lat.window.centers_complex().ravel()
-    I_grid, _ = am.actions_and_jacobian(z_grid)
+    if not np.all(ok):
+        raise SingularActionMapError(f"Newton inversion failed at {int((~ok).sum())} point(s)")
+    I_grid = 2 * np.pi * eta_grid + I0
     lo = I_grid.min(axis=0) / (2 * np.pi * h) + th
     hi = I_grid.max(axis=0) / (2 * np.pi * h) + th
     k1 = np.arange(np.floor(lo[0]) - 1, np.ceil(hi[0]) + 2, dtype=int)
     k2 = np.arange(np.floor(lo[1]) - 1, np.ceil(hi[1]) + 2, dtype=int)
     K1, K2 = np.meshgrid(k1, k2, indexing="ij")
     ks = np.stack([K1.ravel(), K2.ravel()], axis=-1)
-    I0 = np.asarray(am.I0)
     eta = h * (ks - th) - I0 / (2 * np.pi)
     z = am.ptilde.evaluate(np.zeros_like(eta), eta)
     eta_z, ok = am.eta_of_z(z)

@@ -184,6 +184,12 @@ def harmonic_lattice(h, N, alpha=1.0, shift=0j):
     return (h * (k1 + 0.5) + 1j * alpha * h * (k2 + 0.5) - shift).ravel()
 
 
+def ladder_ops(N, h):
+    """x and hD on one axis of the h-scaled Hermite basis, as dense N x N matrices."""
+    A = np.diag(np.sqrt(np.arange(1, N)), 1).astype(complex)
+    return np.sqrt(h / 2) * (A + A.conj().T), 1j * np.sqrt(h / 2) * (A.conj().T - A)
+
+
 def quantize_quadratic_dense(q, N, h):
     """Weyl quantization of a degree <= 2 symbol by dense embedded products.
 
@@ -192,9 +198,7 @@ def quantize_quadratic_dense(q, N, h):
     x_j xi_j symmetrized as (X_j P_j + P_j X_j)/2.
     """
     n = q.n
-    A = np.diag(np.sqrt(np.arange(1, N)), 1).astype(complex)
-    X1 = np.sqrt(h / 2) * (A + A.conj().T)
-    P1 = 1j * np.sqrt(h / 2) * (A.conj().T - A)
+    X1, P1 = ladder_ops(N, h)
 
     def embed(op, axis):
         out = np.array([[1.0 + 0j]])
@@ -217,6 +221,26 @@ def quantize_quadratic_dense(q, N, h):
                 for _ in range(pp):
                     op = op @ Ps[j]
         M += t.coeff * op
+    return M
+
+
+def quantize_quadratic_kron(q, N, h):
+    """Weyl quantization of a degree <= 2 symbol as a sum of dense Kronecker products.
+
+    Each simplified term, in order, is the np.kron of its per-axis
+    factors (I, X, P, X^2, P^2 or (XP + PX)/2, looked up by the axis'
+    (x-power, xi-power)), scaled by its coefficient and added into a
+    dense zero matrix.
+    """
+    X, P = ladder_ops(N, h)
+    factor = {(0, 0): np.eye(N, dtype=complex), (1, 0): X, (0, 1): P,
+              (2, 0): X @ X, (0, 2): P @ P, (1, 1): 0.5 * (X @ P + P @ X)}
+    M = np.zeros((N ** q.n,) * 2, dtype=complex)
+    for t in q.simplified().terms:
+        term_op = np.ones((1, 1), dtype=complex)
+        for xp, pp in zip(t.xpow, t.xipow):
+            term_op = np.kron(term_op, factor[xp, pp])
+        M += t.coeff * term_op
     return M
 
 

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Tolerances are pinned
 here, not configurable.  The expensive spectral criteria share nothing:
-each builds exactly the configuration it asserts.
+each builds exactly the configuration it asserts.  C7's run also serves
+a check of its eigensolver records.
 """
 
 import numpy as np
@@ -129,15 +130,28 @@ def test_c6_spectrum_invariance_vs_density_change():
             f"{float(np.max(zscores)):.1f} (>5)")
 
 
-def test_c7_random_weyl_migration():
-    """Perturbed counts strictly closer to vol(p_t^{-1}(W))/(2 pi h)^2 in >=4/5 seeds."""
-    rep = run_random_weyl_migration(RandomWeylMigrationConfig(
+@pytest.fixture(scope="module")
+def random_weyl_migration_report():
+    return run_random_weyl_migration(RandomWeylMigrationConfig(
         t=0.2, h=0.05, delta=1e-4, seeds=(0, 1, 2, 3, 4), basis_size=60))
+
+
+def test_c7_random_weyl_migration(random_weyl_migration_report):
+    """Perturbed counts strictly closer to vol(p_t^{-1}(W))/(2 pi h)^2 in >=4/5 seeds."""
+    rep = random_weyl_migration_report
     counts = [r["count"] for r in rep["per_seed"]]
     _report("C7 random Weyl migration", rep["pass"],
             f"unperturbed {rep['unperturbed_count']}, perturbed {counts}, "
             f"Weyl prediction {rep['weyl_prediction']:.2f}, "
             f"closer in {rep['seeds_closer']}/{rep['seeds_total']} seeds")
+
+
+def test_c7_solves_take_no_rejected_pass(random_weyl_migration_report):
+    """Every eigensolve of C7's strip accepts its first shift-invert pass, or runs none."""
+    rep = random_weyl_migration_report
+    records = rep["unperturbed_solves"] + [r for row in rep["per_seed"] for r in row["solves"]]
+    assert len(records) == 6
+    assert all(set(r["passes"]) <= {0, 1} for r in records), records
 
 
 def test_c8_property_suites():

@@ -31,6 +31,16 @@ class TestAudit:
         assert np.max(np.abs(r1 - 0.5)) <= 1e-9
         assert np.max(np.abs(r2 - 0.5)) <= 1e-9
 
+    def test_independence_flag(self):
+        # cho(1,0) vanishes only at the origin, where both gradients vanish;
+        # on the default symbol's torus the 2-form has magnitude 1
+        degenerate = audit(cho(1.0, 0.0), sample_budget=4096, ball_radius=4.0, seed=0)
+        assert degenerate.independence_min < 1e-12
+        assert degenerate.independence_flag == "fail"
+        torus = audit(cho(1.0, complex(0.5, 0.5)), sample_budget=4096, ball_radius=4.0, seed=0)
+        assert torus.independence_min > 0.5
+        assert torus.independence_flag == "pass"
+
     def test_elliptic_at_infinity_pass(self):
         p = cho(1.0, complex(0.5, 0.5))
         rep = audit(p, sample_budget=1024, ball_radius=4.0, seed=1)
@@ -58,6 +68,7 @@ class TestAudit:
         p = cho(1.0, complex(-3.0, -3.0))  # zero set off the real domain
         rep = audit(p, sample_budget=256, ball_radius=3.0, seed=3)
         assert rep.n_zero_points == 0
+        assert rep.independence_flag == "not-checked"
         assert rep.connectivity_flag == "not-checked"
         assert rep.bracket_flag == "not-checked"
 

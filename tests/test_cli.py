@@ -56,6 +56,7 @@ class TestCLIRuns:
         assert r.returncode == 0, r.stderr
         rep = json.loads((tmp_path / "out" / "audit.json").read_text())
         assert rep["bracket_max"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["independence_flag"] == "pass"
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["experiment"] == "audit"
         assert "versions" in manifest

@@ -221,7 +221,7 @@ class TestActionMap:
     def test_constant_sign_check(self):
         am = action_map_integrable(torus_coupled(0.3))
         win = ComplexWindow.from_bounds(-0.4, 0.4, -0.4, 0.4, (8, 8))
-        assert am.constant_sign_on(win)
+        assert am.constant_sign_at(*am.eta_of_z(win.centers_complex().ravel()))
         # fold model: eta1^2 changes orientation across eta1 = 0
         fold = (SymbolExpr.monomial(1.0, (0, 0), (2, 0))
                 + SymbolExpr.monomial(1j, (0, 0), (0, 1)))
@@ -229,7 +229,7 @@ class TestActionMap:
         win2 = ComplexWindow.from_bounds(0.2, 0.6, -0.2, 0.2, (4, 4))
         # Newton from eta = (Re z, Im z) lands on the positive branch:
         # sign is constant there
-        assert am2.constant_sign_on(win2)
+        assert am2.constant_sign_at(*am2.eta_of_z(win2.centers_complex().ravel()))
 
     def test_singular_map_raises(self):
         # ptilde = eta1^2 + i eta2 has a fold at eta1 = 0: Newton from

@@ -17,7 +17,8 @@ from bsweyl.quantize import (BasisSpec, BSLattice, EigensolveError,
 from bsweyl.symbols import SymbolExpr, cho, coupling_xx, torus_coupled, torus_linear
 
 from oracles import (eig2x2, gaussian_perturbation_reference, hamilton_matrix,
-                     harmonic_lattice, quadratic_exact_spectrum, quantize_quadratic_dense)
+                     harmonic_lattice, ladder_ops, quadratic_exact_spectrum,
+                     quantize_quadratic_dense, quantize_quadratic_kron)
 
 
 def osc_1d_in_2d():
@@ -78,8 +79,7 @@ class TestQuantizeQuadratic:
         basis = BasisSpec("hermite-tensor", N, h, n=1)
         q = SymbolExpr.monomial(1.0, (1,), (1,), n=1)
         M = quantize_quadratic(q, basis).matrix
-        from bsweyl.quantize import _axis_ops
-        X, P = _axis_ops(N, h)
+        X, P = ladder_ops(N, h)
         want = 0.5 * (X @ P + P @ X)
         assert np.max(np.abs(M - want)) <= 1e-14
 
@@ -100,6 +100,19 @@ class TestQuantizeQuadratic:
                  for e in exps), SymbolExpr.zero(n))
         got = quantize_quadratic(q, basis).matrix
         assert np.max(np.abs(got - quantize_quadratic_dense(q, N, h))) <= 1e-14
+
+    @pytest.mark.parametrize("N, n", [*itertools.product([1, 5, 12], [1, 2, 3]), (40, 2)])
+    def test_sparse_kron_sum_is_bitwise_the_dense_kron_sum(self, N, n):
+        # random subsets of the degree <= 2 monomials, random complex coefficients
+        rng = np.random.default_rng(10 * N + n)
+        exps = [e for e in itertools.product(range(3), repeat=2 * n) if sum(e) <= 2]
+        for _ in range(3):
+            picked = [e for e in exps if rng.random() < 0.6]
+            q = sum((SymbolExpr.monomial(complex(*rng.uniform(-2, 2, 2)), e[:n], e[n:], n=n)
+                     for e in picked), SymbolExpr.zero(n))
+            got = quantize_quadratic(q, BasisSpec("hermite-tensor", N, 0.05, n=n)).matrix
+            want = quantize_quadratic_kron(q, N, 0.05)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_degree_cap(self):
         basis = BasisSpec("hermite-tensor", 6, 0.1)
@@ -466,7 +479,7 @@ class TestWindowedSpectrum:
         got = s.in_window(COUNT_WINDOW)
         (rec,) = s.solves
         assert rec["method"] == "shift-invert" and rec["blocks"] == [1600]
-        assert rec["fallback"] is None and rec["k"][0] >= quantize.SHIFT_INVERT_K0
+        assert rec["fallback"] is None and rec["passes"] == [1]
         want = dense_in_window(Pd.matrix, COUNT_WINDOW)
         assert got.size == want.size == 24
         assert hausdorff(got, want) <= 1e-10
@@ -511,18 +524,34 @@ class TestWindowedSpectrum:
         assert got.size == lat.size == 24
         assert hausdorff(got, lat) <= 1e-10
 
-    def test_guard_grows_k_until_the_disc_is_covered(self, p_t_1600):
-        # 80 lattice points; the first 48 per block do not reach the circumradius
-        win = (0.1, 0.6, 0.1, 0.5)
-        s = spectrum(p_t_1600)
+    def test_guard_grows_k_until_the_disc_is_covered(self):
+        # a normal U D U^H with D a 20 x 20 lattice: its diagonal crowds near
+        # the lattice's mean, so the first k misses the corner window's 25
+        rng = np.random.default_rng(0)
+        U, R = np.linalg.qr(rng.standard_normal((400, 400))
+                            + 1j * rng.standard_normal((400, 400)))
+        U = U * (np.diagonal(R) / np.abs(np.diagonal(R)))
+        d = harmonic_lattice(0.05, 20) - 0.025 * (1 + 1j)
+        win = (-0.025, 0.225, -0.025, 0.225)
+        s = spectrum(OperatorMatrix((U * d) @ U.conj().T, BasisSpec("hermite-tensor", 20, 0.05)))
         got = s.in_window(win)
         (rec,) = s.solves
         assert rec["method"] == "shift-invert" and rec["fallback"] is None
-        assert min(rec["k"]) > quantize.SHIFT_INVERT_K0
-        lat = harmonic_lattice(0.05, 40)
-        lat = lat[(lat.real > 0.1) & (lat.real < 0.6) & (lat.imag > 0.1) & (lat.imag < 0.5)]
-        assert got.size == lat.size == 80
-        assert hausdorff(got, lat) <= 1e-10
+        assert rec["passes"][0] >= 2
+        want = d[(d.real > -0.025) & (d.real < 0.225) & (d.imag > -0.025) & (d.imag < 0.225)]
+        assert got.size == want.size == 25
+        assert hausdorff(got, want) <= 1e-10
+
+    def test_c5_and_c6_windows_take_no_rejected_pass(self, p_t_1600):
+        # each parity block's diagonal holds more than dim/8 of the window's
+        # eigenvalues, so it goes to its dense solve without a pass
+        c5 = spectrum(quantize_quadratic(cho(1.0, 0.0), BasisSpec("hermite-tensor", 60, 0.05)))
+        c6 = spectrum(p_t_1600)
+        c5.in_window((0.0, 1.5, 0.0, 1.5))
+        assert c6.in_window((0.0, 0.85, 0.0, 0.85)).size == 289
+        for s in (c5, c6):
+            (rec,) = s.solves
+            assert rec["method"] == "dense-blocks" and rec["passes"] == [0, 0]
 
     def test_singular_shift_takes_dense_fallback(self):
         d = 0.1 * np.arange(441) + 0j
