@@ -298,6 +298,10 @@ def run_bs_exactness(cfg: BSExactnessConfig = None, outdir=None):
         "experiment": "bs-exactness",
         "pass": bool(ok),
         "max_lattice_distance": max_dist,
+        # eigenvalues found in the region against lattice points there; no
+        # gate reads them (see ROADMAP item 1's tail-mass work)
+        "region_count": int(ev.size),
+        "region_lattice_points": int(lat.size),
         "bs_match_distance": bs_dist,
         "unresolved_k": len(unresolved),
         "count": rep.count,

@@ -12,10 +12,14 @@ quadrature over a real box that must contain the support of f o p_t (each
 entry point warns when it does not).  Each term of a symbol is a product
 of per-axis factors, so on the x-block by xi-block grid a symbol is one
 small GEMM of two factor tables (sum factorization); grid points are
-built only for a p_t with no closed form.  The left-hand sides are
-Richardson-extrapolated central differences of M in t.  A nonzero
-second-variation pairing certifies that the deformed Weyl density splits
-away from the (deformation invariant) action density for small t != 0.
+built only for a p_t with no closed form.  A bump is evaluated only at
+the nodes inside its support: ``TestFunction._support`` finds their flat
+indices with one pass over Re p, and the values are scattered into
+zeros, so every sum is the one a full-grid evaluation gives, to the bit.
+The left-hand sides are Richardson-extrapolated central differences of M
+in t.  A nonzero second-variation pairing certifies that the deformed
+Weyl density splits away from the (deformation invariant) action density
+for small t != 0.
 """
 
 from __future__ import annotations
@@ -62,26 +66,41 @@ class TestFunction:
         object.__setattr__(self, "center", complex(self.center))
 
     def _support(self, z):
-        """u and v at the points of z inside the open support, and their mask."""
+        """Flat indices of the points of z inside the open support, and u, v there.
+
+        One pass over Re z keeps the candidates |Re z - Re c| < r; Im z is
+        tested, and u, v are formed, on those only (u from Re z again, so no
+        signed full-size difference is kept).  This keeps exactly the
+        points, and gives exactly the u and v, that |u| < 1 and |v| < 1 at
+        every point would: division is correctly rounded and monotone, and
+        for doubles a < r gives a/r <= 1 - 2^-53 before rounding, so
+        fl(a/r) < 1 exactly when a < r.
+        """
         z = np.asarray(z)
-        u = (z.real - self.center.real) / self.radius
-        v = (z.imag - self.center.imag) / self.radius
-        m = (np.abs(u) < 1) & (np.abs(v) < 1)
-        return u[m], v[m], m
+        re, im = z.real.reshape(-1), z.imag.reshape(-1)  # views when z is contiguous
+        c, r = self.center, self.radius
+        dist = re - c.real
+        idx = np.flatnonzero(np.abs(dist, out=dist) < r)  # in place: one full-size temporary
+        dv = im[idx] - c.imag
+        inside = np.abs(dv) < r
+        idx = idx[inside]
+        return idx, (re[idx] - c.real) / r, dv[inside] / r
+
+    @staticmethod
+    def _scatter(z, idx, vals):
+        out = np.zeros(np.shape(z))
+        out.reshape(-1)[idx] = vals
+        return out
 
     def value(self, z):
-        u, v, m = self._support(z)
-        out = np.zeros(m.shape)
-        out[m] = (1 - u ** 2) ** 3 * (1 - v ** 2) ** 3
-        return out
+        idx, u, v = self._support(z)
+        return self._scatter(z, idx, (1 - u ** 2) ** 3 * (1 - v ** 2) ** 3)
 
     def laplacian(self, z):
-        u, v, m = self._support(z)
+        idx, u, v = self._support(z)
         wu, wv = 1 - u ** 2, 1 - v ** 2
-        out = np.zeros(m.shape)
-        out[m] = (wu * (30 * u ** 2 - 6) * wv ** 3
-                  + wu ** 3 * (wv * (30 * v ** 2 - 6))) / self.radius ** 2
-        return out
+        return self._scatter(z, idx, (wu * (30 * u ** 2 - 6) * wv ** 3
+                                      + wu ** 3 * (wv * (30 * v ** 2 - 6))) / self.radius ** 2)
 
     def support_bounds(self):
         c, r = self.center, self.radius
@@ -313,32 +332,38 @@ class _SecondVariationGrid:
 
     Stores weight * |H_p G(nodes)|^2 per slab for one quadrature order,
     and p(nodes) only where it lies in ``reach`` = (lo_re, hi_re, lo_im,
-    hi_im), padded by REACH_PAD relative.  A bump supported in ``reach``
-    has a zero Laplacian at every other node, so its pairing scatters the
-    Laplacian at the kept nodes into zeros and equals the full-grid sum.
+    hi_im), padded by REACH_PAD relative; the kept values of all slabs
+    are one array, so a pairing makes one Laplacian call.  A bump
+    supported in ``reach`` has a zero Laplacian at every other node, so
+    its pairing scatters each slab's share of that call into zeros and
+    equals the full-grid sum.
     """
 
     def __init__(self, p, hpg, box_radius, order, reach):
         self.reach = reach
         pad = REACH_PAD * max(map(abs, reach))
         lo_r, hi_r, lo_i, hi_i = np.add(reach, (-pad, pad, -pad, pad))
-        self.slabs = []
+        self.slabs, kept = [], []
         for w_rows, (vals, h), w_cols in _slabs((p, hpg), p.n, box_radius, order):
             vals = vals.ravel()
             keep = np.flatnonzero((lo_r < vals.real) & (vals.real < hi_r)
                                   & (lo_i < vals.imag) & (vals.imag < hi_i))
             self.slabs.append(((np.multiply.outer(w_rows, w_cols) * np.abs(h) ** 2).ravel(),
-                               keep, vals[keep]))
+                               keep))
+            kept.append(vals[keep])
+        self.vals = np.concatenate(kept)
+        self.cuts = np.cumsum([keep.size for _, keep in self.slabs])[:-1]
 
     def pair(self, f: TestFunction) -> float:
         lo_r, hi_r, lo_i, hi_i = f.support_bounds()
         r0, r1, i0, i1 = self.reach
         if not (r0 <= lo_r and hi_r <= r1 and i0 <= lo_i and hi_i <= i1):
             raise ValueError("test function support leaves the grid's reach")
-        lap = np.zeros(self.slabs[0][0].size)
+        lap_slabs = np.split(f.laplacian(self.vals), self.cuts)
+        lap = np.zeros(self.slabs[0][0].size)  # made after the call, the pairing's memory peak
         total = 0
-        for wh, keep, vals in self.slabs:
-            lap[keep] = f.laplacian(vals)
+        for (wh, keep), lap_keep in zip(self.slabs, lap_slabs):
+            lap[keep] = lap_keep
             total += np.dot(lap, wh)
             lap[keep] = 0.0
         return float(total)

@@ -8,6 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from bsweyl import quantize
 
 from bsweyl.density import ComplexWindow, action_map_integrable, omega_density
+from bsweyl.experiments import BSExactnessConfig, run_bs_exactness
 from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
 from bsweyl.quantize import (BasisSpec, BSLattice, EigensolveError,
                              OperatorMatrix, QuantizationError, bs_predict,
@@ -552,6 +553,14 @@ class TestWindowedSpectrum:
         for s in (c5, c6):
             (rec,) = s.solves
             assert rec["method"] == "dense-blocks" and rec["passes"] == [0, 0]
+
+    def test_c5_report_shows_the_region_count_against_the_lattice(self):
+        # at N = 40 the region (0, 1.5)^2 holds 961 eigenvalues against 900
+        # lattice points: the truncated top Hermite level adds eigenvalues
+        # that sit on lattice points, so the lattice gate still passes
+        rep = run_bs_exactness(BSExactnessConfig(h=0.05, basis_size=40))
+        assert (rep["region_count"], rep["region_lattice_points"]) == (961, 900)
+        assert rep["max_lattice_distance"] <= 1e-6 and rep["pass"]
 
     def test_singular_shift_takes_dense_fallback(self):
         d = 0.1 * np.arange(441) + 0j

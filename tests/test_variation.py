@@ -70,6 +70,38 @@ class TestBump:
         assert f.value(z).shape == z.shape
         assert np.count_nonzero(value) > 100
 
+    @pytest.mark.parametrize("center, radius, exact", [
+        (0.5 + 0.75j, 0.25, True), (1.5 + 3.0j, 0.75, True), (0.1 + 0.2j, 0.35, False)])
+    def test_one_ulp_inside_and_on_each_edge_bitwise(self, center, radius, exact):
+        # fl(a/r) < 1 exactly when |a| < r, so the one-pass support test
+        # keeps and drops the same edge points as |u| < 1 and |v| < 1.  With
+        # c/2 <= c -+ r <= 2c on both axes, z - c is exact (Sterbenz), so the
+        # points one ulp inside have |u| or |v| one rounding below 1
+        f = TestFunction(center, radius)
+        c, r = f.center, f.radius
+        re_edges = np.array([c.real - r, c.real + r])
+        im_edges = np.array([c.imag - r, c.imag + r])
+        inside = np.concatenate([np.nextafter(re_edges, c.real) + 1j * c.imag,
+                                 c.real + 1j * np.nextafter(im_edges, c.imag)])
+        on = np.concatenate([re_edges + 1j * c.imag, c.real + 1j * im_edges])
+        for z in (inside, on):
+            value, lap = bump_reference(f, z)
+            assert np.array_equal(f.value(z), value)
+            assert np.array_equal(f.laplacian(z), lap)
+        if exact:
+            assert np.all(f.laplacian(inside) != 0) and np.all(f.value(inside) > 0)
+            assert not np.any(f.laplacian(on)) and not np.any(f.value(on))
+
+    @pytest.mark.parametrize("z", [np.complex128(0.3 + 0.4j), np.array(0.3 + 0.4j),
+                                   np.linspace(-0.2, 0.6, 7), np.array([[0.3, 0.9]]),
+                                   (0.3 + 0.4j) + np.linspace(-0.4, 0.4, 12).reshape(3, 4)])
+    def test_keeps_the_input_shape(self, z):
+        f = TestFunction(0.3 + 0.3j, 0.4)
+        value, lap = bump_reference(f, z)
+        for got, want in ((f.value(z), value), (f.laplacian(z), lap)):
+            assert got.shape == np.shape(z) and got.dtype == np.float64
+            assert np.array_equal(got, want)
+
 
 class TestMoment:
     def test_zero_when_support_misses_image(self):
@@ -309,6 +341,22 @@ class TestCertificateGrid:
             grid = _SecondVariationGrid(p, poisson_bracket(p, G), 2.0, 16,
                                         f.support_bounds())
             assert grid.pair(f) == self.full_grid_pairing(f, p, G, 2.0, 16)
+
+    def test_one_laplacian_call_per_pairing(self, monkeypatch):
+        p, G = cho(1.0, 0.0), coupling_xx()
+        grid = _SecondVariationGrid(p, poisson_bracket(p, G), 2.0, 16, self.REACH)
+        calls = []
+        laplacian = TestFunction.laplacian
+
+        def counted(f, z):
+            calls.append(np.shape(z))
+            return laplacian(f, z)
+
+        monkeypatch.setattr(TestFunction, "laplacian", counted)
+        for f in self.BUMPS:
+            calls.clear()
+            assert grid.pair(f) == self.full_grid_pairing(f, p, G, 2.0, 16)
+            assert calls == [grid.vals.shape]
 
     def test_certificate_value_is_full_grid_pairing(self):
         win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
