@@ -28,8 +28,7 @@ from .experiments import (BSExactnessConfig, DeformationSplitsConfig,
                           IntegrableEqualityConfig, RandomWeylMigrationConfig,
                           run_bs_exactness, run_deformation_splits,
                           run_integrable_equality, run_random_weyl_migration)
-from .flow import (Deformation, DeformedSymbol, deformed_quadratic, load_deformation,
-                   symbol_to_quadratic)
+from .flow import Deformation, DeformedSymbol, deformed_quadratic, load_deformation
 from .quantize import (BasisSpec, BSLattice, bs_predict, count_and_compare,
                        perturb, quantize_quadratic, quantize_torus, spectrum)
 from .symbols import SymbolExpr, load_symbol
@@ -60,10 +59,15 @@ def _action_symbol(p: SymbolExpr) -> SymbolExpr:
     exactly.  Any other symbol, or a_1, a_2 linearly dependent over R
     (no invertible action map), is a configuration error.
     """
-    Q, l, c = symbol_to_quadratic(p)  # p = rho'Q rho/2 + l.rho + c
-    a = np.diag(Q)[:2]
-    if p.n != 2 or np.any(l) or np.any(Q != np.diag(np.diag(Q))) \
-            or np.any(a != np.diag(Q)[2:]):
+    if p.has_trig or p.total_degree > 2:
+        raise ConfigError(["symbol is not a polynomial of degree <= 2"])
+    zn, zf = (0,) * p.n, (0.0,) * p.n
+    coeffs = {t.key(): t.coeff for t in p.simplified().terms}
+    c = coeffs.pop((zn, zn, zf, zf), 0j)
+    squares = ((2, 0), (0, 2))  # x_j^2 or xi_j^2, j = 1, 2
+    a = [2 * coeffs.pop((e, (0, 0), zf, zf), 0j) for e in squares]
+    a_xi = [2 * coeffs.pop(((0, 0), e, zf, zf), 0j) for e in squares]
+    if p.n != 2 or coeffs or a != a_xi:
         raise ConfigError(["the action map needs a symbol "
                            "sum_j a_j (x_j^2 + xi_j^2)/2 + c in n = 2"])
     if a[0].real * a[1].imag - a[0].imag * a[1].real == 0:

@@ -12,6 +12,10 @@ integrated in tandem (variational equation).  The Jacobian of a
 canonical map satisfies J^T Omega J = Omega with Omega the standard
 complex symplectic matrix for sigma = sum dxi_j ^ dx_j; the deviation
 from that is reported as the canonical defect.
+
+A generator family of degree <= 2 has an affine flow, so a polynomial
+base deforms in closed form, p_t = p o (L rho + b); only a trig base, or
+a trig or higher-degree generator, is flowed point by point.
 """
 
 from __future__ import annotations
@@ -123,9 +127,6 @@ class Deformation:
                     if sym.terms:
                         A[..., j, k] += sgn * tm * sym.evaluate(x, xi)
         return A
-
-    def is_polynomial_quadratic(self) -> bool:
-        return all(not g.has_trig and g.total_degree <= 2 for g in self.generators)
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def integrate_flow(d: Deformation, t: float, rho: PhasePoint) -> FlowResult:
 
 @dataclass(frozen=True)
 class DeformedSymbol:
-    """p_t = p o kappa_t, evaluated through the flow on demand."""
+    """p_t = p o kappa_t, in closed form or through the flow on demand."""
 
     base: SymbolExpr
     deformation: Deformation
@@ -272,9 +273,8 @@ class DeformedSymbol:
 
     def evaluate(self, x, xi):
         """Evaluate p_t on arrays of points shaped (..., n)."""
-        closed = closed_form(self)
-        if closed is not None:
-            return closed.evaluate(x, xi)
+        if not self.flows:
+            return self.closed.evaluate(x, xi)
         xe, xie, exc = flow_points(self.deformation, self.t,
                                    np.asarray(x, dtype=complex),
                                    np.asarray(xi, dtype=complex))
@@ -284,14 +284,27 @@ class DeformedSymbol:
         return self.base.evaluate(xe, xie)
 
     @property
-    def is_quadratic(self) -> bool:
-        return (not self.base.has_trig and self.base.total_degree <= 2
-                and self.deformation.is_polynomial_quadratic())
-
-    @property
     def flows(self) -> bool:
         """Whether ``evaluate`` integrates the flow (no closed form applies)."""
-        return bool(self.t) and not self.is_quadratic
+        return bool(self.t) and (self.base.has_trig or any(
+            g.has_trig or g.total_degree > 2 for g in self.deformation.generators))
+
+    @functools.cached_property
+    def closed(self) -> SymbolExpr:
+        """p_t as a symbol, built once; ValueError where it ``flows``.
+
+        A generator family of degree <= 2 has an affine flow,
+        kappa_t(rho) = L rho + b, so p_t = p o (L rho + b) is a polynomial
+        whenever p is.  L and b come from one variational integration
+        from the origin.  At t = 0, p_t is the base itself.
+        """
+        if self.flows:
+            raise ValueError("no closed form: it needs a polynomial base and G of degree <= 2")
+        if not self.t:
+            return self.base
+        res = integrate_flow(self.deformation, self.t, PhasePoint.zero(self.n))
+        return self.base.compose_affine(
+            res.jacobian, np.concatenate([res.endpoint.x, res.endpoint.xi]))
 
     def displacement_bound(self, x, xi):
         """B(rho) >= |p_t(rho) - p(rho)| at real points rho; inf where not certified.
@@ -326,101 +339,26 @@ class DeformedSymbol:
         return np.broadcast_to(np.where(trapped, t * drift, np.inf), shape)
 
 
-# ------------------------------------------------- quadratic fast path
-
-
-def symbol_to_quadratic(sym: SymbolExpr):
-    """Split a degree<=2 polynomial symbol as (Q, l, c) with p = rho'Q rho/2 + l.rho + c."""
-    if sym.has_trig or sym.total_degree > 2:
-        raise ValueError("symbol is not a polynomial of degree <= 2")
-    n = sym.n
-    dim = 2 * n
-    Q = np.zeros((dim, dim), dtype=complex)
-    l = np.zeros(dim, dtype=complex)
-    c = 0j
-    for t in sym.simplified().terms:
-        pows = list(t.xpow) + list(t.xipow)
-        deg = sum(pows)
-        idx = [i for i, p in enumerate(pows) for _ in range(p)]
-        if deg == 0:
-            c += t.coeff
-        elif deg == 1:
-            l[idx[0]] += t.coeff
-        else:
-            i, j = idx
-            if i == j:
-                Q[i, i] += 2 * t.coeff
-            else:
-                Q[i, j] += t.coeff
-                Q[j, i] += t.coeff
-    return Q, l, c
-
-
-def quadratic_to_symbol(Q, l, c, n, tube_radius=8.0) -> SymbolExpr:
-    """Inverse of symbol_to_quadratic (Q symmetrized)."""
-    dim = 2 * n
-    Q = 0.5 * (np.asarray(Q, dtype=complex) + np.asarray(Q, dtype=complex).T)
-    out = SymbolExpr.constant(c, n, tube_radius)
-
-    def unit(i):
-        xp = [0] * n
-        xip = [0] * n
-        if i < n:
-            xp[i] = 1
-        else:
-            xip[i - n] = 1
-        return xp, xip
-
-    for i in range(dim):
-        if l[i] != 0:
-            xp, xip = unit(i)
-            out = out + SymbolExpr.monomial(l[i], xp, xip, n, tube_radius)
-    for i in range(dim):
-        for j in range(i, dim):
-            coeff = Q[i, i] / 2 if i == j else Q[i, j]
-            if coeff == 0:
-                continue
-            xpi, xipi = unit(i)
-            xpj, xipj = unit(j)
-            xp = [a + b for a, b in zip(xpi, xpj)]
-            xip = [a + b for a, b in zip(xipi, xipj)]
-            out = out + SymbolExpr.monomial(coeff, xp, xip, n, tube_radius)
-    return out.simplified()
+# ------------------------------------------------------------ closed form
 
 
 def closed_form(p):
-    """Closed-form symbol for p when available (quadratic deformed fast path).
+    """Closed-form symbol for p when available.
 
-    A SymbolExpr is its own closed form; a DeformedSymbol that flows, or
-    any other object, has none (None).
+    A SymbolExpr is its own closed form; a DeformedSymbol that does not
+    flow has p o (L rho + b) (``DeformedSymbol.closed``); a
+    DeformedSymbol that flows, or any other object, has none (None).
     """
     if isinstance(p, SymbolExpr):
         return p
     if isinstance(p, DeformedSymbol) and not p.flows:
-        return deformed_quadratic(p) if p.t else p.base
+        return p.closed
     return None
 
 
 def deformed_quadratic(ps: DeformedSymbol) -> SymbolExpr:
-    """Closed-form quadratic for p_t when base and G are degree <= 2.
-
-    The flow of a quadratic generator is affine, kappa_t(rho) = L rho + b;
-    L and b come from one variational flow integration at the origin and
-    the quadratic form of the base is conjugated through the affine map.
-    """
-    if not ps.is_quadratic:
-        raise ValueError("deformed_quadratic needs polynomial base and G of degree <= 2")
-    n = ps.n
-    if not ps.t:
-        return ps.base.simplified()
-    res = integrate_flow(ps.deformation, ps.t, PhasePoint.zero(n))
-    L = res.jacobian
-    b = np.concatenate([res.endpoint.x, res.endpoint.xi])
-    Q, l, c = symbol_to_quadratic(ps.base)
-    Q2 = L.T @ Q @ L
-    l2 = L.T @ (Q @ b + l)
-    c2 = 0.5 * b @ Q @ b + l @ b + c
-    return quadratic_to_symbol(Q2, l2, c2, n, ps.base.tube_radius)
+    """p_t in closed form (``ps.closed``); ValueError where ``ps`` flows."""
+    return ps.closed
 
 
 def load_deformation(spec) -> Deformation:

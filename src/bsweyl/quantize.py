@@ -10,8 +10,9 @@ Two exact discretizations are supported:
 
 These two cases have assumption-free matrix elements and are enough to
 exercise the Bohr-Sommerfeld lattice, the eigenvalue counting laws and
-the deformation experiments (a quadratic generator keeps the deformed
-symbol quadratic).
+the deformation experiments: a quadratic generator's flow is affine,
+and a quadratic base composed with it (``DeformedSymbol.closed``) stays
+quadratic.
 """
 
 from __future__ import annotations

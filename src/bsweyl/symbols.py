@@ -209,6 +209,31 @@ class SymbolExpr:
                       if c != 0)
         return SymbolExpr(terms, self.n, self.tube_radius)
 
+    def compose_affine(self, L, b) -> "SymbolExpr":
+        """The symbol rho -> self(L rho + b), for a polynomial self.
+
+        L is a 2n x 2n matrix and b a 2n-vector on the axes (x, xi).  Axis
+        k becomes the linear symbol sum_j L[k, j] rho_j + b_k, and each
+        term c prod_k rho_k^e_k expands by ``*`` into c prod_k (axis k)^e_k.
+        """
+        if self.has_trig:
+            raise ValueError("compose_affine needs a polynomial symbol")
+        n, tau, zf = self.n, self.tube_radius, (0.0,) * self.n
+        units = [tuple(int(j == k) for j in range(2 * n)) for k in range(2 * n)]
+        axes = [SymbolExpr(
+            (Term(complex(b[k]), (0,) * n, (0,) * n, zf, zf),)
+            + tuple(Term(complex(L[k][j]), u[:n], u[n:], zf, zf)
+                    for j, u in enumerate(units)), n, tau).simplified()
+            for k in range(2 * n)]
+        out = SymbolExpr.zero(n, tau)
+        for t in self.terms:
+            term = SymbolExpr.constant(t.coeff, n, tau)
+            for k, e in enumerate(t.xpow + t.xipow):
+                for _ in range(e):
+                    term = term * axes[k]
+            out = out + term
+        return out
+
     @property
     def is_zero(self) -> bool:
         return len(self.simplified().terms) == 0

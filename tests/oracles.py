@@ -2,12 +2,12 @@
 
 Everything in here is intentionally written against the mathematical
 definitions, in plain loops or via scipy, without touching the package's
-own evaluation/differentiation/integration paths.  The exceptions are
-the exact quadratic spectrum, which reads a symbol's quadratic form
-with `symbol_to_quadratic`, and the integration-by-parts identity at
-the end, a test-only check that integrates the package's symbols and
-bumps with a given quadrature (kink-aligned polar panels, or the
-package's tensor grid by default).
+own evaluation/differentiation/integration paths; a quadratic symbol's
+(Q, l, c) form is read off its terms by `symbol_to_quadratic`.  The
+exception is the integration-by-parts identity at the end, a test-only
+check that integrates the package's symbols and bumps with a given
+quadrature (kink-aligned polar panels, or the package's tensor grid by
+default).
 """
 
 import cmath
@@ -15,10 +15,33 @@ import cmath
 import numpy as np
 from scipy.linalg import expm
 
-from bsweyl.flow import symbol_to_quadratic
 from bsweyl.quantize import QuantizationError
 from bsweyl.symbols import poisson_bracket
 from bsweyl.variation import tensor_quadrature
+
+
+def symbol_to_quadratic(sym):
+    """Split a degree<=2 polynomial symbol as (Q, l, c) with p = rho'Q rho/2 + l.rho + c."""
+    if sym.has_trig or sym.total_degree > 2:
+        raise ValueError("symbol is not a polynomial of degree <= 2")
+    dim = 2 * sym.n
+    Q = np.zeros((dim, dim), dtype=complex)
+    l = np.zeros(dim, dtype=complex)
+    c = 0j
+    for t in sym.simplified().terms:
+        idx = [i for i, p in enumerate(t.xpow + t.xipow) for _ in range(p)]
+        if not idx:
+            c += t.coeff
+        elif len(idx) == 1:
+            l[idx[0]] += t.coeff
+        else:
+            i, j = idx
+            if i == j:
+                Q[i, i] += 2 * t.coeff
+            else:
+                Q[i, j] += t.coeff
+                Q[j, i] += t.coeff
+    return Q, l, c
 
 
 def eval_term_by_term(sym, x, xi):
@@ -116,7 +139,6 @@ def quadratic_generator_matrix(G):
 
     V = (i dG/dxi, -i dG/dx) read off from the quadratic form of G.
     """
-    from bsweyl.flow import symbol_to_quadratic
     Q, l, _ = symbol_to_quadratic(G)
     n = G.n
     A = np.zeros((2 * n, 2 * n), dtype=complex)

@@ -356,9 +356,42 @@ def test_bs_builds_no_operator(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "c").exists()
 
 
+def _json_symbol(*terms, n=2):
+    """A symbol JSON from (re, im, xpow, xipow[, xfreq]) terms."""
+    out = []
+    for re, im, xpow, xipow, *xfreq in terms:
+        out.append({"re": re, "im": im, "xpow": xpow, "xipow": xipow,
+                    **({"xfreq": xfreq[0]} if xfreq else {})})
+    return json.dumps({"n": n, "terms": out})
+
+
+# (re, im, xpow, xipow) terms of cho(1, 0) = (x1^2 + xi1^2)/2 + i (x2^2 + xi2^2)/2
+CHO = ((0.5, 0, [2, 0], [0, 0]), (0.5, 0, [0, 0], [2, 0]),
+       (0, 0.5, [0, 2], [0, 0]), (0, 0.5, [0, 0], [0, 2]))
+NOT_QUADRATIC = "symbol is not a polynomial of degree <= 2"
+NOT_ACTIONS = "the action map needs a symbol sum_j a_j (x_j^2 + xi_j^2)/2 + c in n = 2"
+
+
 class TestActionSymbolFromSymbol:
     def test_default_is_torus_linear(self):
         assert _action_symbol(cho(1.0, 0.0)) == torus_linear()
+
+    @pytest.mark.parametrize("symbol, reason", [
+        ("sin-x1-cos-xi2", NOT_QUADRATIC),
+        (_json_symbol(*CHO, (0.1, 0, [4, 0], [0, 0])), NOT_QUADRATIC),
+        (_json_symbol((0.5, 0, [2], [0]), (0.5, 0, [0], [2]), n=1), NOT_ACTIONS),
+        (_json_symbol(*CHO, (0.2, 0, [1, 0], [0, 0])), NOT_ACTIONS),
+        (_json_symbol(*CHO, (0.1, 0, [2, 0], [0, 0])), NOT_ACTIONS),
+        (_json_symbol(*CHO, (0.1, 0, [0, 0], [0, 0], [1.0, 0.0])), NOT_QUADRATIC),
+        (_json_symbol(*CHO[:2], (1.0, 0, [0, 2], [0, 0]), (1.0, 0, [0, 0], [0, 2])),
+         "no action map: a_1 and a_2 are linearly dependent over R"),
+    ], ids=["trig", "quartic", "n1", "linear", "unequal-squares", "cho-plus-trig",
+            "dependent"])
+    def test_symbol_without_action_map_exit_2(self, symbol, reason, tmp_path):
+        res = run_cli(["bs", "--symbol", symbol, "--window", WIN, "--outdir",
+                       str(tmp_path / "out")], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [f"config error: {reason}"]
 
     def _run(self, argv, tmp_path, capsys):
         if argv[0] == "count":  # bs builds no operator and draws no samples

@@ -444,7 +444,12 @@ class TestFlowPreFilter:
 
     def test_plain_and_closed_form_symbols_flow_nothing(self):
         win = ComplexWindow.from_bounds(-0.15, 0.15, 0.6, 1.2, (6, 6))
-        for p in (cho(1.0, 0.0), DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), 0.2)):
+        # I1 + i I2 + 0.3 I1 I2 with I_j = (x_j^2 + xi_j^2)/2: a quartic base composes too
+        I1, I2 = (SymbolExpr.monomial(0.5, e, (0, 0)) + SymbolExpr.monomial(0.5, (0, 0), e)
+                  for e in ((2, 0), (0, 2)))
+        d = Deformation((coupling_xx(),))
+        for p in (cho(1.0, 0.0), DeformedSymbol(cho(1.0, 0.0), d, 0.2),
+                  DeformedSymbol(I1 + 1j * I2 + 0.3 * I1 * I2, d, 0.2)):
             grid = weyl_density(p, win, box_radius=3.0, samples=1 << 12, seed=5)
             assert grid.meta["flowed"] == 0
 
@@ -507,7 +512,8 @@ class TestBlockedSampling:
         assert vol == boxvol * (hits / self.SAMPLES)
 
     def test_closed_form_is_built_once_per_call(self, monkeypatch):
-        # building it integrates the variational flow once; per block would be per 2^14 samples
+        # building it integrates the variational flow once per DeformedSymbol, which
+        # then serves every block of both estimators and any later evaluate
         p, win, box = BLOCKED_CASES["quadratic"]()
         calls = []
         integrate_flow = flow.integrate_flow
@@ -519,9 +525,9 @@ class TestBlockedSampling:
         monkeypatch.setattr(flow, "integrate_flow", recording)
         monkeypatch.setattr(density, "DEFAULT_SHARD", self.SHARD)
         weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4)
-        assert len(calls) == 1
         preimage_volume(p, win, box, self.SAMPLES, 4, "sobol")
-        assert len(calls) == 2
+        p.evaluate(np.zeros((1, 2)), np.zeros((1, 2)))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("sampler", ["sobol", "random"])
     def test_torus_equal_unblocked_loop(self, sampler, monkeypatch):

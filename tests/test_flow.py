@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bsweyl import flow
 from bsweyl.flow import (Deformation, DeformedSymbol, deformed_quadratic,
-                         flow_points, integrate_flow,
-                         load_deformation, quadratic_to_symbol,
-                         symbol_to_quadratic, symplectic_matrix)
+                         flow_points, integrate_flow, load_deformation,
+                         symplectic_matrix)
 from bsweyl.symbols import (PhasePoint, SymbolExpr, cho, coupling_xx,
                             eval_symbol, sin_x1_cos_xi2)
 
-from oracles import affine_flow_oracle, fd_gradient, quadratic_generator_matrix
+from oracles import (affine_flow_oracle, fd_gradient, quadratic_generator_matrix,
+                     symbol_to_quadratic)
 
 
 def rand_point(rng, scale=1.0):
@@ -320,16 +323,94 @@ class TestDisplacementBound:
 
 class TestQuadraticConversion:
     def test_round_trip(self):
+        # every monomial of degree <= 2, split into (Q, l, c) and evaluated back
         rng = np.random.default_rng(14)
-        Q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        Q = 0.5 * (Q + Q.T)
-        l = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        sym = quadratic_to_symbol(Q, l, c, 2)
-        Q2, l2, c2 = symbol_to_quadratic(sym)
-        assert np.allclose(Q, Q2, atol=1e-14)
-        assert np.allclose(l, l2, atol=1e-14)
-        assert c == pytest.approx(c2)
+        sym = SymbolExpr.zero(2)
+        for e in itertools.product(range(3), repeat=4):
+            if sum(e) <= 2:
+                sym = sym + SymbolExpr.monomial(
+                    complex(*rng.standard_normal(2)), e[:2], e[2:])
+        Q, l, c = symbol_to_quadratic(sym)
+        assert np.array_equal(Q, Q.T)
+        rho = rng.uniform(-1, 1, (20, 4)) + 1j * rng.uniform(-1, 1, (20, 4))
+        want = 0.5 * np.einsum("mi,ij,mj->m", rho, Q, rho) + rho @ l + c
+        got = sym.evaluate(rho[:, :2], rho[:, 2:])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _quartic():
+    """The curved-lattice base I1 + i I2 + 0.3 I1 I2, with I_j = (x_j^2 + xi_j^2)/2."""
+    I1 = (SymbolExpr.monomial(0.5, (2, 0), (0, 0))
+          + SymbolExpr.monomial(0.5, (0, 0), (2, 0)))
+    I2 = (SymbolExpr.monomial(0.5, (0, 2), (0, 0))
+          + SymbolExpr.monomial(0.5, (0, 0), (0, 2)))
+    return I1 + 1j * I2 + 0.3 * I1 * I2
+
+
+def _quadratic_t_family():
+    """G_t = x1 x2 + t (xi1 xi2 / 2 + x1 - 0.3 xi2): affine flow with b != 0."""
+    g1 = (SymbolExpr.monomial(0.5, (0, 0), (1, 1)) + SymbolExpr.monomial(1.0, (1, 0), (0, 0))
+          + SymbolExpr.monomial(-0.3, (0, 0), (0, 1)))
+    return Deformation((coupling_xx(), g1))
+
+
+FLOWS_CASES = {
+    # (base, deformation, t) -> whether DeformedSymbol.flows
+    "trig base": (lambda: (cho(1.0, 0.0) + 0.3 * sin_x1_cos_xi2(tube_radius=8.0),
+                           Deformation((coupling_xx(),)), 0.2), True),
+    "cubic G": (lambda: (cho(1.0, 0.0), Deformation((SymbolExpr.monomial(0.3, (2, 0), (0, 1)),)),
+                         0.2), True),
+    "trig t-family": (lambda: (cho(1.0, 0.0), Deformation(
+        (coupling_xx(), sin_x1_cos_xi2(tube_radius=8.0))), 0.2), True),
+    "quadratic t-family": (lambda: (cho(1.0, 0.0), _quadratic_t_family(), 0.2), False),
+    "quartic base": (lambda: (_quartic(), Deformation((coupling_xx(),)), 0.2), False),
+    "t = 0": (lambda: (cho(1.0, 0.0) + 0.3 * sin_x1_cos_xi2(tube_radius=8.0),
+                       Deformation((sin_x1_cos_xi2(tube_radius=8.0),)), 0.0), False),
+}
+
+
+class TestClosedForm:
+    """p_t = p o (L rho + b) wherever the generator family has degree <= 2."""
+
+    @pytest.mark.parametrize("case", sorted(FLOWS_CASES))
+    def test_flows_truth_table(self, case):
+        build, flows = FLOWS_CASES[case]
+        ps = DeformedSymbol(*build())
+        assert ps.flows is flows
+        if flows:
+            with pytest.raises(ValueError):
+                ps.closed
+
+    @pytest.mark.parametrize("case, tol", [("quartic base", 1e-12),
+                                           ("quadratic t-family", 1e-10)])
+    def test_closed_matches_flowed_base(self, case, tol):
+        # the t-family's flow is not polynomial in t, so RK45's tolerance shows
+        base, d, t = FLOWS_CASES[case][0]()
+        closed = DeformedSymbol(base, d, t).closed
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-1.5, 1.5, (200, 2)) + 0.3j * rng.uniform(-1, 1, (200, 2))
+        xi = rng.uniform(-1.5, 1.5, (200, 2)) + 0.3j * rng.uniform(-1, 1, (200, 2))
+        want = base.evaluate(*flow_points(d, t, x, xi)[:2])
+        got = closed.evaluate(x, xi)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= tol
+
+    def test_closed_is_built_once(self, monkeypatch):
+        # one RK45 run from the origin, and none per evaluation
+        base, d, t = FLOWS_CASES["quartic base"][0]()
+        ps = DeformedSymbol(base, d, t)
+        calls = []
+        rk45 = flow._rk45
+
+        def counting(*args):
+            calls.append(1)
+            return rk45(*args)
+
+        monkeypatch.setattr(flow, "_rk45", counting)
+        x, xi = np.random.default_rng(16).uniform(-1, 1, (2, 1000, 2))
+        for _ in range(3):
+            ps.evaluate(x, xi)
+        assert ps.closed is deformed_quadratic(ps)
+        assert len(calls) == 1
 
 
 class TestDeformationJSON:

@@ -14,7 +14,7 @@ from bsweyl.symbols import (DimensionMismatchError, PhasePoint, SymbolExpr,
 from bsweyl.symbols import _parse_scalar
 
 from oracles import (eval_term_by_term, evaluate_reference, fd_gradient,
-                     real_bracket_from_gradient)
+                     real_bracket_from_gradient, symbol_to_quadratic)
 from test_properties import symbols
 
 
@@ -263,6 +263,48 @@ class TestBracket:
         vals = real_bracket(p_t).evaluate(np.array([[1.0, 1.0]], dtype=complex),
                                           np.array([[0.5, -0.5]], dtype=complex))
         assert np.abs(vals[0].real) > 0
+
+
+class TestComposeAffine:
+    """p o (L rho + b) at random complex L, b and points, against the definitions."""
+
+    @staticmethod
+    def _case(seed):
+        rng = np.random.default_rng(seed)
+        L = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rho = rng.uniform(-1, 1, (30, 4)) + 1j * rng.uniform(-1, 1, (30, 4))
+        return rng, L, b, rho, rho @ L.T + b
+
+    def test_quadratic_matches_quadratic_form(self):
+        rng, L, b, rho, y = self._case(31)
+        p = SymbolExpr.zero(2)
+        for e in itertools.product(range(3), repeat=4):
+            if sum(e) <= 2:
+                p = p + SymbolExpr.monomial(complex(*rng.standard_normal(2)), e[:2], e[2:])
+        Q, l, c = symbol_to_quadratic(p)
+        want = 0.5 * np.einsum("mi,ij,mj->m", y, Q, y) + y @ l + c
+        got = p.compose_affine(L, b).evaluate(rho[:, :2], rho[:, 2:])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("xpow, xipow", [((2, 0), (0, 1)), ((0, 3), (0, 0)),
+                                             ((1, 1), (1, 1)), ((4, 0), (0, 0)),
+                                             ((0, 1), (0, 3))],
+                             ids=["x1^2 xi2", "x2^3", "x1 x2 xi1 xi2", "x1^4", "x2 xi2^3"])
+    def test_monomial_matches_mapped_points(self, xpow, xipow):
+        _, L, b, rho, y = self._case(32)
+        p = SymbolExpr.monomial(0.7 - 0.2j, xpow, xipow)
+        q = p.compose_affine(L, b)
+        want = p.evaluate(y[:, :2], y[:, 2:])
+        got = q.evaluate(rho[:, :2], rho[:, 2:])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # numpy scalars in Terms slow every later product and evaluation
+        assert all(type(t.coeff) is complex and all(type(e) is int for e in t.xpow + t.xipow)
+                   for t in q.terms)
+
+    def test_trig_symbol_raises(self):
+        with pytest.raises(ValueError, match="polynomial"):
+            sin_x1_cos_xi2().compose_affine(np.eye(4), np.zeros(4))
 
 
 class TestConjugation:
