@@ -14,7 +14,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .density import _unit_samples, newton_2xm
 from .symbols import SymbolExpr, real_bracket
@@ -76,6 +75,8 @@ def _independence_measure(p: SymbolExpr, pts):
 
 def _single_cluster(pts, radius=0.2) -> bool:
     """Single-linkage connectivity at the given radius: one connected component."""
+    from scipy.spatial import cKDTree  # imported here: it alone costs about 0.1 s
+
     m = len(pts)
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
     graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),

@@ -18,23 +18,29 @@ is unchanged by the deformation, so omega of the base is used as is.
 box of actions) share one histogram estimator, ``_histogram``.
 
 Sampling has two units.  A shard (``DEFAULT_SHARD`` = 2^20 rows) is
-the unit of drawing: it fixes the Sobol' blocks and the per-shard seeds
-of the iid sampler.  A block (``BLOCK`` = 2^14 rows) is the unit of
-work: each shard is scaled to the box, evaluated and binned one block
-at a time, so every temporary stays cache-sized.  When a deformed
-symbol has no closed form, only the samples that can land in the window
-go through the flow, a block of them at a time (see ``_sampled_values``).
+the unit of drawing: it fixes the balanced Sobol' blocks and the
+per-shard seeds of the iid sampler.  A block (``BLOCK`` = 2^14 rows) is
+the unit of work: each shard is scaled to the box, evaluated and binned
+one block at a time, so every temporary stays cache-sized; a symbol with
+a closed form also draws its Sobol' rows a block at a time.  When a
+deformed symbol has no closed form, only the samples that can land in
+the window go through the flow, a block of them at a time (see
+``_sampled_values``).  The Sobol' points are scipy's, drawn by an
+in-module generator (``_Sobol``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
+import scipy
 
 from .flow import DeformedSymbol, closed_form
 from .symbols import DimensionMismatchError, SymbolExpr
@@ -42,6 +48,7 @@ from .symbols import DimensionMismatchError, SymbolExpr
 TWO_PI_SQ = (2 * np.pi) ** 2
 DEFAULT_SHARD = 1 << 20  # samples drawn at once
 BLOCK = 1 << 14  # samples scaled, evaluated and binned (or flowed) at once
+SOBOL_BITS = 30  # binary digits of each Sobol' coordinate, as scipy's engine draws them
 NEWTON_MAX_ITER = 50  # steps of newton_2xm
 ACTION_NEWTON_TOL = 1e-12  # residual |ptilde(eta) - z| accepted by ActionMap.eta_of_z
 OMEGA_NAN_LIMIT = 0.01  # fraction of cells where omega_density may fail to invert
@@ -194,24 +201,121 @@ class DensityGrid:
 # ------------------------------------------------------------------ sampling
 
 
+@functools.cache
+def _sobol_table():
+    """(poly, vinit): the primitive polynomials and initial direction numbers
+    of Joe & Kuo (SIAM J. Sci. Comput. 2008), from the file scipy ships for
+    its Sobol' engine; read by path, so scipy.stats is never imported."""
+    with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as f:
+        return f["poly"], f["vinit"]
+
+
+class _Sobol:
+    """Scrambled Sobol' points in [0,1)^dim, bit for bit the rows that
+    ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed)`` draws.
+
+    Direction numbers v[d, j] are SOBOL_BITS-bit integers, first digit on
+    top, continued from the table by Bratley & Fox's recurrence.  Each
+    dimension is scrambled by a random lower-triangular matrix over GF(2)
+    acting on the digits of every v[d, j], plus a digital shift
+    (Matousek 1998), drawn from default_rng(seed): the shift first, then
+    the matrices.  Point k is shift ^ V(gray(k)), V(g) the XOR of the v[:, j]
+    over the set bits j of g.  V and gray are linear over XOR, so point
+    b * BLOCK + i is head(b) ^ low[i], one head per BLOCK and the same
+    table low[i] = V(gray(i)) for every block, built by gray-code
+    reflection.
+    """
+
+    def __init__(self, dim, seed):
+        poly, vinit = _sobol_table()
+        v = np.ones((dim, SOBOL_BITS), dtype=np.uint32)
+        for d in range(1, dim):
+            p = int(poly[d])
+            m = p.bit_length() - 1
+            v[d, :m] = vinit[d, :m]
+            for j in range(m, SOBOL_BITS):
+                new = int(v[d, j - m])
+                for k in range(m):
+                    if (p >> (m - 1 - k)) & 1:
+                        new ^= int(v[d, j - k - 1]) << (k + 1)
+                v[d, j] = new
+        top = np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # weight of digit k
+        v <<= top  # m_j / 2^(j+1) as a binary fraction
+        rng = np.random.default_rng(seed)
+        self.shift = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32) @ (
+            np.uint32(1) << np.arange(SOBOL_BITS, dtype=np.uint32))
+        scramble = np.tril(rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+        scramble[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+        digits = (v[:, :, None] >> top) & 1  # [d, j, k]: digit k of v[d, j]
+        digits = (digits @ scramble.transpose(0, 2, 1)) & 1
+        self.v = (digits << top).sum(axis=-1, dtype=np.uint32)
+        low = np.zeros((dim, 1), dtype=np.uint32)
+        for j in range(BLOCK.bit_length() - 1):
+            low = np.concatenate([low, low[:, ::-1] ^ self.v[:, j:j + 1]], axis=1)
+        self.low = low
+
+    def rows(self, start, stop):
+        """Points start, ..., stop - 1 as a (stop - start, dim) float array."""
+        out = np.empty((stop - start, len(self.shift)))
+        for b in range(start // BLOCK, -(-stop // BLOCK)):
+            g = b * BLOCK ^ (b * BLOCK >> 1)  # gray code of the block's first point
+            head = self.shift ^ np.bitwise_xor.reduce(
+                self.v[:, (g >> np.arange(SOBOL_BITS)) & 1 == 1], axis=1, initial=0)
+            lo, hi = max(start, b * BLOCK), min(stop, (b + 1) * BLOCK)
+            for d, h in enumerate(head):  # one column at a time: long inner loops
+                np.multiply(self.low[d, lo - b * BLOCK:hi - b * BLOCK] ^ h,
+                            2.0 ** -SOBOL_BITS, out=out[lo - start:hi - start, d])
+        return out
+
+
+def _sobol_engine(dim, total, seed):
+    """The Sobol' engine of a run of ``total`` points drawn in shards.
+
+    Like scipy's engine, it holds at most 2^SOBOL_BITS points and warns
+    when the first draw, here the first shard, is no power of two.
+    """
+    if total > 1 << SOBOL_BITS:
+        raise ValueError(f"at most 2**{SOBOL_BITS} Sobol' points, got {total}")
+    first = min(DEFAULT_SHARD, total)
+    if first & (first - 1):
+        warnings.warn("The balance properties of Sobol' points require n to be a power of 2.",
+                      stacklevel=2)
+    return _Sobol(dim, seed)
+
+
 def _unit_samples(dim, total, seed, sampler):
     """Yield shards of points in [0,1)^dim; deterministic per (seed, sampler).
 
     A shard (DEFAULT_SHARD rows, read at call time) is the unit of
     drawing only; callers evaluate it in BLOCKs.  Sobol' shards continue
-    one sequence; each full power-of-two shard is balanced.  scipy warns
-    when the first shard is no power of two.  iid shards are seeded by
-    (seed, shard index).
+    one sequence of ``_Sobol``, and each full power-of-two shard is
+    balanced.  iid shards are seeded by (seed, shard index).
     """
     if sampler not in ("sobol", "random"):
         raise ValueError(f"unknown sampler {sampler!r} (use 'sobol' or 'random')")
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed) if sampler == "sobol" else None
+    eng = _sobol_engine(dim, total, seed) if sampler == "sobol" else None
     for shard, start in enumerate(range(0, total, DEFAULT_SHARD)):
         m = min(DEFAULT_SHARD, total - start)
         if eng is not None:
-            yield eng.random(m)
+            yield eng.rows(start, start + m)
         else:
             yield np.random.default_rng(np.random.SeedSequence((seed, shard))).random((m, dim))
+
+
+def _unit_blocks(dim, total, seed, sampler):
+    """Yield the points of ``_unit_samples`` at most BLOCK rows at a time.
+
+    Sobol' points are drawn a block at a time, so each block is used while
+    it is still in cache; iid shards are drawn whole and sliced.
+    """
+    if sampler == "sobol":
+        eng = _sobol_engine(dim, total, seed)
+        for start in range(0, total, BLOCK):
+            yield eng.rows(start, min(start + BLOCK, total))
+        return
+    for shard in _unit_samples(dim, total, seed, sampler):
+        for start in range(0, len(shard), BLOCK):
+            yield shard[start:start + BLOCK]
 
 
 def _axis_index(x, edges):
@@ -258,15 +362,13 @@ def _sampled_values(p, win, dim, points, samples, seed, sampler):
     dropped.  The pre-filter runs per block; the kept samples of the whole
     shard are then flowed BLOCK at a time, so each RK45 batch is full.
     """
-    shards = _unit_samples(dim, samples, seed, sampler)
     if not (isinstance(p, DeformedSymbol) and p.flows):
         if isinstance(p, DeformedSymbol):
             p = closed_form(p)
-        for shard in shards:
-            for start in range(0, len(shard), BLOCK):
-                yield p.evaluate(*points(shard[start:start + BLOCK])), 0
+        for block in _unit_blocks(dim, samples, seed, sampler):
+            yield p.evaluate(*points(block)), 0
         return
-    for shard in shards:
+    for shard in _unit_samples(dim, samples, seed, sampler):
         keep = []
         for start in range(0, len(shard), BLOCK):
             x, xi = points(shard[start:start + BLOCK])

@@ -29,6 +29,16 @@ def run_cli(args, cwd, env=CLI_ENV):
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
+def test_import_leaves_scipy_stats_and_spatial_unloaded():
+    # scipy.stats alone costs about 0.4 s of start-up; the Sobol' engine reads
+    # its direction numbers from scipy's table file instead
+    out = subprocess.run([sys.executable, "-c", "import sys, bsweyl; print(*sys.modules)"],
+                         capture_output=True, text=True, env=CLI_ENV, check=True)
+    loaded = set(out.stdout.split())
+    assert "bsweyl" in loaded
+    assert not loaded & {"scipy.stats", "scipy.spatial"}
+
+
 class TestConfigValidation:
     def test_unknown_fields_rejected_all_at_once(self):
         with pytest.raises(ConfigError) as exc:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from bsweyl.variation import TestFunction
 
 from oracles import (bisection_invert_2d, histogram2d_bin, sampled_counts_reference,
                      torus_counts_reference, torus_quadrature_density,
-                     unfiltered_sobol_values)
+                     unfiltered_sobol_values, unit_shards)
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 
@@ -542,3 +544,55 @@ class TestBlockedSampling:
         scale = TWO_PI_SQ * area / (self.SAMPLES * win.cell_area)
         assert grid.values.tobytes() == (counts * scale).tobytes()
         assert grid.stderr.tobytes() == binomial_stderr(counts, self.SAMPLES, scale).tobytes()
+
+
+class TestSobol:
+    """The in-repo Sobol' engine draws the rows of scipy's qmc.Sobol bit for bit."""
+
+    TOTALS = (1, 1000, (1 << 20) + 3, 3 * (1 << 20) + 12345)
+
+    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
+    @pytest.mark.parametrize("shard", [1 << 20, (1 << 15) + 3], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize("seed", [0, 5, 123, 2**31 - 1])
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_shards_equal_scipy(self, dim, seed, shard, monkeypatch):
+        # scipy's engine drawn as density._unit_samples draws: len(shard) rows per call
+        monkeypatch.setattr(density, "DEFAULT_SHARD", shard)
+        for total in self.TOTALS:
+            got = density._unit_samples(dim, total, seed, "sobol")
+            drawn = 0
+            for want in unit_shards(dim, total, seed, "sobol", shard):
+                rows = next(got)
+                assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+                drawn += len(rows)
+            assert drawn == total and next(got, None) is None
+
+    @pytest.mark.parametrize("total, warns", [
+        (0, False), (1, False), (3, True), (1000, True), (1024, False),
+        ((1 << 15) + 3, True), ((1 << 20) + 3, False)])
+    @pytest.mark.parametrize("draw", ["_unit_samples", "_unit_blocks"])
+    def test_warns_when_scipy_warns(self, draw, total, warns):
+        # scipy warns when its first draw, here the first shard, is no power of two
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            list(unit_shards(2, total, 0, "sobol", density.DEFAULT_SHARD))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            list(getattr(density, draw)(2, total, 0, "sobol"))
+        assert len(want) == warns
+        assert [(w.category, str(w.message)) for w in got] == \
+               [(w.category, str(w.message)) for w in want]
+
+    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
+    @pytest.mark.parametrize("sampler", ["sobol", "random"])
+    def test_blocks_are_the_rows_of_the_shards(self, sampler, monkeypatch):
+        monkeypatch.setattr(density, "DEFAULT_SHARD", (1 << 15) + 3)
+        total = 5 * density.BLOCK + 7
+        blocks = list(density._unit_blocks(4, total, 3, sampler))
+        shards = list(density._unit_samples(4, total, 3, sampler))
+        assert max(len(b) for b in blocks) == density.BLOCK
+        assert np.concatenate(blocks).tobytes() == np.concatenate(shards).tobytes()
+
+    def test_at_most_2_to_the_30_points(self):
+        with pytest.raises(ValueError, match="at most 2\\*\\*30"):
+            next(density._unit_samples(2, (1 << 30) + 1, 0, "sobol"))
