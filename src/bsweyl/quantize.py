@@ -18,11 +18,15 @@ quadratic.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import json
+import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 from scipy import sparse
@@ -107,7 +111,10 @@ class SpectrumResult:
     caches.  Every solve appends a record to `solves`: its method
     (`dense`, `dense-blocks` or `shift-invert`), block dims, final
     Arnoldi k and ARPACK `passes` per block (None and 0 where dense;
-    passes > 1 means rejected passes), fallback reason and seconds.
+    passes > 1 means rejected passes), fallback reason, `blas_threads`
+    (1 where two or more blocks were solved densely at one pinned BLAS
+    thread, see `_pinned_eigvals`; None where the process setting held)
+    and seconds.
     """
 
     def __init__(self, operator: OperatorMatrix, delta=0.0, seed=None):
@@ -134,12 +141,26 @@ class SpectrumResult:
         M = self.operator.matrix
         return M if idx is None else M[np.ix_(idx, idx)]
 
-    def _dense_block(self, i) -> np.ndarray:
-        if i not in self._dense:
-            self._dense[i] = _dense_eigvals(self._block(self._blocks[i]))
-        return self._dense[i]
+    def _solve_dense(self, todo):
+        """Dense-solve the blocks numbered in todo into `_dense`, all or none.
 
-    def _record(self, start, ks, passes, reasons):
+        Two or more blocks are solved concurrently at one pinned BLAS
+        thread (see `_pinned_eigvals`), so their bits do not depend on
+        the process's thread setting.  One block keeps the process
+        setting (one thread makes a dim-1600 solve a third slower), as
+        do blocks in a process whose OpenBLAS thread control is not
+        found; those are solved in series.  Returns the record's
+        `blas_threads`.
+        """
+        control = _openblas_threads() if len(todo) > 1 else None
+        if control is None:
+            evs = [_dense_eigvals(self._block(self._blocks[i])) for i in todo]
+        else:
+            evs = _pinned_eigvals([self._block(self._blocks[i]) for i in todo], control)
+        self._dense.update(zip(todo, evs))
+        return None if control is None else 1
+
+    def _record(self, start, ks, passes, reasons, blas_threads):
         dense = all(k is None for k in ks)
         method = ("dense" if len(ks) == 1 else "dense-blocks") if dense else "shift-invert"
         self.solves.append({
@@ -149,15 +170,17 @@ class SpectrumResult:
             "k": ks,
             "passes": passes,
             "fallback": "; ".join(dict.fromkeys(r for r in reasons if r)) or None,
+            "blas_threads": blas_threads,
             "seconds": time.perf_counter() - start})
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         start = time.perf_counter()
-        solved = len(self._dense)
-        ev = np.concatenate([self._dense_block(i) for i in range(len(self._blocks))])
-        if len(self._dense) > solved:
-            self._record(start, [None] * len(self._blocks), [0] * len(self._blocks), [])
+        n = len(self._blocks)
+        todo = [i for i in range(n) if i not in self._dense]
+        if todo:
+            self._record(start, [None] * n, [0] * n, [], self._solve_dense(todo))
+        ev = np.concatenate([self._dense[i] for i in range(n)])
         ev = ev[np.lexsort((ev.imag, ev.real))]
         ev.setflags(write=False)
         return ev
@@ -170,19 +193,20 @@ class SpectrumResult:
         center = complex((lo_r + hi_r) / 2, (lo_i + hi_i) / 2)
         radius = float(np.hypot(hi_r - lo_r, hi_i - lo_i)) / 2
         start = time.perf_counter()
-        parts, ks, passes, reasons = [], [], [], []
+        found, ks, passes, reasons = {}, [], [], []
         for i, idx in enumerate(self._blocks):
             ev, k, n_pass, reason = None, None, 0, None
             if i not in self._dense:
                 ev, k, n_pass, reason = _shift_invert(self._block(idx), center, radius)
+            if ev is not None:
+                found[i] = ev
             ks.append(None if ev is None else k)
             passes.append(n_pass)
-            if ev is None:
-                ev = self._dense_block(i)
-            parts.append(_inside(win, ev))
             reasons.append(reason)
-        self._record(start, ks, passes, reasons)
-        ev = np.concatenate(parts)
+        todo = [i for i in range(len(self._blocks)) if i not in found and i not in self._dense]
+        self._record(start, ks, passes, reasons, self._solve_dense(todo))
+        ev = np.concatenate([_inside(win, found[i] if i in found else self._dense[i])
+                             for i in range(len(self._blocks))])
         return ev[np.lexsort((ev.imag, ev.real))]
 
     def write_csv(self, path):
@@ -317,6 +341,53 @@ def _dense_eigvals(A: np.ndarray) -> np.ndarray:
     if ev.shape[0] != A.shape[0]:
         raise EigensolveError("solver returned a partial spectrum")
     return ev
+
+
+@cache
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
+
+    Looked up by ctypes in the OpenBLAS that numpy's wheels ship in
+    `numpy.libs` (the library `np.linalg` calls) at the first multi-block
+    dense solve, never at import.  None where numpy has no such library
+    or it lacks the two symbols; multi-block solves are then serial.
+    """
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if len(libs) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+def _pinned_eigvals(blocks, control) -> list:
+    """`_dense_eigvals` of each block at one OpenBLAS thread, one block per CPU at once.
+
+    The first block is solved on the calling thread and each further
+    block on a worker thread, up to as many threads as the process has
+    CPUs.  The pin is process-wide: it is set before the first solve and
+    the previous count is restored once every worker is done, also when
+    a solve fails.
+    """
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        workers = min(len(blocks), len(os.sched_getaffinity(0))) - 1
+        if workers < 1:
+            return [_dense_eigvals(A) for A in blocks]
+        with ThreadPoolExecutor(workers) as pool:
+            rest = [pool.submit(_dense_eigvals, A) for A in blocks[1:]]
+            first = _dense_eigvals(blocks[0])
+            return [first] + [f.result() for f in rest]
+    finally:
+        set_(before)
 
 
 def _shift_invert(A: np.ndarray, center: complex, radius: float):

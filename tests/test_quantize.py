@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -592,4 +596,96 @@ class TestWindowedSpectrum:
         assert meta["count"] == 144
         assert meta["solves"][0]["method"] == "dense-blocks"
         assert meta["solves"][0]["blocks"] == [72, 72]
+        assert meta["solves"][0]["blas_threads"] == (1 if quantize._openblas_threads() else None)
         assert meta["solves"][0]["seconds"] >= 0
+        one = spectrum(perturb(p_t_operator(12), 1e-4, 0))
+        one.eigenvalues
+        one.in_window(COUNT_WINDOW)
+        assert [r["blas_threads"] for r in one.solves] == [None]
+
+
+@pytest.fixture
+def pinnable():
+    """numpy's OpenBLAS thread control at 2 threads for one test, or a skip.
+
+    The count is set to 2 and restored afterwards, so a solve that forgot
+    to restore its one-thread pin shows as 1.
+    """
+    control = quantize._openblas_threads()
+    if control is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs numpy's bundled OpenBLAS and two CPUs")
+    get, set_ = control
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+# Rebuilds p_t_operator(40) and prints its full spectrum's bytes as hex.
+_SPECTRUM_BYTES = """
+from bsweyl import quantize
+from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
+from bsweyl.symbols import cho, coupling_xx
+assert quantize._openblas_threads.cache_info().currsize == 0  # no lookup at import
+q = deformed_quadratic(DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), 0.2))
+P = quantize.quantize_quadratic(q, quantize.BasisSpec("hermite-tensor", 40, 0.05))
+print(quantize.spectrum(P).eigenvalues.tobytes().hex())
+"""
+
+
+class TestPinnedBlockSolves:
+    def test_dense_blocks_bitwise_equal_across_blas_thread_settings(self):
+        if quantize._openblas_threads() is None:
+            pytest.skip("numpy has no bundled OpenBLAS: multi-block solves run serially")
+        parent = os.path.dirname(os.path.dirname(os.path.abspath(quantize.__file__)))
+        path = os.pathsep.join(p for p in (parent, os.environ.get("PYTHONPATH")) if p)
+        out = [subprocess.run([sys.executable, "-c", _SPECTRUM_BYTES], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=t))
+               .stdout.strip() for t in ("1", "2")]
+        assert len(out[0]) == 2 * 1600 * 16
+        assert out[0] == out[1]
+
+    def test_failed_worker_block_propagates_and_caches_nothing(self, pinnable, monkeypatch):
+        caller = threading.get_ident()
+        solve = quantize._dense_eigvals
+
+        def fail_off_caller(A):
+            if threading.get_ident() != caller:
+                raise EigensolveError("worker block failed")
+            return solve(A)
+
+        monkeypatch.setattr(quantize, "_dense_eigvals", fail_off_caller)
+        P = p_t_operator(12)
+        for ask in (lambda s: s.eigenvalues, lambda s: s.in_window((0.0, 0.85, 0.0, 0.85))):
+            s = spectrum(P)
+            with pytest.raises(EigensolveError, match="worker block failed"):
+                ask(s)
+            assert s._dense == {} and s.solves == []
+            assert pinnable() == 2
+        monkeypatch.setattr(quantize, "_dense_eigvals", solve)
+        s = spectrum(P)
+        assert s.in_window((0.0, 0.85, 0.0, 0.85)).size > 0
+        assert s.solves[0]["blas_threads"] == 1 and s.solves[0]["passes"] == [0, 0]
+        assert pinnable() == 2
+
+    def test_without_thread_control_blocks_solve_serially(self, monkeypatch):
+        P = p_t_operator(24)
+        pinned = spectrum(P).eigenvalues
+        caller = threading.get_ident()
+        threads = []
+        solve = quantize._dense_eigvals
+
+        def record_thread(A):
+            threads.append(threading.get_ident())
+            return solve(A)
+
+        monkeypatch.setattr(quantize, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(quantize, "_dense_eigvals", record_thread)
+        s = spectrum(P)
+        serial = s.eigenvalues
+        assert threads == [caller, caller]
+        (rec,) = s.solves
+        assert rec["method"] == "dense-blocks" and rec["blas_threads"] is None
+        assert serial.size == pinned.size == P.dim
+        assert hausdorff(serial, pinned) <= 1e-10
