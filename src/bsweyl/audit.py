@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .density import _unit_samples, newton_2xm
+from .density import _unit_blocks, newton_2xm
 from .symbols import SymbolExpr, real_bracket
 
 ZERO_TOL = 1e-10  # |p| at which a point counts as on the zero set
@@ -49,7 +49,7 @@ def _zero_set_sample(p: SymbolExpr, budget, seed, box):
     Keeps the points where |p| <= ZERO_TOL inside the box of radius 2 box.
     """
     n = p.n
-    pts = -box + 2 * box * np.concatenate(list(_unit_samples(2 * n, budget, seed, "sobol")))
+    pts = -box + 2 * box * np.concatenate(list(_unit_blocks(2 * n, budget, seed, "sobol")))
 
     def residual(u):  # (Re p, Im p) and its real Jacobian on real points
         vals, grads = p.evaluate(u[:, :n], u[:, n:]), p.grad(u[:, :n], u[:, n:])
@@ -96,7 +96,7 @@ def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
     n = p.n
     # ellipticity: min |p| over a quasi-random shell C <= |rho|_inf <= 2C
     shell_raw = -2 * ball_radius + 4 * ball_radius * np.concatenate(
-        list(_unit_samples(2 * n, sample_budget, seed + 1, "sobol")))
+        list(_unit_blocks(2 * n, sample_budget, seed + 1, "sobol")))
     mask = np.max(np.abs(shell_raw), axis=1) >= ball_radius
     shell = shell_raw[mask]
     vals = p.evaluate(shell[:, :n], shell[:, n:])

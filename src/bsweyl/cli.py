@@ -21,16 +21,18 @@ import scipy
 
 from . import __version__
 from .audit import audit
-from .density import (ComplexWindow, action_map_integrable,
-                      ellipticity_margin_check, omega_density,
+from .density import (ComplexWindow, EmptyGridError, SingularActionMapError,
+                      action_map_integrable, ellipticity_margin_check, omega_density,
                       preimage_volume, weyl_density)
 from .experiments import (BSExactnessConfig, DeformationSplitsConfig,
                           IntegrableEqualityConfig, RandomWeylMigrationConfig,
                           run_bs_exactness, run_deformation_splits,
                           run_integrable_equality, run_random_weyl_migration)
-from .flow import Deformation, DeformedSymbol, deformed_quadratic, load_deformation
-from .quantize import (BasisSpec, BSLattice, bs_predict, count_and_compare,
-                       perturb, quantize_quadratic, quantize_torus, spectrum)
+from .flow import (Deformation, DeformedSymbol, StepSizeUnderflowError, deformed_quadratic,
+                   load_deformation)
+from .quantize import (DIM_CAP, BasisSpec, BSLattice, EigensolveError, bs_predict,
+                       count_and_compare, perturb, quantize_quadratic, quantize_torus,
+                       spectrum)
 from .symbols import SymbolExpr, load_symbol
 from .variation import (SupportLeakWarning, TestFunction, VariationReport,
                         first_variation_rhs, moment_derivative_fd,
@@ -155,7 +157,14 @@ class ExperimentConfig:
             errors.append("'outdir' must be a string")
         if errors:
             raise ConfigError(errors)
-        return cls(**d)
+        cfg = cls(**d)
+        # every runner that takes a basis solves its operator: cap it before assembly
+        if cfg.basis_size is not None:
+            dim = BasisSpec(cfg.basis_kind, cfg.basis_size, 1.0).total_dim
+            if dim > DIM_CAP:
+                raise ConfigError([f"'basis_size' {cfg.basis_size} gives dimension {dim}, "
+                                   f"above the cap {DIM_CAP}"])
+        return cfg
 
     def resolve_window(self):
         w = self.window
@@ -516,7 +525,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     # ConfigError, SymbolJSONError, QuantizationError and JSONDecodeError
-    # are all ValueErrors: bad input, whether found parsing or running
+    # are all ValueErrors: bad input, whether found parsing or running.  The
+    # domain errors are inputs the numerics cannot serve (an empty window, a
+    # failed eigensolve, a singular action map, a stiff flow): also exit 2,
+    # as 1 means a check failed
     try:
         if args.command == "run":
             with open(args.config) as fh:
@@ -529,7 +541,8 @@ def main(argv=None) -> int:
             cfg = _args_to_config(
                 args.name if args.command == "experiment" else args.command, args)
         report = _run_config(cfg)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EmptyGridError, EigensolveError, SingularActionMapError,
+            StepSizeUnderflowError) as exc:
         for line in getattr(exc, "errors", None) or [str(exc)]:
             print(f"config error: {line}", file=sys.stderr)
         return 2

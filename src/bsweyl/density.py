@@ -17,14 +17,14 @@ is unchanged by the deformation, so omega of the base is used as is.
 ``weyl_density`` (the phase-space box) and ``weyl_density_torus`` (a
 box of actions) share one histogram estimator, ``_histogram``.
 
-Sampling has two units.  A shard (``DEFAULT_SHARD`` = 2^20 rows) is
-the unit of drawing: it fixes the balanced Sobol' blocks and the
-per-shard seeds of the iid sampler.  A block (``BLOCK`` = 2^14 rows) is
-the unit of work: each shard is scaled to the box, evaluated and binned
-one block at a time, so every temporary stays cache-sized; a symbol with
-a closed form also draws its Sobol' rows a block at a time.  When a
-deformed symbol has no closed form, only the samples that can land in
-the window go through the flow, a block of them at a time (see
+Every sample, Sobol' or iid, is drawn, scaled to the box, evaluated
+and binned one block (``BLOCK`` = 2^14 rows) at a time, by the one draw
+stream ``_unit_blocks``, so every temporary stays cache-sized and no
+whole shard is held.  A shard (``DEFAULT_SHARD`` = 2^20 rows) fixes only
+the per-shard seeds of the iid sampler, the balanced Sobol' blocks and
+the flow's batches: no block crosses a shard's end.  When a deformed
+symbol has no closed form, only the samples that can land in the window
+go through the flow, a block of them at a time (see
 ``_sampled_values``).  The Sobol' points are scipy's, drawn by an
 in-module generator (``_Sobol``).
 """
@@ -46,8 +46,8 @@ from .flow import DeformedSymbol, closed_form
 from .symbols import DimensionMismatchError, SymbolExpr
 
 TWO_PI_SQ = (2 * np.pi) ** 2
-DEFAULT_SHARD = 1 << 20  # samples drawn at once
-BLOCK = 1 << 14  # samples scaled, evaluated and binned (or flowed) at once
+DEFAULT_SHARD = 1 << 20  # samples per iid seed, balanced Sobol' block and flow grouping
+BLOCK = 1 << 14  # samples drawn, scaled, evaluated and binned (or flowed) at once
 SOBOL_BITS = 30  # binary digits of each Sobol' coordinate, as scipy's engine draws them
 NEWTON_MAX_ITER = 50  # steps of newton_2xm
 ACTION_NEWTON_TOL = 1e-12  # residual |ptilde(eta) - z| accepted by ActionMap.eta_of_z
@@ -268,54 +268,33 @@ class _Sobol:
         return out
 
 
-def _sobol_engine(dim, total, seed):
-    """The Sobol' engine of a run of ``total`` points drawn in shards.
-
-    Like scipy's engine, it holds at most 2^SOBOL_BITS points and warns
-    when the first draw, here the first shard, is no power of two.
-    """
-    if total > 1 << SOBOL_BITS:
-        raise ValueError(f"at most 2**{SOBOL_BITS} Sobol' points, got {total}")
-    first = min(DEFAULT_SHARD, total)
-    if first & (first - 1):
-        warnings.warn("The balance properties of Sobol' points require n to be a power of 2.",
-                      stacklevel=2)
-    return _Sobol(dim, seed)
-
-
-def _unit_samples(dim, total, seed, sampler):
-    """Yield shards of points in [0,1)^dim; deterministic per (seed, sampler).
-
-    A shard (DEFAULT_SHARD rows, read at call time) is the unit of
-    drawing only; callers evaluate it in BLOCKs.  Sobol' shards continue
-    one sequence of ``_Sobol``, and each full power-of-two shard is
-    balanced.  iid shards are seeded by (seed, shard index).
-    """
-    if sampler not in ("sobol", "random"):
-        raise ValueError(f"unknown sampler {sampler!r} (use 'sobol' or 'random')")
-    eng = _sobol_engine(dim, total, seed) if sampler == "sobol" else None
-    for shard, start in enumerate(range(0, total, DEFAULT_SHARD)):
-        m = min(DEFAULT_SHARD, total - start)
-        if eng is not None:
-            yield eng.rows(start, start + m)
-        else:
-            yield np.random.default_rng(np.random.SeedSequence((seed, shard))).random((m, dim))
-
-
 def _unit_blocks(dim, total, seed, sampler):
-    """Yield the points of ``_unit_samples`` at most BLOCK rows at a time.
+    """Yield the points of a run in [0,1)^dim, at most BLOCK rows at a time.
 
-    Sobol' points are drawn a block at a time, so each block is used while
-    it is still in cache; iid shards are drawn whole and sliced.
+    The run is walked shard by shard (DEFAULT_SHARD rows, read at call
+    time) and no block crosses a shard's end.  Sobol' rows continue one
+    sequence of ``_Sobol``; like scipy's engine it holds at most
+    2^SOBOL_BITS points and warns when its first draw, here the first
+    shard, is no power of two.  iid rows come from the generator seeded
+    by (seed, shard index), drawn one block at a time.
     """
     if sampler == "sobol":
-        eng = _sobol_engine(dim, total, seed)
-        for start in range(0, total, BLOCK):
-            yield eng.rows(start, min(start + BLOCK, total))
-        return
-    for shard in _unit_samples(dim, total, seed, sampler):
-        for start in range(0, len(shard), BLOCK):
-            yield shard[start:start + BLOCK]
+        if total > 1 << SOBOL_BITS:
+            raise ValueError(f"at most 2**{SOBOL_BITS} Sobol' points, got {total}")
+        first = min(DEFAULT_SHARD, total)
+        if first & (first - 1):
+            warnings.warn("The balance properties of Sobol' points require n to be a power of 2.",
+                          stacklevel=2)
+        eng = _Sobol(dim, seed)
+    elif sampler != "random":
+        raise ValueError(f"unknown sampler {sampler!r} (use 'sobol' or 'random')")
+    for shard, lo in enumerate(range(0, total, DEFAULT_SHARD)):
+        hi = min(lo + DEFAULT_SHARD, total)
+        if sampler == "random":
+            rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
+        for start in range(lo, hi, BLOCK):
+            stop = min(start + BLOCK, hi)
+            yield eng.rows(start, stop) if sampler == "sobol" else rng.random((stop - start, dim))
 
 
 def _axis_index(x, edges):
@@ -354,30 +333,34 @@ def _sampled_values(p, win, dim, points, samples, seed, sampler):
     """Yield (p at a block of sample points, samples flowed), block by block.
 
     ``points`` maps a block of unit-cube rows in [0,1)^dim to the (x, xi)
-    where p is evaluated.  Each shard is mapped and evaluated BLOCK rows
-    at a time; a DeformedSymbol with a closed form is resolved to it once.
-    A DeformedSymbol that flows is flowed only where it can land in the
-    closed window: p_t(rho) lies within displacement_bound(rho) of p(rho),
-    so a sample farther than that from the window lands outside it and is
-    dropped.  The pre-filter runs per block; the kept samples of the whole
-    shard are then flowed BLOCK at a time, so each RK45 batch is full.
+    where p is evaluated; a DeformedSymbol with a closed form is resolved
+    to it once.  A DeformedSymbol that flows is flowed only where it can
+    land in the closed window: p_t(rho) lies within displacement_bound(rho)
+    of p(rho), so a sample farther than that from the window lands outside
+    it and is dropped.  The pre-filter keeps the rows of each block; at
+    each shard's end the kept rows are flowed BLOCK at a time, so each
+    RK45 batch is full.
     """
-    if not (isinstance(p, DeformedSymbol) and p.flows):
-        if isinstance(p, DeformedSymbol):
-            p = closed_form(p)
-        for block in _unit_blocks(dim, samples, seed, sampler):
+    flows = isinstance(p, DeformedSymbol) and p.flows
+    if isinstance(p, DeformedSymbol) and not flows:
+        p = closed_form(p)
+    kept, drawn = [], 0
+    for block in _unit_blocks(dim, samples, seed, sampler):
+        if not flows:
+            # only the block is held across the yield: keeping its scaled copy
+            # alive as well slowed a weyl-sampling pass by 4%
             yield p.evaluate(*points(block)), 0
-        return
-    for shard in _unit_samples(dim, samples, seed, sampler):
-        keep = []
-        for start in range(0, len(shard), BLOCK):
-            x, xi = points(shard[start:start + BLOCK])
-            near = win.distance(p.base.evaluate(x, xi)) <= p.displacement_bound(x, xi)
-            keep.append(start + np.flatnonzero(near))
-        keep = np.concatenate(keep)
-        for start in range(0, keep.size, BLOCK):
-            x, xi = points(shard[keep[start:start + BLOCK]])
+            continue
+        x, xi = points(block)
+        kept.append(block[win.distance(p.base.evaluate(x, xi)) <= p.displacement_bound(x, xi)])
+        drawn += len(block)
+        if drawn % DEFAULT_SHARD and drawn < samples:
+            continue  # the shard goes on
+        kept = np.concatenate(kept)
+        for start in range(0, len(kept), BLOCK):
+            x, xi = points(kept[start:start + BLOCK])
             yield p.evaluate(x, xi), len(x)
+        kept = []
 
 
 def _histogram(p, win, dim, points, measure, samples, seed, sampler, meta):

@@ -341,10 +341,11 @@ def histogram2d_bin(vals, win, weights=None):
 
 
 def unit_shards(dim, total, seed, sampler, shard_size):
-    """The unit-cube draws of a density run, shard_size rows at a time.
+    """The unit-cube draws of a density run, one whole shard_size shard at a time.
 
-    One scrambled Sobol' sequence continued across shards, or iid rows
-    seeded by (seed, shard index), as ``density._unit_samples`` draws them.
+    One scrambled Sobol' sequence of scipy's engine continued across
+    shards, or iid rows seeded by (seed, shard index).  The blocks that
+    ``density._unit_blocks`` yields for one shard concatenate to it.
     """
     from scipy.stats import qmc
     done, shard = 0, 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bsweyl
-from bsweyl import cli
+from bsweyl import cli, experiments
 from bsweyl.cli import (ENV_OUTDIR, EXPERIMENTS, ConfigError, ExperimentConfig,
                         _action_symbol, _args_to_config, _parser, main)
 from bsweyl.experiments import (BSExactnessConfig, DeformationSplitsConfig,
@@ -241,6 +241,9 @@ class TestExitCodes:
          '{"center":[0.5,0.5],"half_widths":[0.4,0.4],"resolution":["a",4]}'],
         ["count", "--symbol", "coupling-xx", "--window", WIN],
         ["bs", "--symbol", "cho(i,0)", "--window", WIN],
+        ["spectrum", "--basis-size", "70"],
+        ["deform-density", "--G", "coupling-xx", "--t", "0.2", "--samples", "4096",
+         "--window", '{"center":[0.35,0.35],"half_widths":[0.15,0.1]}'],
     ])
     def test_domain_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -364,6 +367,29 @@ def test_bs_builds_no_operator(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.strip().splitlines() == [
             f"config error: bs does not take a {flag[2:].replace('-', '_')!r}"]
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--basis-size", "65"],
+    ["spectrum", "--basis-kind", "torus-fourier", "--basis-size", "32"],
+    ["count", "--basis-size", "65", "--window", WIN],
+    ["random-weyl-migration", "--basis-size", "65"],
+    ["bs-exactness", "--basis-size", "65"],
+])
+def test_capped_basis_builds_no_operator(argv, tmp_path, capsys, monkeypatch):
+    # a basis above DIM_CAP is a config error before any operator is assembled
+    def fail(*a, **k):
+        raise AssertionError("a basis above the cap must not be assembled")
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "quantize_quadratic", fail)
+    monkeypatch.setattr(cli, "quantize_torus", fail)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: 'basis_size' ")
+    assert not any(tmp_path.iterdir())
+    assert ExperimentConfig.from_dict({"experiment": "spectrum", "basis_size": 64}).basis_size == 64
 
 
 def _json_symbol(*terms, n=2):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bsweyl import density, flow
+from bsweyl.audit import audit
 from bsweyl.density import (ActionMap, ComplexWindow,
                             EmptyGridError, SingularActionMapError,
                             action_map_integrable, ellipticity_margin_check,
@@ -546,6 +547,40 @@ class TestBlockedSampling:
         assert grid.stderr.tobytes() == binomial_stderr(counts, self.SAMPLES, scale).tobytes()
 
 
+    def test_no_draw_exceeds_a_block(self, monkeypatch):
+        # every Sobol' span and every iid draw, through a flowing density over
+        # several shards, a volume and an audit, is at most BLOCK rows
+        spans, sizes = [], []
+        sobol_rows, default_rng = density._Sobol.rows, np.random.default_rng
+
+        def recording_rows(eng, start, stop):
+            spans.append(stop - start)
+            return sobol_rows(eng, start, stop)
+
+        class RecordingGenerator:
+            def __init__(self, seed=None):
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def random(self, size):
+                sizes.append(size[0])
+                return self.rng.random(size)
+
+        monkeypatch.setattr(density._Sobol, "rows", recording_rows)
+        monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
+        monkeypatch.setattr(density, "DEFAULT_SHARD", self.SHARD)
+        p, win, box = BLOCKED_CASES["flowing"]()
+        q, qwin, qbox = BLOCKED_CASES["quadratic"]()
+        for sampler in ("sobol", "random"):
+            weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4, sampler=sampler)
+            preimage_volume(q, qwin, qbox, self.SAMPLES, 4, sampler)
+        audit(cho(1.0, complex(0.5, 0.5)), sample_budget=2 * density.BLOCK, seed=0)
+        assert sum(spans) == 2 * self.SAMPLES + 2 * (2 * density.BLOCK)
+        assert sum(sizes) == 2 * self.SAMPLES
+        assert max(spans + sizes) == density.BLOCK
+
 class TestSobol:
     """The in-repo Sobol' engine draws the rows of scipy's qmc.Sobol bit for bit."""
 
@@ -556,13 +591,17 @@ class TestSobol:
     @pytest.mark.parametrize("seed", [0, 5, 123, 2**31 - 1])
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_shards_equal_scipy(self, dim, seed, shard, monkeypatch):
-        # scipy's engine drawn as density._unit_samples draws: len(shard) rows per call
+        # scipy's engine drawn len(shard) rows per call; the blocks of each shard,
+        # concatenated, are those rows and end where the shard ends
         monkeypatch.setattr(density, "DEFAULT_SHARD", shard)
         for total in self.TOTALS:
-            got = density._unit_samples(dim, total, seed, "sobol")
+            got = density._unit_blocks(dim, total, seed, "sobol")
             drawn = 0
             for want in unit_shards(dim, total, seed, "sobol", shard):
-                rows = next(got)
+                blocks = [next(got)]
+                while sum(map(len, blocks)) < len(want):
+                    blocks.append(next(got))
+                rows = np.concatenate(blocks)
                 assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
                 drawn += len(rows)
             assert drawn == total and next(got, None) is None
@@ -570,7 +609,7 @@ class TestSobol:
     @pytest.mark.parametrize("total, warns", [
         (0, False), (1, False), (3, True), (1000, True), (1024, False),
         ((1 << 15) + 3, True), ((1 << 20) + 3, False)])
-    @pytest.mark.parametrize("draw", ["_unit_samples", "_unit_blocks"])
+    @pytest.mark.parametrize("draw", ["_unit_blocks"])
     def test_warns_when_scipy_warns(self, draw, total, warns):
         # scipy warns when its first draw, here the first shard, is no power of two
         with warnings.catch_warnings(record=True) as want:
@@ -586,13 +625,16 @@ class TestSobol:
     @pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
     @pytest.mark.parametrize("sampler", ["sobol", "random"])
     def test_blocks_are_the_rows_of_the_shards(self, sampler, monkeypatch):
-        monkeypatch.setattr(density, "DEFAULT_SHARD", (1 << 15) + 3)
+        shard = (1 << 15) + 3
+        monkeypatch.setattr(density, "DEFAULT_SHARD", shard)
         total = 5 * density.BLOCK + 7
         blocks = list(density._unit_blocks(4, total, 3, sampler))
-        shards = list(density._unit_samples(4, total, 3, sampler))
+        shards = list(unit_shards(4, total, 3, sampler, shard))
         assert max(len(b) for b in blocks) == density.BLOCK
+        block_ends = set(np.cumsum([len(b) for b in blocks]).tolist())
+        assert set(np.cumsum([len(s) for s in shards]).tolist()) <= block_ends
         assert np.concatenate(blocks).tobytes() == np.concatenate(shards).tobytes()
 
     def test_at_most_2_to_the_30_points(self):
         with pytest.raises(ValueError, match="at most 2\\*\\*30"):
-            next(density._unit_samples(2, (1 << 30) + 1, 0, "sobol"))
+            next(density._unit_blocks(2, (1 << 30) + 1, 0, "sobol"))
