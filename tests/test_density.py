@@ -546,7 +546,6 @@ class TestBlockedSampling:
         assert grid.values.tobytes() == (counts * scale).tobytes()
         assert grid.stderr.tobytes() == binomial_stderr(counts, self.SAMPLES, scale).tobytes()
 
-
     def test_no_draw_exceeds_a_block(self, monkeypatch):
         # every Sobol' span and every iid draw, through a flowing density over
         # several shards, a volume and an audit, is at most BLOCK rows
@@ -580,6 +579,7 @@ class TestBlockedSampling:
         assert sum(spans) == 2 * self.SAMPLES + 2 * (2 * density.BLOCK)
         assert sum(sizes) == 2 * self.SAMPLES
         assert max(spans + sizes) == density.BLOCK
+
 
 class TestSobol:
     """The in-repo Sobol' engine draws the rows of scipy's qmc.Sobol bit for bit."""
