@@ -13,6 +13,11 @@ exercise the Bohr-Sommerfeld lattice, the eigenvalue counting laws and
 the deformation experiments: a quadratic generator's flow is affine,
 and a quadratic base composed with it (``DeformedSymbol.closed``) stays
 quadratic.
+
+Both quantizers return a sparse (CSR) operator: p_t at N = 60 stores
+about 8.7 nonzeros per row of its 3600, 0.6 MB against 207 MB dense.
+Only `perturb` returns a dense one, and a solve makes dense only the
+block it reads (see `SpectrumResult`).
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .density import ActionMap, ComplexWindow, DensityGrid, SingularActionMapErr
 from .symbols import SymbolExpr
 
 DIM_CAP = 4096  # largest dimension spectrum() accepts
+ORDER_TOL = 1e-9  # real parts this close in a sorted run are one column of a spectrum's order
+DRAW_BLOCK = 1 << 16  # normal draws per chunk of gaussian_perturbation
 SAFE_FACTOR = 0.6  # fraction of the basis size whose quantum numbers are trusted
 SHIFT_INVERT_GROWTH = 1.25  # margin on each estimate of the eigenvalues a disc holds
 BS_NEWTON_TOL = 1e-10  # round trip |I(z_k) - 2 pi h (k - theta)| accepted by bs_predict
@@ -83,29 +90,48 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    matrix: np.ndarray
+    """An operator in a basis, held as a CSR matrix or a dense ndarray.
+
+    A sparse matrix is kept in canonical form (sorted indices, no
+    duplicate entries); its stored values, or the dense array, are
+    checked finite and frozen.
+    """
+
+    matrix: sparse.csr_matrix | np.ndarray
     basis: BasisSpec
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        if sparse.issparse(self.matrix):
+            m = sparse.csr_matrix(self.matrix, dtype=complex)
+            m.sum_duplicates()
+            stored = (m.data, m.indices, m.indptr)
+        else:
+            m = np.asarray(self.matrix, dtype=complex)
+            stored = (m,)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
-        if not np.all(np.isfinite(m)):
+        if not np.all(np.isfinite(stored[0])):
             raise ValueError("operator matrix has non-finite entries")
-        m.setflags(write=False)
+        for a in stored:
+            a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def toarray(self) -> np.ndarray:
+        """The matrix as a dense ndarray (a new one when it is held sparse)."""
+        return self.matrix.toarray() if sparse.issparse(self.matrix) else self.matrix
+
 
 class SpectrumResult:
     """The spectrum of one operator, solved only as far as it is asked for.
 
-    `eigenvalues` is the full spectrum, sorted lexicographically: a dense
-    backward-stable solve, cached, of each parity block of the operator
-    (see `parity_blocks`).  `in_window` filters that spectrum once it is
+    `eigenvalues` is the full spectrum in column order (see `_ordered`):
+    a dense backward-stable solve, cached, of each parity block of the
+    operator (see `parity_blocks`); a block of a sparse operator is made
+    dense only for its solve.  `in_window` filters that spectrum once it is
     cached; before, it solves each block near the window only (see
     `_shift_invert`) and falls back to the block's dense solve, which it
     caches.  Every solve appends a record to `solves`: its method
@@ -130,15 +156,19 @@ class SpectrumResult:
 
     @cached_property
     def residual_bound(self) -> float:
-        P = self.operator
-        return P.dim * np.finfo(float).eps * float(np.linalg.norm(P.matrix, "fro"))
+        M = self.operator.matrix
+        stored = M.data if sparse.issparse(M) else M  # a sparse matrix's nonzeros
+        return M.shape[0] * np.finfo(float).eps * float(np.linalg.norm(stored))
 
     @cached_property
     def _blocks(self):
         return parity_blocks(self.operator)
 
     def _block(self, idx) -> np.ndarray:
+        """Block idx (None: all), dense; a sparse operator's is a new Fortran-ordered array."""
         M = self.operator.matrix
+        if sparse.issparse(M):
+            return (M if idx is None else M[idx][:, idx]).toarray(order="F")
         return M if idx is None else M[np.ix_(idx, idx)]
 
     def _solve_dense(self, todo):
@@ -180,13 +210,12 @@ class SpectrumResult:
         todo = [i for i in range(n) if i not in self._dense]
         if todo:
             self._record(start, [None] * n, [0] * n, [], self._solve_dense(todo))
-        ev = np.concatenate([self._dense[i] for i in range(n)])
-        ev = ev[np.lexsort((ev.imag, ev.real))]
+        ev = _ordered(np.concatenate([self._dense[i] for i in range(n)]))
         ev.setflags(write=False)
         return ev
 
     def in_window(self, win) -> np.ndarray:
-        """Eigenvalues strictly inside win (a ComplexWindow or re/im bounds), sorted."""
+        """Eigenvalues strictly inside win (a ComplexWindow or re/im bounds), in column order."""
         if "eigenvalues" in self.__dict__ or len(self._dense) == len(self._blocks):
             return _inside(win, self.eigenvalues)
         lo_r, hi_r, lo_i, hi_i = win.bounds if isinstance(win, ComplexWindow) else win
@@ -205,9 +234,8 @@ class SpectrumResult:
             reasons.append(reason)
         todo = [i for i in range(len(self._blocks)) if i not in found and i not in self._dense]
         self._record(start, ks, passes, reasons, self._solve_dense(todo))
-        ev = np.concatenate([_inside(win, found[i] if i in found else self._dense[i])
-                             for i in range(len(self._blocks))])
-        return ev[np.lexsort((ev.imag, ev.real))]
+        return _ordered(np.concatenate([_inside(win, found[i] if i in found else self._dense[i])
+                                        for i in range(len(self._blocks))]))
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -222,6 +250,20 @@ class SpectrumResult:
                        "basis_size": self.basis.size, "delta": self.delta,
                        "seed": self.seed, "residual_bound": self.residual_bound,
                        "count": self.operator.dim, "solves": self.solves}, fh, indent=2)
+
+
+def _ordered(ev) -> np.ndarray:
+    """ev sorted by column, then by imaginary part.
+
+    A column is a run of the sorted real parts whose consecutive gaps
+    are at most ORDER_TOL, so eigenvalues whose real parts agree in
+    exact arithmetic (a lattice column h(k + 1/2)) keep one order when
+    a solve moves them in their last bits.
+    """
+    by_re = np.argsort(ev.real, kind="stable")
+    re = ev.real[by_re]
+    column = np.cumsum(np.diff(re, prepend=re[:1]) > ORDER_TOL)
+    return ev[by_re[np.lexsort((ev.imag[by_re], column))]]
 
 
 def _inside(win, ev) -> np.ndarray:
@@ -239,9 +281,10 @@ def quantize_quadratic(q: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
 
     Each term is a Kronecker product of N x N per-axis factors, looked up
     by the term's (x-power, xi-power) on that axis; the banded factors
-    make each product sparse, and the sum is made dense once.  Same-index x_j xi_j
-    factors are symmetrized, (X P + P X)/2; operators on distinct tensor
-    factors commute so no further ordering enters.
+    make each product sparse, and the operator holds their sum as a CSR
+    matrix, never dense.  Same-index x_j xi_j factors are symmetrized,
+    (X P + P X)/2; operators on distinct tensor factors commute so no
+    further ordering enters.
     """
     if basis.kind != "hermite-tensor":
         raise QuantizationError("quadratic quantization needs a hermite-tensor basis")
@@ -258,11 +301,11 @@ def quantize_quadratic(q: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
     M = sparse.csr_matrix((basis.total_dim,) * 2, dtype=complex)
     for t in q.simplified().terms:
         M = M + t.coeff * reduce(sparse.kron, [factor[f] for f in zip(t.xpow, t.xipow)])
-    return OperatorMatrix(M.toarray(), basis)
+    return OperatorMatrix(M, basis)
 
 
 def quantize_torus(ptilde: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
-    """Diagonal Fourier quantization of an eta-only torus symbol."""
+    """Diagonal Fourier quantization of an eta-only torus symbol, held sparse."""
     if basis.kind != "torus-fourier":
         raise QuantizationError("torus quantization needs a torus-fourier basis")
     for t in ptilde.terms:
@@ -273,7 +316,7 @@ def quantize_torus(ptilde: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
     grids = np.meshgrid(*([ks] * n), indexing="ij")
     eta = h * np.stack([g.ravel() for g in grids], axis=-1).astype(float)
     vals = ptilde.evaluate(np.zeros_like(eta), eta)
-    return OperatorMatrix(np.diag(vals), basis)
+    return OperatorMatrix(sparse.diags(vals, format="csr"), basis)
 
 
 def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
@@ -281,8 +324,9 @@ def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
 
     Entries of the unscaled matrix are CN(0, 1); after the 1/sqrt(dim)
     scaling the expected operator norm of Q is O(1).  Deterministic for
-    fixed seed.  Q is scaled and shifted in place, so only one dim x dim
-    complex matrix is built.
+    fixed seed.  Q is scaled in place and P's stored entries are added
+    into it, so only one dim x dim complex matrix is built; the result
+    is bitwise delta Q + P.toarray().
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -290,15 +334,27 @@ def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
         return P
     Q = gaussian_perturbation(P.dim, seed)
     Q *= delta
-    Q += P.matrix
+    if sparse.issparse(P.matrix):
+        C = P.matrix.tocoo()  # canonical: no index pair twice
+        Q[C.row, C.col] += C.data
+    else:
+        Q += P.matrix
     return OperatorMatrix(Q, P.basis)
 
 
 def gaussian_perturbation(dim: int, seed: int) -> np.ndarray:
-    """The scaled random matrix used by perturb, for direct inspection."""
+    """The scaled random matrix used by perturb, for direct inspection.
+
+    Q is allocated once; its real parts, then its imaginary parts, are
+    drawn DRAW_BLOCK normals at a time in row order, which is the
+    whole-matrix draw's stream.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), dim)))
-    Q = rng.standard_normal((dim, dim)).astype(complex)
-    Q.imag = rng.standard_normal((dim, dim))
+    Q = np.empty((dim, dim), dtype=complex)
+    rows = max(1, DRAW_BLOCK // dim)
+    for part in (Q.real, Q.imag):
+        for i in range(0, dim, rows):
+            part[i:i + rows] = rng.standard_normal((min(rows, dim - i), dim))
     Q /= np.sqrt(2) * np.sqrt(dim)
     return Q
 
@@ -321,14 +377,21 @@ def parity_blocks(P: OperatorMatrix) -> list:
     In a hermite-tensor basis a term of even total degree maps the
     parity of k1 + ... + kn to itself; when both off-parity blocks of
     the matrix are exactly zero, the spectrum is that of the even and
-    the odd block.  Odd-degree terms and perturbations couple them.
+    the odd block.  Odd-degree terms and perturbations couple them.  A
+    sparse matrix is read by its nonzero pattern (explicit zeros do not
+    couple).
     """
     if P.basis.kind != "hermite-tensor":
         return [None]
     parity = np.indices((P.basis.size,) * P.basis.n).sum(axis=0).ravel() % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
     M = P.matrix
-    if not odd.size or M[np.ix_(even, odd)].any() or M[np.ix_(odd, even)].any():
+    if sparse.issparse(M):
+        rows, cols = M.nonzero()
+        coupled = np.any(parity[rows] != parity[cols])
+    else:
+        coupled = M[np.ix_(even, odd)].any() or M[np.ix_(odd, even)].any()
+    if not odd.size or coupled:
         return [None]
     return [even, odd]
 
@@ -393,9 +456,11 @@ def _pinned_eigvals(blocks, control) -> list:
 def _shift_invert(A: np.ndarray, center: complex, radius: float):
     """Every eigenvalue of A within radius of center: (eigenvalues, k, passes, None).
 
-    Factors A - center I once and runs ARPACK for the k largest
-    eigenvalues mu of its inverse (a fixed start vector keeps the result
-    bitwise reproducible); lambda = center + 1/mu are the k eigenvalues
+    Factors A - center I once (in A itself when A is a writeable
+    Fortran-ordered array, as `_block` makes from a sparse operator, else
+    in a copy) and runs ARPACK for the k largest eigenvalues mu of its
+    inverse (a fixed start vector keeps the result bitwise
+    reproducible); lambda = center + 1/mu are the k eigenvalues
     nearest the center.  The first k is SHIFT_INVERT_GROWTH times the
     count of A's diagonal in the disc, which in the Hermite basis follows
     the lattice.  The k hold the disc only when the farthest lies beyond
@@ -410,7 +475,7 @@ def _shift_invert(A: np.ndarray, center: complex, radius: float):
     k = int(np.ceil(SHIFT_INVERT_GROWTH * max(1, inside)))
     passes = 0
     if k <= limit:
-        F = np.array(A, order="F")
+        F = A if A.flags.writeable and A.flags.f_contiguous else np.array(A, order="F")
         F[np.diag_indices(n)] -= center
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)

@@ -273,6 +273,18 @@ def gaussian_perturbation_reference(dim, seed):
     return Q / (np.sqrt(2) * np.sqrt(dim))
 
 
+def column_order_reference(ev, tol):
+    """ev in column order, by a loop: stably sorted by real part, a new column
+    at each gap above tol, then stably sorted by (column, imaginary part)."""
+    by_re = sorted(range(len(ev)), key=lambda i: ev[i].real)
+    column, c = {}, 0
+    for prev, i in zip([None] + by_re, by_re):
+        if prev is not None and ev[i].real - ev[prev].real > tol:
+            c += 1
+        column[i] = c
+    return ev[sorted(by_re, key=lambda i: (column[i], ev[i].imag))]
+
+
 def hamilton_matrix(q):
     """Linearization of the Hamilton field of a homogeneous quadratic symbol."""
     Q, l, _ = symbol_to_quadratic(q)

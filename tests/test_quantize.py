@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from bsweyl import quantize
@@ -14,15 +16,15 @@ from bsweyl import quantize
 from bsweyl.density import ComplexWindow, action_map_integrable, omega_density
 from bsweyl.experiments import BSExactnessConfig, run_bs_exactness
 from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
-from bsweyl.quantize import (BasisSpec, BSLattice, EigensolveError,
+from bsweyl.quantize import (ORDER_TOL, BasisSpec, BSLattice, EigensolveError,
                              OperatorMatrix, QuantizationError, bs_predict,
                              count_and_compare, gaussian_perturbation,
                              parity_blocks, perturb, quantize_quadratic,
                              quantize_torus, spectrum)
 from bsweyl.symbols import SymbolExpr, cho, coupling_xx, torus_coupled, torus_linear
 
-from oracles import (eig2x2, gaussian_perturbation_reference, hamilton_matrix,
-                     harmonic_lattice, ladder_ops, quadratic_exact_spectrum,
+from oracles import (column_order_reference, eig2x2, gaussian_perturbation_reference,
+                     hamilton_matrix, harmonic_lattice, ladder_ops, quadratic_exact_spectrum,
                      quantize_quadratic_dense, quantize_quadratic_kron)
 
 
@@ -31,11 +33,14 @@ def osc_1d_in_2d():
             + SymbolExpr.monomial(0.5, (0, 0), (2, 0)))
 
 
+def p_t_symbol(t=0.2):
+    """cho(1, 0) deformed by the x1 x2 generator to t."""
+    return deformed_quadratic(DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), t))
+
+
 def p_t_operator(N, h=0.05, t=0.2):
-    """cho(1, 0) deformed by the x1 x2 generator, quantized at N per axis."""
-    p_t = deformed_quadratic(
-        DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), t))
-    return quantize_quadratic(p_t, BasisSpec("hermite-tensor", N, h))
+    """p_t quantized at N per axis."""
+    return quantize_quadratic(p_t_symbol(t), BasisSpec("hermite-tensor", N, h))
 
 
 def dense_in_window(M, win):
@@ -62,10 +67,10 @@ class TestQuantizeQuadratic:
             SymbolExpr.monomial(0.5, (2,), (0,), n=1)
             + SymbolExpr.monomial(0.5, (0,), (2,), n=1), basis)
         # exactly diagonal with h(k+1/2), except the truncated top state
-        off = M.matrix - np.diag(np.diag(M.matrix))
+        off = M.toarray() - np.diag(np.diag(M.toarray()))
         assert np.max(np.abs(off)) == 0.0
         want = h * (np.arange(N) + 0.5)
-        got = np.diag(M.matrix).real
+        got = np.diag(M.toarray()).real
         assert np.allclose(got[:-1], want[:-1], atol=1e-14)
 
     def test_cho_separable_lattice(self):
@@ -83,7 +88,7 @@ class TestQuantizeQuadratic:
         h, N = 0.1, 8
         basis = BasisSpec("hermite-tensor", N, h, n=1)
         q = SymbolExpr.monomial(1.0, (1,), (1,), n=1)
-        M = quantize_quadratic(q, basis).matrix
+        M = quantize_quadratic(q, basis).toarray()
         X, P = ladder_ops(N, h)
         want = 0.5 * (X @ P + P @ X)
         assert np.max(np.abs(M - want)) <= 1e-14
@@ -99,11 +104,11 @@ class TestQuantizeQuadratic:
         for e in exps:
             coeff = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             q = SymbolExpr.monomial(coeff, e[:n], e[n:], n=n)
-            got = quantize_quadratic(q, basis).matrix
+            got = quantize_quadratic(q, basis).toarray()
             assert np.max(np.abs(got - quantize_quadratic_dense(q, N, h))) <= 1e-14, e
         q = sum((SymbolExpr.monomial(complex(*rng.uniform(-2, 2, 2)), e[:n], e[n:], n=n)
                  for e in exps), SymbolExpr.zero(n))
-        got = quantize_quadratic(q, basis).matrix
+        got = quantize_quadratic(q, basis).toarray()
         assert np.max(np.abs(got - quantize_quadratic_dense(q, N, h))) <= 1e-14
 
     @pytest.mark.parametrize("N, n", [*itertools.product([1, 5, 12], [1, 2, 3]), (40, 2)])
@@ -115,7 +120,7 @@ class TestQuantizeQuadratic:
             picked = [e for e in exps if rng.random() < 0.6]
             q = sum((SymbolExpr.monomial(complex(*rng.uniform(-2, 2, 2)), e[:n], e[n:], n=n)
                      for e in picked), SymbolExpr.zero(n))
-            got = quantize_quadratic(q, BasisSpec("hermite-tensor", N, 0.05, n=n)).matrix
+            got = quantize_quadratic(q, BasisSpec("hermite-tensor", N, 0.05, n=n)).toarray()
             want = quantize_quadratic_kron(q, N, 0.05)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -135,7 +140,7 @@ class TestQuantizeQuadratic:
         assert q.is_real_on_reals()
         basis = BasisSpec("hermite-tensor", 10, 0.1)
         M = quantize_quadratic(q, basis)
-        m = M.matrix
+        m = M.toarray()
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12 * max(np.max(np.abs(m)), 1.0)
         s = spectrum(M)
         assert np.max(np.abs(s.eigenvalues.imag)) <= 1e-10
@@ -147,13 +152,13 @@ class TestQuantizeTorus:
         M = quantize_torus(torus_linear(), basis)
         ks = np.arange(-3, 4)
         want = (0.1 * ks[:, None] + 0.1j * ks[None, :]).ravel()
-        got = np.sort_complex(np.diag(M.matrix))
+        got = np.sort_complex(np.diag(M.toarray()))
         assert np.allclose(got, np.sort_complex(want), atol=1e-15)
 
     def test_constant_symbol_scalar_matrix(self):
         basis = BasisSpec("torus-fourier", 2, 0.1)
         M = quantize_torus(SymbolExpr.constant(2.0 + 1.0j), basis)
-        assert np.allclose(M.matrix, (2.0 + 1.0j) * np.eye(25))
+        assert np.allclose(M.toarray(), (2.0 + 1.0j) * np.eye(25))
 
     def test_rejects_angle_dependence(self):
         basis = BasisSpec("torus-fourier", 2, 0.1)
@@ -184,10 +189,10 @@ class TestPerturb:
     def test_deterministic_given_seed(self):
         basis = BasisSpec("hermite-tensor", 6, 0.1)
         P = quantize_quadratic(cho(1.0, 0.0), basis)
-        a = perturb(P, 1e-3, 42).matrix
-        b = perturb(P, 1e-3, 42).matrix
+        a = perturb(P, 1e-3, 42).toarray()
+        b = perturb(P, 1e-3, 42).toarray()
         assert np.array_equal(a, b)
-        c = perturb(P, 1e-3, 43).matrix
+        c = perturb(P, 1e-3, 43).toarray()
         assert not np.array_equal(a, c)
 
     def test_frobenius_concentration(self):
@@ -206,8 +211,8 @@ class TestPerturb:
         basis = BasisSpec("hermite-tensor", 2, 0.1, n=1)
         J = OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), basis)
         Pd = perturb(J, delta, 7)
-        ev = np.linalg.eigvals(Pd.matrix)
-        a, b, c, d = Pd.matrix[0, 0], Pd.matrix[0, 1], Pd.matrix[1, 0], Pd.matrix[1, 1]
+        ev = np.linalg.eigvals(Pd.toarray())
+        a, b, c, d = Pd.toarray()[0, 0], Pd.toarray()[0, 1], Pd.toarray()[1, 0], Pd.toarray()[1, 1]
         want = eig2x2(a, b, c, d)
         assert np.max(np.abs(np.sort_complex(ev)
                              - np.sort_complex(np.array(want)))) <= 1e-12
@@ -222,8 +227,8 @@ class TestPerturb:
         assert np.array_equal(Q.view(np.uint64), ref.view(np.uint64))
         N = int(round(np.sqrt(dim)))
         P = quantize_quadratic(cho(1.0, 0.0), BasisSpec("hermite-tensor", N, 0.1))
-        got = perturb(P, 1e-4, seed).matrix
-        assert np.array_equal(got.view(np.uint64), (P.matrix + 1e-4 * ref).view(np.uint64))
+        got = perturb(P, 1e-4, seed).toarray()
+        assert np.array_equal(got.view(np.uint64), (P.toarray() + 1e-4 * ref).view(np.uint64))
 
 
 class TestSpectrum:
@@ -235,11 +240,32 @@ class TestSpectrum:
         assert np.allclose(np.sort_complex(s.eigenvalues), np.sort_complex(d),
                            atol=1e-12)
 
-    def test_sorted_lexicographically(self):
+    def test_sorted_by_column(self):
         basis = BasisSpec("hermite-tensor", 4, 0.1)
         s = spectrum(quantize_quadratic(cho(1.0, 0.0), basis))
         ev = s.eigenvalues
-        assert np.array_equal(ev, ev[np.lexsort((ev.imag, ev.real))])
+        assert np.array_equal(ev, column_order_reference(ev, ORDER_TOL))
+
+    def test_last_bit_noise_keeps_the_lattice_order(self):
+        # a 21 x 21 lattice in its (column, imag) order, each point moved by
+        # about 1e-13, on a shuffled diagonal: both the full spectrum and a
+        # shift-invert window come back in the lattice's order
+        rng = np.random.default_rng(3)
+        lat = harmonic_lattice(0.05, 21)
+        lat = lat[np.lexsort((lat.imag, lat.real))]
+        noisy = lat + 1e-13 * (rng.standard_normal(441) + 1j * rng.standard_normal(441))
+        shuffle = rng.permutation(441)
+        M = OperatorMatrix(sparse.diags(noisy[shuffle], format="csr"),
+                           BasisSpec("torus-fourier", 10, 0.05))
+        s = spectrum(M)
+        win = (0.2, 0.45, 0.2, 0.45)
+        got = s.in_window(win)
+        assert s.solves[0]["method"] == "shift-invert"
+        want = noisy[(noisy.real > 0.2) & (noisy.real < 0.45)
+                     & (noisy.imag > 0.2) & (noisy.imag < 0.45)]
+        assert got.size == want.size == 25
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(spectrum(M).eigenvalues, noisy)
 
     def test_dimension_cap(self):
         basis = BasisSpec("hermite-tensor", 70, 0.05)
@@ -440,7 +466,7 @@ class TestParityBlocks:
         assert s.solves[0]["blocks"] == [N * N // 2] * 2
         # compare inside the truncation-clean region 0.42 N h
         win = (0.0, 0.42 * N * h, 0.0, 0.42 * N * h)
-        full = dense_in_window(P.matrix, win)
+        full = dense_in_window(P.toarray(), win)
         inside = s.in_window(win)
         q = deformed_quadratic(
             DeformedSymbol(cho(1.0, 0.0), Deformation((coupling_xx(),)), 0.2))
@@ -451,7 +477,7 @@ class TestParityBlocks:
         assert hausdorff(inside, full) <= 1e-10
         assert hausdorff(inside, exact) <= 1e-9
         assert ev.size == P.dim
-        assert np.array_equal(ev, ev[np.lexsort((ev.imag, ev.real))])
+        assert np.array_equal(ev, column_order_reference(ev, ORDER_TOL))
 
     def test_linear_term_is_not_split(self):
         q = deformed_quadratic(
@@ -471,6 +497,70 @@ class TestParityBlocks:
                                             BasisSpec("torus-fourier", 3, 0.1))) == [None]
 
 
+def odd_symbol():
+    """p_t plus every monomial of degree <= 1 with a small random complex coefficient."""
+    rng = np.random.default_rng(4)
+    exps = [e for e in itertools.product(range(2), repeat=4) if sum(e) <= 1]
+    return sum((SymbolExpr.monomial(complex(*rng.uniform(-0.05, 0.05, 2)), e[:2], e[2:])
+                for e in exps), p_t_symbol())
+
+
+class TestSparseOperators:
+    def test_c7_operator_is_held_sparse(self):
+        # p_t at C7's N = 60 (dim 3600): a dense copy alone would be 207 MB
+        q, basis = p_t_symbol(), BasisSpec("hermite-tensor", 60, 0.05)
+        tracemalloc.start()
+        try:
+            P = quantize_quadratic(q, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sparse.issparse(P.matrix) and P.matrix.format == "csr"
+        assert 8.5 <= P.matrix.nnz / P.dim <= 9.0
+        assert peak < 30e6
+        assert len(parity_blocks(P)) == 2
+
+    def test_sparse_matrix_is_checked_canonical_and_frozen(self):
+        basis = BasisSpec("hermite-tensor", 2, 0.1, n=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            OperatorMatrix(sparse.csr_matrix(np.array([[np.nan, 0], [0, 1]])), basis)
+        # a duplicate (0, 0) entry is summed; an explicit zero off the parity
+        # blocks does not couple them
+        M = sparse.csr_matrix(([1.0, 2.0, 0.0, 3.0], ([0, 0, 0, 1], [0, 0, 1, 1])), shape=(2, 2))
+        P = OperatorMatrix(M, basis)
+        assert P.matrix.has_canonical_format and P.matrix.dtype == complex
+        assert np.array_equal(P.toarray(), np.diag([3.0, 3.0]))
+        assert not any(a.flags.writeable for a in (P.matrix.data, P.matrix.indices,
+                                                    P.matrix.indptr))
+        assert len(parity_blocks(P)) == 2
+
+    @pytest.mark.parametrize("symbol", [p_t_symbol, odd_symbol])
+    def test_sparse_and_dense_held_agree_bitwise(self, symbol):
+        basis = BasisSpec("hermite-tensor", 24, 0.05)
+        P = quantize_quadratic(symbol(), basis)
+        D = OperatorMatrix(P.toarray(), basis)
+        assert sparse.issparse(P.matrix) and not sparse.issparse(D.matrix)
+        blocks = parity_blocks(P)
+        assert len(blocks) == (2 if symbol is p_t_symbol else 1)
+        assert all(a is b is None or np.array_equal(a, b)
+                   for a, b in zip(blocks, parity_blocks(D), strict=True))
+        methods = set()
+        for win in (COUNT_WINDOW, (0.0, 0.85, 0.0, 0.85)):
+            sp, de = spectrum(P), spectrum(D)
+            a, b = sp.in_window(win), de.in_window(win)
+            assert a.size > 0 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            keys = ("method", "blocks", "k", "passes", "fallback")
+            assert [[r[k] for k in keys] for r in sp.solves] == [[r[k] for k in keys]
+                                                                 for r in de.solves]
+            methods.update(r["method"] for r in sp.solves)
+        assert "shift-invert" in methods and methods & {"dense", "dense-blocks"}
+        a, b = spectrum(P).eigenvalues, spectrum(D).eigenvalues
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert spectrum(P).residual_bound == pytest.approx(spectrum(D).residual_bound, rel=1e-14)
+        a, b = perturb(P, 1e-4, 2).matrix, perturb(D, 1e-4, 2).matrix
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.fixture(scope="module")
 def p_t_1600():
     return p_t_operator(40)
@@ -485,10 +575,10 @@ class TestWindowedSpectrum:
         (rec,) = s.solves
         assert rec["method"] == "shift-invert" and rec["blocks"] == [1600]
         assert rec["fallback"] is None and rec["passes"] == [1]
-        want = dense_in_window(Pd.matrix, COUNT_WINDOW)
+        want = dense_in_window(Pd.toarray(), COUNT_WINDOW)
         assert got.size == want.size == 24
         assert hausdorff(got, want) <= 1e-10
-        assert np.array_equal(got, got[np.lexsort((got.imag, got.real))])
+        assert np.array_equal(got, column_order_reference(got, ORDER_TOL))
 
     def test_large_window_takes_dense_fallback(self):
         Pd = perturb(p_t_operator(24), 1e-4, 3)
@@ -517,7 +607,7 @@ class TestWindowedSpectrum:
         assert a.size > 0
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         assert np.array_equal(a.view(np.uint64), c.view(np.uint64))
-        assert hausdorff(a, dense_in_window(Pd.matrix, COUNT_WINDOW)) <= 1e-10
+        assert hausdorff(a, dense_in_window(Pd.toarray(), COUNT_WINDOW)) <= 1e-10
 
     def test_parity_blocks_solved_by_shift_invert(self, p_t_1600):
         s = spectrum(p_t_1600)
