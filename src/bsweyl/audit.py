@@ -8,6 +8,7 @@ of the zero set.  Flags are tri-state: "pass" / "fail" / "not-checked".
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, asdict
 
@@ -20,6 +21,7 @@ from .symbols import SymbolExpr, real_bracket
 
 ZERO_TOL = 1e-10  # |p| at which a point counts as on the zero set
 INDEPENDENCE_MIN = 1e-6  # |d Re p ^ d Im p| on the zero set below which independence fails
+CLUSTER_PAIRS = 1 << 18  # neighbour pairs read at once by _components
 
 
 @dataclass
@@ -73,15 +75,43 @@ def _independence_measure(p: SymbolExpr, pts):
     return np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
 
 
-def _single_cluster(pts, radius=0.2) -> bool:
-    """Single-linkage connectivity at the given radius: one connected component."""
+def _components(pts, radius=0.2) -> int:
+    """Connected components of the graph that joins points at distance <= radius.
+
+    Neighbour lists are read for about CLUSTER_PAIRS pairs at a time (at
+    least one point's) and merged into a union-find forest, so memory is
+    bounded by the pairs of one chunk, not by every pair of the cloud.
+    """
     from scipy.spatial import cKDTree  # imported here: it alone costs about 0.1 s
 
     m = len(pts)
-    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
-                       shape=(m, m))
-    return connected_components(graph, directed=False)[0] == 1
+    tree = cKDTree(pts)
+    chunk = np.cumsum(tree.query_ball_point(pts, radius, return_length=True)) // CLUSTER_PAIRS
+    starts = np.flatnonzero(np.diff(chunk, prepend=-1))
+    parent = np.arange(m)  # a root is its own parent; a root is its tree's smallest point
+
+    def find(x):
+        r = parent[x]
+        while not np.array_equal(up := parent[r], r):
+            r = up
+        parent[x] = r
+        return r
+
+    for lo, hi in zip(starts, [*starts[1:], m]):
+        nbrs = tree.query_ball_point(pts[lo:hi], radius)
+        i = np.repeat(np.arange(lo, hi), [len(js) for js in nbrs])
+        a, b = find(i), find(np.fromiter(itertools.chain.from_iterable(nbrs), np.intp, i.size))
+        keep = a != b
+        a, b = a[keep], b[keep]
+        if a.size:  # merge the trees the chunk's edges join, each under its smallest root
+            roots, at = np.unique(np.concatenate([a, b]), return_inverse=True)
+            graph = coo_matrix((np.ones(a.size, dtype=np.int8), (at[:a.size], at[a.size:])),
+                               shape=(roots.size, roots.size))
+            n, label = connected_components(graph, directed=False)
+            smallest = np.full(n, m)
+            np.minimum.at(smallest, label, roots)
+            parent[roots] = smallest[label]
+    return int(np.count_nonzero(parent == np.arange(m)))
 
 
 def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
@@ -118,7 +148,7 @@ def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
             bvals = br.evaluate(zero_pts[:, :n], zero_pts[:, n:])
             br_max = float(np.max(np.abs(bvals.real)))
         br_flag = "pass" if br_max < bracket_threshold else "fail"
-        conn = "pass" if _single_cluster(zero_pts) else "fail"
+        conn = "pass" if _components(zero_pts) == 1 else "fail"
 
     return AuditReport(
         ellipticity_min_abs=ell_min, ellipticity_threshold=ell_thresh,

@@ -18,23 +18,30 @@ is unchanged by the deformation, so omega of the base is used as is.
 box of actions) share one histogram estimator, ``_histogram``.
 
 Every sample, Sobol' or iid, is drawn, scaled to the box, evaluated
-and binned one block (``BLOCK`` = 2^14 rows) at a time, by the one draw
-stream ``_unit_blocks``, so every temporary stays cache-sized and no
-whole shard is held.  A shard (``DEFAULT_SHARD`` = 2^20 rows) fixes only
-the per-shard seeds of the iid sampler, the balanced Sobol' blocks and
-the flow's batches: no block crosses a shard's end.  When a deformed
-symbol has no closed form, only the samples that can land in the window
-go through the flow, a block of them at a time (see
-``_sampled_values``).  The Sobol' points are scipy's, drawn by an
-in-module generator (``_Sobol``).
+and binned one block (``BLOCK`` = 2^14 rows) at a time, by the draw
+stream of its shard (``_shards``), so every temporary stays cache-sized
+and no whole shard is held.  A shard (``DEFAULT_SHARD`` = 2^20 rows)
+fixes the per-shard seeds of the iid sampler, the balanced Sobol' blocks
+and the flow's batches: no block crosses a shard's end.  The shards of
+one estimate run concurrently, one thread per CPU (``map_on_cpus``), and
+their integer counts are summed, so the grids and volumes do not depend
+on the number of workers.  When a deformed symbol has no closed form,
+only the samples that can land in the window go through the flow, a
+block of them at a time (see ``_map_shards``).  The Sobol' points are
+scipy's, drawn by an in-module generator (``_Sobol``).
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
+import os
+import threading
 import warnings
+import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -108,6 +115,15 @@ class ComplexWindow:
         edges = np.linspace(lo, hi, self.resolution[1] + 1)
         edges.setflags(write=False)
         return edges
+
+    @cached_property
+    def cell_bounds(self):
+        """Per axis, (lo, hi, nb / (hi - lo), lower, upper) for binning:
+        lower[i] and upper[i] are cell i's edges, with lower[nb] and
+        upper[nb - 1] infinite (see ``_axis_index``)."""
+        inf = [np.inf]
+        return tuple((e[0], e[-1], (len(e) - 1) / (e[-1] - e[0]), np.concatenate([e[:-1], inf]),
+                      np.concatenate([e[1:-1], inf])) for e in (self.re_edges, self.im_edges))
 
     @property
     def cell_area(self) -> float:
@@ -202,12 +218,32 @@ class DensityGrid:
 
 
 @functools.cache
-def _sobol_table():
-    """(poly, vinit): the primitive polynomials and initial direction numbers
-    of Joe & Kuo (SIAM J. Sci. Comput. 2008), from the file scipy ships for
-    its Sobol' engine; read by path, so scipy.stats is never imported."""
-    with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as f:
-        return f["poly"], f["vinit"]
+def _sobol_table(dim):
+    """(poly, vinit) of the first dim dimensions: the primitive polynomials
+    and initial direction numbers of Joe & Kuo (SIAM J. Sci. Comput.
+    2008), from the file scipy ships for its Sobol' engine.  Each .npy
+    member is streamed out of the archive, header first, and only its
+    first dim rows are kept: the whole table is 21,201 rows.  Read by
+    path, so scipy.stats is never imported."""
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with zipfile.ZipFile(path) as zf:
+        return tuple(_npy_head(zf, name, dim) for name in ("poly.npy", "vinit.npy"))
+
+
+def _npy_head(zf, name, rows):
+    """The first rows rows of a 1-d or Fortran-ordered 2-d .npy member of zf."""
+    fmt = np.lib.format
+    with zf.open(name) as fh:
+        version = fmt.read_magic(fh)
+        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, fortran, dtype = read_header(fh)
+        if len(shape) == 2 and not fortran:
+            raise ValueError(f"{name}: a Fortran-ordered table is expected")
+        out = np.empty((rows,) + shape[1:], dtype=dtype, order="F")
+        for col in out.reshape(rows, -1, order="F").T:  # each column is contiguous in the file
+            col[:] = np.frombuffer(fh.read(rows * dtype.itemsize), dtype=dtype)
+            fh.seek((shape[0] - rows) * dtype.itemsize, 1)
+        return out
 
 
 class _Sobol:
@@ -227,7 +263,7 @@ class _Sobol:
     """
 
     def __init__(self, dim, seed):
-        poly, vinit = _sobol_table()
+        poly, vinit = _sobol_table(dim)
         v = np.ones((dim, SOBOL_BITS), dtype=np.uint32)
         for d in range(1, dim):
             p = int(poly[d])
@@ -255,28 +291,30 @@ class _Sobol:
         self.low = low
 
     def rows(self, start, stop):
-        """Points start, ..., stop - 1 as a (stop - start, dim) float array."""
-        out = np.empty((stop - start, len(self.shift)))
+        """Points start, ..., stop - 1 as a (stop - start, dim) float array,
+        Fortran-ordered: each coordinate's column is contiguous."""
+        out = np.empty((len(self.shift), stop - start)).T
         for b in range(start // BLOCK, -(-stop // BLOCK)):
             g = b * BLOCK ^ (b * BLOCK >> 1)  # gray code of the block's first point
             head = self.shift ^ np.bitwise_xor.reduce(
-                self.v[:, (g >> np.arange(SOBOL_BITS)) & 1 == 1], axis=1, initial=0)
+                self.v[:, [j for j in range(SOBOL_BITS) if g >> j & 1]], axis=1, initial=0)
             lo, hi = max(start, b * BLOCK), min(stop, (b + 1) * BLOCK)
-            for d, h in enumerate(head):  # one column at a time: long inner loops
-                np.multiply(self.low[d, lo - b * BLOCK:hi - b * BLOCK] ^ h,
-                            2.0 ** -SOBOL_BITS, out=out[lo - start:hi - start, d])
+            np.multiply(self.low[:, lo - b * BLOCK:hi - b * BLOCK] ^ head[:, None],
+                        2.0 ** -SOBOL_BITS, out=out.T[:, lo - start:hi - start])
         return out
 
 
-def _unit_blocks(dim, total, seed, sampler):
-    """Yield the points of a run in [0,1)^dim, at most BLOCK rows at a time.
+def _shards(dim, total, seed, sampler):
+    """The shards of a run: one generator per shard, yielding its points in
+    [0,1)^dim at most BLOCK rows at a time.
 
-    The run is walked shard by shard (DEFAULT_SHARD rows, read at call
-    time) and no block crosses a shard's end.  Sobol' rows continue one
-    sequence of ``_Sobol``; like scipy's engine it holds at most
-    2^SOBOL_BITS points and warns when its first draw, here the first
-    shard, is no power of two.  iid rows come from the generator seeded
-    by (seed, shard index), drawn one block at a time.
+    A shard is DEFAULT_SHARD rows (read at call time), the last one
+    ragged.  Sobol' rows continue one sequence of ``_Sobol``; like
+    scipy's engine it holds at most 2^SOBOL_BITS points and warns when
+    its first draw, here the first shard, is no power of two.  iid rows
+    come from the generator seeded by (seed, shard index).  The checks
+    and the warning happen here, in the calling thread; each generator
+    may then be drained on any thread.
     """
     if sampler == "sobol":
         if total > 1 << SOBOL_BITS:
@@ -284,31 +322,80 @@ def _unit_blocks(dim, total, seed, sampler):
         first = min(DEFAULT_SHARD, total)
         if first & (first - 1):
             warnings.warn("The balance properties of Sobol' points require n to be a power of 2.",
-                          stacklevel=2)
+                          stacklevel=3)
         eng = _Sobol(dim, seed)
     elif sampler != "random":
         raise ValueError(f"unknown sampler {sampler!r} (use 'sobol' or 'random')")
-    for shard, lo in enumerate(range(0, total, DEFAULT_SHARD)):
-        hi = min(lo + DEFAULT_SHARD, total)
+
+    def blocks(shard, lo, hi):
         if sampler == "random":
             rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
         for start in range(lo, hi, BLOCK):
             stop = min(start + BLOCK, hi)
             yield eng.rows(start, stop) if sampler == "sobol" else rng.random((stop - start, dim))
 
+    return [blocks(shard, lo, min(lo + DEFAULT_SHARD, total))
+            for shard, lo in enumerate(range(0, total, DEFAULT_SHARD))]
 
-def _axis_index(x, edges):
-    """Cell index of each x in [edges[0], edges[-1]] for uniform edges.
 
-    The arithmetic index is corrected against the edges themselves, as
-    np.histogram does on uniform bins, so the cells are those of
-    searchsorted; x == edges[-1] goes to the last cell.
+def _unit_blocks(dim, total, seed, sampler):
+    """Every point of a run in [0,1)^dim, the blocks of its shards in order."""
+    return itertools.chain.from_iterable(_shards(dim, total, seed, sampler))
+
+
+def map_on_cpus(fn, items) -> list:
+    """[fn(item) for item in items], run on one thread per CPU at most.
+
+    The calling thread runs the first item and worker threads start on
+    the next ones; each thread then takes the next item not yet taken.
+    There are min(len(items), CPUs of the process) threads, so one item
+    or one CPU runs in series on the calling thread.  An exception in
+    any call stops the threads from taking more items and is raised in
+    the caller as it was raised.
     """
-    nb = len(edges) - 1
-    lo, hi = edges[0], edges[-1]
-    i = np.minimum(((x - lo) * (nb / (hi - lo))).astype(np.intp), nb - 1)  # x >= lo: floor
-    i -= x < edges[i]
-    i += (x >= edges[i + 1]) & (i != nb - 1)
+    items = list(items)
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    order = iter(range(1, len(items)))
+    lock, failed = threading.Lock(), threading.Event()
+
+    def run(i):
+        try:
+            results[i] = fn(items[i])
+        except BaseException:
+            failed.set()
+            raise
+
+    def drain():
+        while not failed.is_set():
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            run(i)
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(drain) for _ in range(workers - 1)]
+        run(0)
+        drain()
+        for f in rest:
+            f.result()
+    return results
+
+
+def _axis_index(x, lo, scale, lower, upper):
+    """Cell index of each x in [lo, hi] on one axis of ``ComplexWindow.cell_bounds``.
+
+    The arithmetic index, in [0, nb], is corrected against the edges
+    themselves, as np.histogram does on uniform bins, so the cells are
+    those of searchsorted; lower[nb] and upper[nb - 1] are infinite, so
+    x == hi goes to the last cell.
+    """
+    i = ((x - lo) * scale).astype(np.intp)
+    i -= x < lower[i]
+    i += x >= upper[i]
     return i
 
 
@@ -319,64 +406,65 @@ def _bin(vals, win: ComplexWindow):
     outside the closed window are dropped and the last cell of each axis
     is closed.
     """
-    re_edges, im_edges = win.re_edges, win.im_edges
+    (rlo, rhi, *re_cells), (ilo, ihi, *im_cells) = win.cell_bounds
     x, y = vals.real, vals.imag
-    keep = ((x >= re_edges[0]) & (x <= re_edges[-1])
-            & (y >= im_edges[0]) & (y <= im_edges[-1]))
-    x, y = x[keep], y[keep]
+    z = vals[(x >= rlo) & (x <= rhi) & (y >= ilo) & (y <= ihi)]
     nr, ni = win.resolution
-    idx = _axis_index(x, re_edges) * ni + _axis_index(y, im_edges)
+    idx = _axis_index(z.real, rlo, *re_cells)
+    idx *= ni
+    idx += _axis_index(z.imag, ilo, *im_cells)
     return np.bincount(idx, minlength=nr * ni).reshape(nr, ni)
 
 
-def _sampled_values(p, win, dim, points, samples, seed, sampler):
-    """Yield (p at a block of sample points, samples flowed), block by block.
+def _map_shards(p, win, dim, points, samples, seed, sampler, tally):
+    """[(sum of tally(p at each block of points), samples flowed)], one per shard.
 
-    ``points`` maps a block of unit-cube rows in [0,1)^dim to the (x, xi)
-    where p is evaluated; a DeformedSymbol with a closed form is resolved
-    to it once.  A DeformedSymbol that flows is flowed only where it can
-    land in the closed window: p_t(rho) lies within displacement_bound(rho)
-    of p(rho), so a sample farther than that from the window lands outside
-    it and is dropped.  The pre-filter keeps the rows of each block; at
-    each shard's end the kept rows are flowed BLOCK at a time, so each
-    RK45 batch is full.
+    The shards run on ``map_on_cpus``; every check runs here, in the
+    calling thread, before any shard starts.  ``points`` maps a fresh
+    block of unit-cube rows in [0,1)^dim, in place, to the (x, xi) where
+    p is evaluated; a DeformedSymbol with a closed form is resolved to it
+    once.  A DeformedSymbol that flows is flowed only where it can land
+    in the closed window: p_t(rho) lies within displacement_bound(rho) of
+    p(rho), so a sample farther than that from the window lands outside
+    it and is dropped.  The pre-filter keeps the mapped rows of each
+    block; at the shard's end the kept rows are flowed BLOCK at a time,
+    so each RK45 batch is full.  Blocks go through ``map``, which
+    lets go of each block before it draws the next one.
     """
     flows = isinstance(p, DeformedSymbol) and p.flows
     if isinstance(p, DeformedSymbol) and not flows:
         p = closed_form(p)
-    kept, drawn = [], 0
-    for block in _unit_blocks(dim, samples, seed, sampler):
+    n = p.n
+
+    def kept(u):
+        x, xi = points(u)
+        return u[win.distance(p.base.evaluate(x, xi)) <= p.displacement_bound(x, xi)]
+
+    def shard(blocks):
         if not flows:
-            # only the block is held across the yield: keeping its scaled copy
-            # alive as well slowed a weyl-sampling pass by 4%
-            yield p.evaluate(*points(block)), 0
-            continue
-        x, xi = points(block)
-        kept.append(block[win.distance(p.base.evaluate(x, xi)) <= p.displacement_bound(x, xi)])
-        drawn += len(block)
-        if drawn % DEFAULT_SHARD and drawn < samples:
-            continue  # the shard goes on
-        kept = np.concatenate(kept)
-        for start in range(0, len(kept), BLOCK):
-            x, xi = points(kept[start:start + BLOCK])
-            yield p.evaluate(x, xi), len(x)
-        kept = []
+            return sum(map(tally, map(lambda u: p.evaluate(*points(u)), blocks))), 0
+        q = np.concatenate(list(map(kept, blocks)))
+        return sum(tally(p.evaluate(q[i:i + BLOCK, :n], q[i:i + BLOCK, n:]))
+                   for i in range(0, len(q), BLOCK)), len(q)
+
+    return map_on_cpus(shard, _shards(dim, samples, seed, sampler))
 
 
 def _histogram(p, win, dim, points, measure, samples, seed, sampler, meta):
     """The pushforward of ``measure`` times the uniform law on the sampled box.
 
     Bins p at ``samples`` points of [0,1)^dim mapped by ``points`` and
-    scales the counts by measure / (samples * cell area).  The standard
-    error is the per-cell binomial estimate (conservative for the
-    low-discrepancy sampler).  ``meta(flowed)`` is the grid's meta,
-    given the number of samples that went through a flow.
+    scales the counts by measure / (samples * cell area).  Each shard's
+    counts are integers, so their sum does not depend on which thread
+    binned which shard.  The standard error is the per-cell binomial
+    estimate (conservative for the low-discrepancy sampler).
+    ``meta(flowed)`` is the grid's meta, given the number of samples that
+    went through a flow.
     """
-    counts = np.zeros(tuple(win.resolution), dtype=np.int64)
-    flowed = 0
-    for vals, k in _sampled_values(p, win, dim, points, samples, seed, sampler):
-        counts += _bin(vals, win)
-        flowed += k
+    shards = _map_shards(p, win, dim, points, samples, seed, sampler,
+                         lambda vals: _bin(vals, win))
+    counts = sum((c for c, _ in shards), np.zeros(tuple(win.resolution), dtype=np.int64))
+    flowed = sum(k for _, k in shards)
     if counts.sum() == 0:
         raise EmptyGridError("no sample landed in the window")
     scale = measure / (samples * win.cell_area)
@@ -388,10 +476,11 @@ def _histogram(p, win, dim, points, measure, samples, seed, sampler, meta):
 
 
 def _box_points(n, box_radius):
-    """Map unit rows to (x, xi) in the real box {|(x, xi)|_inf <= box_radius}."""
+    """Map unit rows, in place, to (x, xi) in the real box {|(x, xi)|_inf <= box_radius}."""
     def points(u):
-        q = -box_radius + 2 * box_radius * u
-        return q[:, :n], q[:, n:]
+        u *= 2 * box_radius  # -r + 2r u, bit for bit
+        u -= box_radius
+        return u[:, :n], u[:, n:]
     return points
 
 
@@ -422,9 +511,11 @@ def weyl_density_torus(ptilde: SymbolExpr, win: ComplexWindow, eta_box,
     (lo1, hi1), (lo2, hi2) = eta_box
     area = (hi1 - lo1) * (hi2 - lo2)
 
-    def points(u):  # x = 0, the actions eta in eta_box
-        eta = np.stack([lo1 + (hi1 - lo1) * u[:, 0], lo2 + (hi2 - lo2) * u[:, 1]], axis=-1)
-        return np.zeros_like(eta), eta
+    def points(u):  # x = 0 (ptilde has no x terms), the actions eta in eta_box
+        for j, (lo, hi) in enumerate(eta_box):
+            u[:, j] *= hi - lo  # lo + (hi - lo) u, bit for bit
+            u[:, j] += lo
+        return np.zeros((1, 2)), u
 
     return _histogram(ptilde, win, 2, points, TWO_PI_SQ * area, samples, seed, sampler,
                       lambda _: {"samples": samples, "seed": seed, "sampler": sampler,
@@ -568,10 +659,9 @@ def preimage_volume(p, window_or_bounds, box_radius=4.0, samples=10_000_000,
     if not isinstance(win, ComplexWindow):
         win = ComplexWindow.from_bounds(*win)
     boxvol = (2 * box_radius) ** (2 * p.n)
-    hits = 0
-    for vals, _ in _sampled_values(p, win, 2 * p.n, _box_points(p.n, box_radius),
-                                   samples, seed, sampler):
-        hits += int(np.count_nonzero(win.contains(vals)))
+    hits = sum(h for h, _ in _map_shards(p, win, 2 * p.n, _box_points(p.n, box_radius), samples,
+                                         seed, sampler,
+                                         lambda vals: int(np.count_nonzero(win.contains(vals)))))
     phat = hits / samples
     vol = boxvol * phat
     stderr = boxvol * np.sqrt(max(phat * (1 - phat), 1.0 / samples) / samples)

@@ -29,7 +29,6 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
@@ -38,7 +37,8 @@ from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .density import ActionMap, ComplexWindow, DensityGrid, SingularActionMapError
+from .density import (ActionMap, ComplexWindow, DensityGrid, SingularActionMapError,
+                      map_on_cpus)
 from .symbols import SymbolExpr
 
 DIM_CAP = 4096  # largest dimension spectrum() accepts
@@ -171,6 +171,11 @@ class SpectrumResult:
             return (M if idx is None else M[idx][:, idx]).toarray(order="F")
         return M if idx is None else M[np.ix_(idx, idx)]
 
+    def _diagonal(self, idx) -> np.ndarray:
+        """The diagonal of block idx (None: all), read without making the block dense."""
+        d = self.operator.matrix.diagonal()
+        return d if idx is None else d[idx]
+
     def _solve_dense(self, todo):
         """Dense-solve the blocks numbered in todo into `_dense`, all or none.
 
@@ -226,7 +231,8 @@ class SpectrumResult:
         for i, idx in enumerate(self._blocks):
             ev, k, n_pass, reason = None, None, 0, None
             if i not in self._dense:
-                ev, k, n_pass, reason = _shift_invert(self._block(idx), center, radius)
+                ev, k, n_pass, reason = _shift_invert(
+                    lambda: self._block(idx), self._diagonal(idx), center, radius)
             if ev is not None:
                 found[i] = ev
             ks.append(None if ev is None else k)
@@ -432,9 +438,9 @@ def _openblas_threads():
 def _pinned_eigvals(blocks, control) -> list:
     """`_dense_eigvals` of each block at one OpenBLAS thread, one block per CPU at once.
 
-    The first block is solved on the calling thread and each further
-    block on a worker thread, up to as many threads as the process has
-    CPUs.  The pin is process-wide: it is set before the first solve and
+    The blocks are spread by `density.map_on_cpus`: the first on the
+    calling thread, the others on worker threads, one thread per CPU at
+    most.  The pin is process-wide: it is set before the first solve and
     the previous count is restored once every worker is done, also when
     a solve fails.
     """
@@ -442,39 +448,36 @@ def _pinned_eigvals(blocks, control) -> list:
     before = get()
     set_(1)
     try:
-        workers = min(len(blocks), len(os.sched_getaffinity(0))) - 1
-        if workers < 1:
-            return [_dense_eigvals(A) for A in blocks]
-        with ThreadPoolExecutor(workers) as pool:
-            rest = [pool.submit(_dense_eigvals, A) for A in blocks[1:]]
-            first = _dense_eigvals(blocks[0])
-            return [first] + [f.result() for f in rest]
+        return map_on_cpus(_dense_eigvals, blocks)
     finally:
         set_(before)
 
 
-def _shift_invert(A: np.ndarray, center: complex, radius: float):
-    """Every eigenvalue of A within radius of center: (eigenvalues, k, passes, None).
+def _shift_invert(block, diag, center: complex, radius: float):
+    """Every eigenvalue of a block within radius of center: (eigenvalues, k, passes, None).
 
-    Factors A - center I once (in A itself when A is a writeable
-    Fortran-ordered array, as `_block` makes from a sparse operator, else
-    in a copy) and runs ARPACK for the k largest eigenvalues mu of its
-    inverse (a fixed start vector keeps the result bitwise
-    reproducible); lambda = center + 1/mu are the k eigenvalues
-    nearest the center.  The first k is SHIFT_INVERT_GROWTH times the
-    count of A's diagonal in the disc, which in the Hermite basis follows
-    the lattice.  The k hold the disc only when the farthest lies beyond
-    radius; otherwise k grows by the ratio of the disc's area to the area
-    they cover, times SHIFT_INVERT_GROWTH.  Returns (None, k, passes,
-    reason) when k exceeds dim/8, where a dense solve is cheaper, when
-    the factor is singular or when ARPACK fails.
+    ``block()`` makes the block dense, and ``diag`` is its diagonal.  The
+    first k is SHIFT_INVERT_GROWTH times the count of the diagonal in the
+    disc, which in the Hermite basis follows the lattice; only when k is
+    at most dim/8 is the block made dense.  Then A - center I is
+    factored once (in A itself when A is a writeable Fortran-ordered
+    array, as `_block` makes from a sparse operator, else in a copy) and
+    ARPACK runs for the k largest eigenvalues mu of its inverse (a fixed
+    start vector keeps the result bitwise reproducible); lambda = center
+    + 1/mu are the k eigenvalues nearest the center.  The k hold the disc
+    only when the farthest lies beyond radius; otherwise k grows by the
+    ratio of the disc's area to the area they cover, times
+    SHIFT_INVERT_GROWTH.  Returns (None, k, passes, reason) when k
+    exceeds dim/8, where a dense solve is cheaper, when the factor is
+    singular or when ARPACK fails.
     """
-    n = A.shape[0]
+    n = len(diag)
     limit = n / 8
-    inside = np.count_nonzero(np.abs(np.diagonal(A) - center) <= radius)
+    inside = np.count_nonzero(np.abs(diag - center) <= radius)
     k = int(np.ceil(SHIFT_INVERT_GROWTH * max(1, inside)))
     passes = 0
     if k <= limit:
+        A = block()
         F = A if A.flags.writeable and A.flags.f_contiguous else np.array(A, order="F")
         F[np.diag_indices(n)] -= center
         with warnings.catch_warnings():

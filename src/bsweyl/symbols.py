@@ -273,6 +273,20 @@ class SymbolExpr:
             terms.append((t.coeff, pows, freqs))
         return tuple(terms), tuple(top), tuple(sorted(phases))
 
+    @cached_property
+    def _spent_powers(self) -> tuple:
+        """Per term of the plan, the powers (axis, e) that no later term
+        reads, directly or to build a higher power: ``evaluate`` drops
+        them once the term is done, so at most a few are held at once."""
+        last = {}
+        for i, (_, pows, _) in enumerate(self._plan[0]):
+            for k, e in pows:
+                last.update(((k, m), i) for m in range(1, e + 1))
+        spent = [[] for _ in self._plan[0]]
+        for key, i in last.items():
+            spent[i].append(key)
+        return tuple(map(tuple, spent))
+
     def evaluate(self, x, xi):
         """Evaluate at arrays of points; x, xi have shape (..., n).
 
@@ -287,22 +301,29 @@ class SymbolExpr:
             raise DimensionMismatchError(
                 f"points have dimension {x.shape[-1]}, symbol has n={self.n}")
         shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-        terms, top, phase_keys = self._plan
+        terms, _, phase_keys = self._plan
         z = [np.asarray(a[..., j], dtype=complex if np.iscomplexobj(a) else float)
              for a in (x, xi) for j in range(self.n)]
         # plain loops fill the tables: a self-recursive closure would form a
         # reference cycle that keeps them alive until the cyclic GC runs
-        powers = {}  # (axis, e) -> z_axis**e, by repeated multiplication
-        for k, e_max in enumerate(top):
-            for e in range(1, e_max + 1):
-                powers[k, e] = z[k] if e == 1 else powers[k, e - 1] * z[k]
+        powers = {}  # (axis, e) -> z_axis**e, by repeated multiplication at first use
         phases = {}  # (axis, f) -> exp(i f z_axis); sorted keys put -f before f
         for k, f in phase_keys:
             mirror = phases.get((k, -f))
             phases[k, f] = 1 / mirror if mirror is not None else np.exp(1j * f * z[k])
-        re = im = out = None
-        for c, pows, freqs in terms:
+        # with no phase at real points every term is real, and the real sums go
+        # straight into the result's parts: 0 + re is re, bit for bit
+        direct = not phase_keys and not any(map(np.iscomplexobj, z))
+        out = np.zeros(shape, dtype=complex) if direct else None
+        re, im = (out.real, out.imag) if direct else (None, None)
+        for (c, pows, freqs), spent in zip(terms, self._spent_powers):
+            for k, e in pows:
+                for m in range(1, e + 1):
+                    if (k, m) not in powers:
+                        powers[k, m] = z[k] if m == 1 else powers[k, m - 1] * z[k]
             factors = [powers[key] for key in pows] + [phases[key] for key in freqs]
+            for key in spent:  # no later term reads it
+                del powers[key]
             val = factors[0] if factors else 1.0
             for f in factors[1:]:
                 val = val * f
@@ -313,13 +334,18 @@ class SymbolExpr:
                 continue
             if re is None:
                 re, im = np.zeros(shape), np.zeros(shape)
-            if c.real:
-                re += c.real * val
-            if c.imag:
-                im += c.imag * val
+            # a product no other term reads is scaled in place for its last part
+            owned = len(factors) > 1 or (len(pows) == 1 and pows[0][1] > 1 and pows[0] in spent)
+            parts = [(acc, part) for acc, part in ((re, c.real), (im, c.imag)) if part]
+            for j, (acc, part) in enumerate(parts):
+                if owned and j == len(parts) - 1:
+                    val *= part
+                    acc += val
+                else:
+                    acc += part * val
         if out is None:
             out = np.zeros(shape, dtype=complex)
-        if re is not None:
+        if re is not None and not direct:
             out.real += re
             out.imag += im
         return out

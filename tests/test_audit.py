@@ -1,9 +1,18 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from bsweyl.audit import _single_cluster, audit
+from bsweyl.audit import _components, audit
 from bsweyl.density import ComplexWindow, action_map_integrable
 from bsweyl.symbols import SymbolExpr, cho, torus_linear
+
+audit_module = importlib.import_module("bsweyl.audit")  # the package exports the function
 
 
 class TestAudit:
@@ -96,13 +105,33 @@ class TestAudit:
         assert d["bracket_max"] >= 0.0
 
 
+def pair_graph_components(pts, radius):
+    """Components of the graph of every pair at distance <= radius, all pairs at once."""
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                       shape=(len(pts), len(pts)))
+    return connected_components(graph, directed=False)[0]
+
+
 class TestSingleCluster:
     def test_coincident_points_are_one_cluster(self):
         # every pair is at distance zero, and still an edge of the graph
-        assert _single_cluster(np.zeros((4096, 4)))
+        assert _components(np.zeros((4096, 4))) == 1
 
     def test_far_apart_clouds_are_two_clusters(self):
         rng = np.random.default_rng(0)
         cloud = 0.01 * rng.standard_normal((200, 4))
-        assert _single_cluster(cloud)
-        assert not _single_cluster(np.concatenate([cloud, cloud + 5.0]))
+        assert _components(cloud) == 1
+        assert _components(np.concatenate([cloud, cloud + 5.0])) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 120), st.integers(1, 4), st.floats(0.05, 0.6),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_chunked_components_equal_the_pair_graph(self, m, dim, radius, pairs, seed):
+        # clumps of near-duplicates and isolated points, read a few pairs at a time
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1, 1, (m, dim))
+        if k := m // 2:
+            pts[k:] = pts[rng.integers(0, k, m - k)] + 1e-3 * rng.standard_normal((m - k, dim))
+        with mock.patch.object(audit_module, "CLUSTER_PAIRS", pairs):
+            assert _components(pts, radius) == pair_graph_components(pts, radius)

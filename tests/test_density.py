@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -5,12 +8,13 @@ import pytest
 
 from bsweyl import density, flow
 from bsweyl.audit import audit
+from bsweyl.cli import main
 from bsweyl.density import (ActionMap, ComplexWindow,
                             EmptyGridError, SingularActionMapError,
                             action_map_integrable, ellipticity_margin_check,
                             omega_density, preimage_volume, weyl_density,
                             weyl_density_torus)
-from bsweyl.flow import Deformation, DeformedSymbol
+from bsweyl.flow import Deformation, DeformedSymbol, StepSizeUnderflowError
 from bsweyl.symbols import (DimensionMismatchError, SymbolExpr, cho,
                             coupling_xx, sin_x1_cos_xi2, torus_coupled,
                             torus_linear)
@@ -473,6 +477,22 @@ BLOCKED_CASES = {
 }
 
 
+def per_shard(batches, n, box_radius, samples, seed, sampler, shard_size):
+    """{shard index: [bytes of each batch of flowed rows, in flow order]}.
+
+    Each batch is the real (x, xi) rows handed to the flow; a row's shard
+    is found among the run's unit-cube shards scaled to the box.
+    """
+    owner = {}
+    for s, shard in enumerate(unit_shards(2 * n, samples, seed, sampler, shard_size)):
+        owner.update((row.tobytes(), s) for row in -box_radius + 2 * box_radius * shard)
+    out = {}
+    for batch in batches:
+        (s,) = {owner[row.tobytes()] for row in batch}
+        out.setdefault(s, []).append(batch.tobytes())
+    return out
+
+
 def binomial_stderr(counts, samples, scale):
     """The per-cell binomial standard error of a histogram density."""
     return scale * np.sqrt(np.maximum(counts, 1) * (1 - counts / samples))
@@ -493,14 +513,14 @@ class TestBlockedSampling:
         flow_points = flow.flow_points
 
         def recording(d, t, x0, xi0):
-            batches.append(len(x0))
+            batches.append(np.concatenate([x0, xi0], axis=-1).real)
             return flow_points(d, t, x0, xi0)
 
         monkeypatch.setattr(flow, "flow_points", recording)
         monkeypatch.setattr(density, "DEFAULT_SHARD", self.SHARD)
         args = (box, self.SAMPLES, 4, sampler, self.SHARD)
         counts, flowed, hits = sampled_counts_reference(p, win, *args)
-        want_batches, batches[:] = list(batches), []
+        want_batches, batches[:] = per_shard(batches, p.n, *args), []
         grid = weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4,
                             sampler=sampler)
         boxvol = (2 * box) ** (2 * p.n)
@@ -508,9 +528,12 @@ class TestBlockedSampling:
         assert grid.values.tobytes() == (counts * scale).tobytes()
         assert grid.stderr.tobytes() == binomial_stderr(counts, self.SAMPLES, scale).tobytes()
         assert grid.meta["flowed"] == flowed
-        assert batches == want_batches
+        # shards may flow in any order, each shard's batches in the reference's
+        got_batches = per_shard(batches, p.n, *args)
+        assert got_batches == want_batches
         if case == "flowing":
-            assert density.BLOCK in batches and len(batches) > 2
+            sizes = [len(b) // (16 * p.n) for shard in got_batches.values() for b in shard]
+            assert density.BLOCK in sizes and len(sizes) > 2
         vol, _ = preimage_volume(p, win, box, self.SAMPLES, 4, sampler)
         assert vol == boxvol * (hits / self.SAMPLES)
 
@@ -579,6 +602,127 @@ class TestBlockedSampling:
         assert sum(spans) == 2 * self.SAMPLES + 2 * (2 * density.BLOCK)
         assert sum(sizes) == 2 * self.SAMPLES
         assert max(spans + sizes) == density.BLOCK
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
+class TestConcurrentShards:
+    """Shards run on several threads give the one-thread outputs bit for bit."""
+
+    # four shards, each a full block and a ragged one; the last shard is shorter
+    SAMPLES, SHARD = 3 * ((1 << 14) + 5) + 4001, (1 << 14) + 5
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The threads that drew a shard, with a small DEFAULT_SHARD."""
+        seen = set()
+        shards = density._shards
+
+        def recording(*args):
+            def tagged(blocks):
+                seen.add(threading.get_ident())
+                yield from blocks
+            return [tagged(b) for b in shards(*args)]
+
+        monkeypatch.setattr(density, "_shards", recording)
+        monkeypatch.setattr(density, "DEFAULT_SHARD", self.SHARD)
+        return seen
+
+    def run(self, monkeypatch, cpus, case, sampler):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        p, win, box = BLOCKED_CASES[case]()
+        grid = weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4,
+                            sampler=sampler)
+        vol = preimage_volume(p, win, box, self.SAMPLES, 4, sampler)
+        return grid.values.tobytes(), grid.stderr.tobytes(), grid.meta, vol
+
+    @pytest.mark.parametrize("sampler", ["sobol", "random"])
+    @pytest.mark.parametrize("case", ["n2", "quadratic", "flowing"])
+    def test_outputs_do_not_depend_on_the_cpu_count(self, case, sampler, threads, monkeypatch):
+        one = self.run(monkeypatch, 1, case, sampler)
+        assert threads == {threading.get_ident()}
+        threads.clear()
+        assert self.run(monkeypatch, 3, case, sampler) == one
+        assert len(threads) > 1
+        if case == "flowing":
+            assert one[2]["flowed"] > 2 * density.BLOCK
+
+    def test_torus_does_not_depend_on_the_cpu_count(self, threads, monkeypatch):
+        win = ComplexWindow.from_bounds(-0.3, 0.3, -0.3, 0.3, (8, 8))
+        grids = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            g = weyl_density_torus(torus_coupled(0.3), win, ((-0.5, 0.5), (-0.4, 0.6)),
+                                   samples=self.SAMPLES, seed=5)
+            grids.append((g.values.tobytes(), g.stderr.tobytes()))
+        assert grids[0] == grids[1] and len(threads) > 1
+
+    def test_checks_and_warning_come_first_in_the_caller(self, threads, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        events = []
+        warn, shards = warnings.warn, density._shards
+
+        def recording_warn(message, *args, **kwargs):
+            events.append(("warn", threading.get_ident()))
+            warn(message, *args, **kwargs)
+
+        def recording_shards(*args):
+            out = shards(*args)
+            events.append(("shards", threading.get_ident()))
+            return out
+
+        monkeypatch.setattr(warnings, "warn", recording_warn)
+        monkeypatch.setattr(density, "_shards", recording_shards)
+        p, win, box = BLOCKED_CASES["n2"]()
+        with pytest.warns(UserWarning, match="balance properties"):
+            weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4)
+        caller = threading.get_ident()
+        assert events == [("warn", caller), ("shards", caller)] and len(threads) > 1
+        monkeypatch.setattr(density, "map_on_cpus", None)  # no shard may start
+        with pytest.raises(ValueError, match="unknown sampler"):
+            weyl_density(p, win, box_radius=box, samples=self.SAMPLES, sampler="halton")
+        with pytest.raises(ValueError, match="at most 2\\*\\*30"):
+            preimage_volume(p, win, box, (1 << 30) + 1, 4)
+
+    def test_every_item_runs_once_under_contention(self, monkeypatch):
+        # more threads than cores and a short switch interval: an item lost or
+        # taken twice would show in the calls or the results
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = density.map_on_cpus(lambda i: calls.append(i) or i * i, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [i * i for i in range(3000)]
+        assert sorted(calls) == list(range(3000))
+
+    @pytest.mark.parametrize("case", ["quadratic", "flowing"])
+    def test_worker_exception_reaches_the_caller(self, case, threads, monkeypatch, tmp_path,
+                                                 capsys):
+        # a flow that underflows on a worker thread raises its own error in the
+        # caller, which the CLI maps to exit 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        caller = threading.get_ident()
+        target, name = (flow, "flow_points") if case == "flowing" else (density, "_bin")
+        original = getattr(target, name)
+
+        def fail_off_caller(*args):
+            if threading.get_ident() != caller:
+                raise StepSizeUnderflowError("step size underflow on a worker")
+            return original(*args)
+
+        monkeypatch.setattr(target, name, fail_off_caller)
+        p, win, box = BLOCKED_CASES[case]()
+        with pytest.raises(StepSizeUnderflowError, match="on a worker"):
+            weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4)
+        assert len(threads) > 1
+        if case == "flowing":
+            win = '{"center": [0.0, 0.9], "half_widths": [0.15, 0.3], "resolution": [6, 6]}'
+            assert main(["deform-density", "--symbol", "cho(1,0)", "--G", "sin-x1-cos-xi2",
+                         "--t", "0.2", "--samples", str(self.SAMPLES), "--box-radius", "3",
+                         "--window", win, "--outdir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == "config error: step size underflow on a worker\n"
 
 
 class TestSobol:

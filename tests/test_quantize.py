@@ -648,6 +648,29 @@ class TestWindowedSpectrum:
             (rec,) = s.solves
             assert rec["method"] == "dense-blocks" and rec["passes"] == [0, 0]
 
+    def test_dense_fallback_makes_each_block_dense_once(self, p_t_1600, monkeypatch):
+        # the first k comes from the sparse operator's diagonal, so a block that
+        # goes straight to its dense solve is made dense for that solve only
+        sizes = []
+        block = quantize.SpectrumResult._block
+
+        def recording(self, idx):
+            sizes.append(idx.size)
+            return block(self, idx)
+
+        monkeypatch.setattr(quantize.SpectrumResult, "_block", recording)
+        win = (0.0, 0.85, 0.0, 0.85)
+        s = spectrum(p_t_1600)
+        got = s.in_window(win)
+        assert sizes == [800, 800]
+        (rec,) = s.solves
+        assert (rec["method"], rec["k"], rec["passes"]) == ("dense-blocks", [None, None], [0, 0])
+        assert rec["fallback"] == "k 249 > dim/8 = 100; k 248 > dim/8 = 100"
+        full = s.eigenvalues
+        assert len(s.solves) == 1 and sizes == [800, 800]
+        assert np.array_equal(got, full[(full.real > 0) & (full.real < 0.85)
+                                        & (full.imag > 0) & (full.imag < 0.85)])
+
     def test_c5_report_shows_the_region_count_against_the_lattice(self):
         # at N = 40 the region (0, 1.5)^2 holds 961 eigenvalues against 900
         # lattice points: the truncated top Hermite level adds eigenvalues
