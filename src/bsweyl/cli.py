@@ -139,10 +139,10 @@ class ExperimentConfig:
                 elif pred is not None and not pred(v):
                     errors.append(f"{name!r} value {v!r} out of range")
         if "seeds" in d and d["seeds"] is not None and (
-                not isinstance(d["seeds"], list)
+                not isinstance(d["seeds"], list) or not d["seeds"]
                 or not all(isinstance(s, int) and not isinstance(s, bool)
                            for s in d["seeds"])):
-            errors.append("'seeds' must be a list of integers")
+            errors.append("'seeds' must be a non-empty list of integers")
         if "sampler" in d and d["sampler"] not in ("sobol", "random"):
             errors.append("'sampler' must be 'sobol' or 'random'")
         if "basis_kind" in d and d["basis_kind"] not in ("hermite-tensor", "torus-fourier"):
@@ -213,13 +213,20 @@ def _given(cfg: ExperimentConfig, *names):
     return {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
 
 
+def _seed(cfg: ExperimentConfig, default=0):
+    """The seed of a single-seed experiment; more than one is a config error."""
+    if len(cfg.seeds or ()) > 1:
+        raise ConfigError([f"{cfg.experiment} runs one seed, got {len(cfg.seeds)}"])
+    return default if cfg.seeds is None else cfg.seeds[0]
+
+
 def _run_audit(cfg, outdir):
     if (cfg.samples or 0) > AUDIT_MAX_SAMPLES:
         raise ConfigError([f"audit takes at most {AUDIT_MAX_SAMPLES} samples, "
                            f"got {cfg.samples}"])
     p = load_symbol(cfg.symbol or "cho(1,(1+i)/2)")
     rep_obj = audit(p, sample_budget=cfg.samples or AUDIT_MAX_SAMPLES,
-                    ball_radius=cfg.box_radius or BOX_RADIUS, seed=(cfg.seeds or [0])[0])
+                    ball_radius=cfg.box_radius or BOX_RADIUS, seed=_seed(cfg))
     report = json.loads(rep_obj.to_json())
     report["experiment"] = "audit"
     report["pass"] = rep_obj.ellipticity_flag != "fail"
@@ -240,7 +247,7 @@ def _run_deform_density(cfg, outdir):
 
 def _density(cfg, outdir, p):
     win = cfg.resolve_window()
-    seed = (cfg.seeds or [0])[0]
+    seed = _seed(cfg)
     box = cfg.box_radius or BOX_RADIUS
     margin_ok, margin = ellipticity_margin_check(p, win, box, seed=seed)
     grid = weyl_density(p, win, box_radius=box,
@@ -296,6 +303,7 @@ def _run_variation(cfg, outdir):
 
 def _spectrum(cfg, p):
     """Deform p if asked, quantize it, perturb it with --delta; (p, spectrum)."""
+    seed = _seed(cfg)
     if cfg.deformation is not None:
         p = deformed_quadratic(DeformedSymbol(p, load_deformation(cfg.deformation),
                                               cfg.t or 0.0))
@@ -304,7 +312,6 @@ def _spectrum(cfg, p):
         P = quantize_quadratic(p, basis)
     else:
         P = quantize_torus(p, basis)
-    seed = (cfg.seeds or [0])[0]
     if cfg.delta:
         P = perturb(P, cfg.delta, seed)
     return p, spectrum(P, delta=cfg.delta or 0.0, seed=seed if cfg.delta else None)
@@ -341,7 +348,7 @@ def _run_count(cfg, outdir):
     p = load_symbol(cfg.symbol or "cho(1,0)")
     am = action_map_integrable(_action_symbol(p), I0=tuple(cfg.I0))
     win = cfg.resolve_window()
-    seed = (cfg.seeds or [0])[0]
+    seed = _seed(cfg)
     p, s = _spectrum(cfg, p)
     # the Weyl prediction is a preimage volume, so it needs the box that _density checks
     box = cfg.box_radius or BOX_RADIUS
@@ -357,7 +364,8 @@ def _run_count(cfg, outdir):
 
 
 def _run_integrable_equality(cfg, outdir):
-    ie = IntegrableEqualityConfig(coupling=cfg.coupling, seed=(cfg.seeds or [5])[0],
+    ie = IntegrableEqualityConfig(coupling=cfg.coupling,
+                                  seed=_seed(cfg, IntegrableEqualityConfig.seed),
                                   eta_box=tuple(tuple(b) for b in cfg.eta_box),
                                   sampler=cfg.sampler, **_given(cfg, "samples"))
     if cfg.window is not None:

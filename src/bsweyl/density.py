@@ -191,10 +191,9 @@ class DensityGrid:
     def total_mass(self) -> float:
         return float(np.nansum(self.values) * self.window.cell_area)
 
-    def integral(self, f=None) -> float:
-        """Sum of f(z_cell) * value * cell_area (f defaults to 1)."""
-        z = self.window.centers_complex()
-        w = self.values if f is None else self.values * f(z)
+    def integral(self, f) -> float:
+        """Sum of f(z_cell) * value * cell_area."""
+        w = self.values * f(self.window.centers_complex())
         return float(np.nansum(w) * self.window.cell_area)
 
     def write_csv(self, path):
@@ -652,12 +651,9 @@ def omega_density(am: ActionMap, win: ComplexWindow) -> DensityGrid:
 # ------------------------------------------------------------------ volumes
 
 
-def preimage_volume(p, window_or_bounds, box_radius=4.0, samples=10_000_000,
+def preimage_volume(p, win: ComplexWindow, box_radius=4.0, samples=10_000_000,
                     seed=0, sampler="sobol"):
     """vol(p^{-1}(W)) of the open window on the real box, with a binomial standard error."""
-    win = window_or_bounds
-    if not isinstance(win, ComplexWindow):
-        win = ComplexWindow.from_bounds(*win)
     boxvol = (2 * box_radius) ** (2 * p.n)
     hits = sum(h for h, _ in _map_shards(p, win, 2 * p.n, _box_points(p.n, box_radius), samples,
                                          seed, sampler,

@@ -2,7 +2,8 @@
 
 Each experiment returns a plain-dict report with a boolean "pass" and
 writes plot-ready CSV/JSON artifacts when given an output directory.
-Default configurations reproduce the package's acceptance checks.
+Default configurations reproduce the package's acceptance checks; the
+gates and estimator settings are ``ClassVar`` constants, not arguments.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,8 +43,8 @@ class IntegrableEqualityConfig:
     seed: int = 5
     eta_box: tuple = ((-0.6, 0.6), (-0.6, 0.6))
     sampler: str = "sobol"
-    rel_floor: float = 0.03
-    sigma_factor: float = 3.0
+    rel_floor: ClassVar[float] = 0.03
+    sigma_factor: ClassVar[float] = 3.0
 
 
 def run_integrable_equality(cfg: IntegrableEqualityConfig = None, outdir=None):
@@ -90,12 +92,11 @@ class DeformationSplitsConfig:
     f_center: complex = 0.05 + 0.55j
     f_radius: float = 0.35
     quadrature_order: int = 48
-    box_radius_first: float = 2.6
-    box_radius_second: float = 2.0
-    first_tol: float = 0.02
-    second_tol: float = 0.03
-    certificate_window: tuple = (-0.3, 0.9, -0.3, 0.9)
-    certificate_threshold: float = 5.0
+    box_radius_first: ClassVar[float] = 2.6
+    box_radius_second: ClassVar[float] = 2.0
+    first_tol: ClassVar[float] = 0.02
+    second_tol: ClassVar[float] = 0.03
+    certificate_window: ClassVar[tuple] = (-0.3, 0.9, -0.3, 0.9)
 
 
 def run_deformation_splits(cfg: DeformationSplitsConfig = None, outdir=None):
@@ -104,7 +105,7 @@ def run_deformation_splits(cfg: DeformationSplitsConfig = None, outdir=None):
     First identity at t: finite-difference dM/dt vs the bracket integral
     (<= first_tol).  Second identity at t = 0 for the integrable base vs
     |H_p G|^2 (<= second_tol), plus a bump witness whose pairing exceeds
-    certificate_threshold times its quadrature error estimate.
+    ``variation.CERT_THRESHOLD`` times its quadrature error estimate.
     """
     cfg = cfg or DeformationSplitsConfig()
     base = cho(1.0, 0.0)
@@ -135,8 +136,7 @@ def run_deformation_splits(cfg: DeformationSplitsConfig = None, outdir=None):
 
     cert_win = ComplexWindow.from_bounds(*cfg.certificate_window, resolution=(8, 8))
     cert = nonequality_certificate(base, G, cert_win, cfg.box_radius_second,
-                                   cfg.quadrature_order,
-                                   threshold=cfg.certificate_threshold)
+                                   cfg.quadrature_order)
 
     ok = (rep1.discrepancy <= cfg.first_tol
           and rep2.discrepancy <= cfg.second_tol
@@ -171,10 +171,10 @@ class RandomWeylMigrationConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     basis_size: int = 60
     window: tuple = (0.935, 0.965, 0.8, 1.2)
-    box_radius: float = 4.0
-    volume_samples: int = 20_000_000
-    volume_seed: int = 123
-    required_closer: int = 4
+    box_radius: ClassVar[float] = 4.0
+    volume_samples: ClassVar[int] = 20_000_000
+    volume_seed: ClassVar[int] = 123
+    required_closer: ClassVar[int] = 4
 
 
 def run_random_weyl_migration(cfg: RandomWeylMigrationConfig = None, outdir=None):
@@ -249,10 +249,10 @@ def run_random_weyl_migration(cfg: RandomWeylMigrationConfig = None, outdir=None
 class BSExactnessConfig:
     h: float = 0.05
     basis_size: int = 60
-    region: tuple = (0.0, 1.5, 0.0, 1.5)
-    match_tol: float = 1e-6
-    bs_tol: float = 1e-10
-    count_window: tuple = (0.2, 0.5, 0.25, 0.45)
+    region: ClassVar[tuple] = (0.0, 1.5, 0.0, 1.5)
+    match_tol: ClassVar[float] = 1e-6
+    bs_tol: ClassVar[float] = 1e-10
+    count_window: ClassVar[tuple] = (0.2, 0.5, 0.25, 0.45)
 
 
 def run_bs_exactness(cfg: BSExactnessConfig = None, outdir=None):

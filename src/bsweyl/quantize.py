@@ -578,13 +578,12 @@ class ComparisonReport:
 
 def count_and_compare(s: SpectrumResult, win: ComplexWindow,
                       omega_grid: DensityGrid = None,
-                      weyl_volume: float = None,
-                      weyl_grid: DensityGrid = None) -> ComparisonReport:
+                      weyl_volume: float = None) -> ComparisonReport:
     """Eigenvalue count in the window against both density predictions.
 
     omega prediction: (2 pi h)^{-2} * integral of omega over the window;
-    Weyl prediction: (2 pi h)^{-n} * vol(p^{-1}(W)) (volume passed in, or
-    integrated from a Weyl density grid).  Windows leaving the basis'
+    Weyl prediction: (2 pi h)^{-n} * vol(p^{-1}(W)), the volume passed
+    in (``density.preimage_volume``).  Windows leaving the basis'
     trusted region are flagged, not rejected.
     """
     h = s.basis.h
@@ -593,8 +592,6 @@ def count_and_compare(s: SpectrumResult, win: ComplexWindow,
     omega_pred = float("nan")
     if omega_grid is not None:
         omega_pred = omega_grid.total_mass / (2 * np.pi * h) ** 2
-    if weyl_volume is None and weyl_grid is not None:
-        weyl_volume = weyl_grid.total_mass
     weyl_pred = float("nan")
     if weyl_volume is not None:
         weyl_pred = weyl_volume / (2 * np.pi * h) ** n_dim

@@ -9,10 +9,11 @@ function f these hold:
 
 The right-hand sides are evaluated by deterministic tensor Gauss-Legendre
 quadrature over a real box that must contain the support of f o p_t (each
-entry point warns when it does not).  Each term of a symbol is a product
+entry point warns when it does not).  Both identities need p_t in closed
+form; one that flows is a ValueError.  Each term of a symbol is a product
 of per-axis factors, so on the x-block by xi-block grid a symbol is one
 small GEMM of two factor tables (sum factorization); grid points are
-built only for a p_t with no closed form.  A bump is evaluated only at
+built only for the moment of a flowing p_t.  A bump is evaluated only at
 the nodes inside its support: ``TestFunction._support`` finds their flat
 indices with one pass over Re p, and the values are scattered into
 zeros, so every sum is the one a full-grid evaluation gives, to the bit.
@@ -44,6 +45,7 @@ ERROR_FLOOR = 1e-12
 REACH_PAD = 1e-9
 CERT_CENTERS = 4  # bump centers per window axis tried by the certificate
 CERT_RADII = (0.25, 0.4)  # bump radii tried, as fractions of the window half-widths
+CERT_THRESHOLD = 5.0  # a witness's |pairing| must exceed this times its error estimate
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,8 @@ def tensor_quadrature(symbols, integrand, n, box_radius, order):
     """Integrate integrand(*values) over [-R, R]^{2n}, one value per symbol.
 
     ``symbols`` holds SymbolExprs, or functions of points (x, xi) where
-    there is no closed form (see ``_slabs``).  Each slab adds
+    there is no closed form, as for the moment of a flowing p_t (see
+    ``_slabs``).  Each slab adds
     w_rows . (integrand @ w_cols) in a fixed order: bitwise reproducible.
     """
     total = 0.0
@@ -201,51 +204,50 @@ def moment(f: TestFunction, p, box_radius, order=48, check_support=True) -> floa
     return tensor_quadrature((closed_form(p) or p.evaluate,), f.value, p.n, box_radius, order)
 
 
-def _warn_if_support_leaks(f, p, box_radius, n_samples=4096, seed=17):
-    """f o p must vanish near the box boundary or mass is being cut off."""
-    vals = f.value(p.evaluate(*box_face_points(p.n, box_radius, n_samples, (seed, 313))))
+def _warn_if_support_leaks(f, p, box_radius):
+    """f o p must vanish near the box boundary or mass is being cut off (4096 face points)."""
+    vals = f.value(p.evaluate(*box_face_points(p.n, box_radius, 4096, (17, 313))))
     if np.max(np.abs(vals)) > 0:
         warnings.warn("test function support reaches the integration box "
                       "boundary; enlarge box_radius", SupportLeakWarning, stacklevel=3)
 
 
-def first_variation_rhs(f: TestFunction, p_t, G: SymbolExpr, box_radius,
-                        order=48, fd_step=1e-5) -> float:
-    """iint (Delta f)(p_t) {Re p_t, Im p_t} Re G dx dxi.
-
-    For closed-form p_t the bracket is the exact symbol (i/2){p, conj p};
-    when that symbol merges to zero the integral is exactly 0.0 and no
-    quadrature runs (the integrable branch).  An ODE-defined p_t falls
-    back to a Richardson central-difference bracket of step ``fd_step``,
-    on the grid's points.
-    """
-    reG = G.real_part_symbol()
+def _closed(p_t):
+    """p_t's closed-form symbol (``flow.closed_form``); ValueError where it flows."""
     closed = closed_form(p_t)
     if closed is None:
-        fns = (p_t.evaluate, lambda x, xi: _numeric_real_bracket(p_t, x, xi, fd_step))
-    else:
-        br = real_bracket(closed)
-        if br.is_zero:
-            return 0.0
-        fns = (closed, br)
+        raise ValueError("the variational identities need p_t in closed form: "
+                         "a polynomial base deformed by G of degree <= 2")
+    return closed
+
+
+def first_variation_rhs(f: TestFunction, p_t, G: SymbolExpr, box_radius,
+                        order=48) -> float:
+    """iint (Delta f)(p_t) {Re p_t, Im p_t} Re G dx dxi, for p_t in closed form.
+
+    The bracket is the exact symbol (i/2){p_t, conj p_t}; when it merges
+    to zero the integral is exactly 0.0 and no quadrature runs (the
+    integrable branch).
+    """
+    closed = _closed(p_t)
+    reG = G.real_part_symbol()
+    br = real_bracket(closed)
+    if br.is_zero:
+        return 0.0
     _warn_if_support_leaks(f, p_t, box_radius)
     return tensor_quadrature(
-        fns + (reG,), lambda v, b, g: f.laplacian(v) * b.real * g.real,
+        (closed, br, reG), lambda v, b, g: f.laplacian(v) * b.real * g.real,
         p_t.n, box_radius, order)
 
 
-def _numeric_real_bracket(p, x, xi, h):
-    """{Re p, Im p} by Richardson central differences of p's evaluation."""
-
-    def bracket(step):
-        out = 0.0
-        for e in np.eye(p.n) * step:
-            dx = (p.evaluate(x + e, xi) - p.evaluate(x - e, xi)) / (2 * step)
-            dxi = (p.evaluate(x, xi + e) - p.evaluate(x, xi - e)) / (2 * step)
-            out = out + (dxi.real * dx.imag - dx.real * dxi.imag)
-        return out
-
-    return (4 * bracket(h / 2) - bracket(h)) / 3
+def _integrable_hpg(p: SymbolExpr, G: SymbolExpr) -> SymbolExpr:
+    """H_p G, after checking that p is integrable and G real on real points."""
+    if not real_bracket(p).is_zero:
+        raise ValueError("the second variation needs an integrable base "
+                         "({Re p, Im p} must vanish identically)")
+    if not G.is_real_on_reals():
+        raise ValueError("generator must be real-valued on real points")
+    return poisson_bracket(p, G)
 
 
 def second_variation_rhs(f: TestFunction, p: SymbolExpr, G: SymbolExpr,
@@ -255,12 +257,7 @@ def second_variation_rhs(f: TestFunction, p: SymbolExpr, G: SymbolExpr,
     Rejects bases whose bracket {Re p, Im p} is not the zero symbol and
     generators that are not real-valued on real points.
     """
-    if not real_bracket(p).is_zero:
-        raise ValueError("second variation formula needs an integrable base "
-                         "({Re p, Im p} must vanish identically)")
-    if not G.is_real_on_reals():
-        raise ValueError("generator must be real-valued on real points")
-    hpg = poisson_bracket(p, G)
+    hpg = _integrable_hpg(p, G)
     if hpg.is_zero:
         return 0.0
     _warn_if_support_leaks(f, p, box_radius)
@@ -271,17 +268,16 @@ def second_variation_rhs(f: TestFunction, p: SymbolExpr, G: SymbolExpr,
 # -------------------------------------------------------- finite differences
 
 
-def moment_derivative_fd(make_pt, t0, order_in_t=1, step=None, *,
-                         f, box_radius, quad_order=48):
+def moment_derivative_fd(make_pt, t0, order_in_t=1, *, f, box_radius, quad_order=48):
     """Richardson central difference of M(t) around t0.
 
-    ``make_pt(t)`` returns the symbol (or deformed symbol) at time t.
-    One Richardson level: error O(step^4) on analytic M.
+    ``make_pt(t)`` returns the symbol (or deformed symbol) at time t, which
+    must have a closed form.  The step is FD_STEP_FIRST or FD_STEP_SECOND
+    by ``order_in_t``; one Richardson level: error O(step^4) on analytic M.
     """
-    if step is None:
-        step = FD_STEP_FIRST if order_in_t == 1 else FD_STEP_SECOND
+    step = FD_STEP_FIRST if order_in_t == 1 else FD_STEP_SECOND
     for t in (t0 - step, t0 + step):  # the widest deformations the differences reach
-        _warn_if_support_leaks(f, make_pt(t), box_radius)
+        _warn_if_support_leaks(f, _closed(make_pt(t)), box_radius)
 
     def M(t):
         return moment(f, make_pt(t), box_radius, quad_order, check_support=False)
@@ -369,9 +365,8 @@ class _SecondVariationGrid:
         return float(total)
 
 
-def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius,
-                            order=48, threshold=5.0):
-    """Search bump test functions for |second variation| > threshold x error.
+def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius, order=48):
+    """Search bump test functions for |second variation| > CERT_THRESHOLD x error.
 
     Scans a CERT_CENTERS x CERT_CENTERS grid of bump centers inside the
     window and the CERT_RADII (fractions of the window half-widths).  Returns
@@ -381,11 +376,7 @@ def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius,
     the boundary of the image of the symbol, so the window should
     overlap it.
     """
-    if not real_bracket(p).is_zero:
-        raise ValueError("certificate search needs an integrable base")
-    if not G.is_real_on_reals():
-        raise ValueError("generator must be real-valued on real points")
-    hpg = poisson_bracket(p, G)
+    hpg = _integrable_hpg(p, G)
     if hpg.is_zero:
         return None
     lo_r, hi_r, lo_i, hi_i = window.bounds
@@ -404,6 +395,6 @@ def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius,
                 f = TestFunction(complex(cre, cim), rad)
                 v = grid_hi.pair(f)
                 err = abs(v - grid_lo.pair(f)) + ERROR_FLOOR
-                if abs(v) > threshold * err and (best is None or abs(v) > abs(best[1])):
+                if abs(v) > CERT_THRESHOLD * err and (best is None or abs(v) > abs(best[1])):
                     best = (f, v, err)
     return best

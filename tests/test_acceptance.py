@@ -20,7 +20,7 @@ from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic, integra
 from bsweyl.quantize import BasisSpec, quantize_quadratic, spectrum
 from bsweyl.symbols import (PhasePoint, SymbolExpr, cho, coupling_xx,
                             poisson_bracket, sin_x1_cos_xi2, torus_coupled)
-from bsweyl.variation import TestFunction, first_variation_rhs
+from bsweyl.variation import CERT_THRESHOLD, TestFunction, first_variation_rhs
 
 from oracles import harmonic_lattice
 
@@ -28,6 +28,32 @@ from oracles import harmonic_lattice
 def _report(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+# Each gate of a named experiment is a class constant of its config: the
+# value asserted here, with no constructor argument to loosen it.
+PINNED = [
+    (IntegrableEqualityConfig, "rel_floor", 0.03),
+    (IntegrableEqualityConfig, "sigma_factor", 3.0),
+    (DeformationSplitsConfig, "first_tol", 0.02),
+    (DeformationSplitsConfig, "second_tol", 0.03),
+    (RandomWeylMigrationConfig, "required_closer", 4),
+]
+
+
+@pytest.mark.parametrize("cls, name, value", PINNED, ids=[p[1] for p in PINNED])
+def test_gates_are_pinned_class_constants(cls, name, value):
+    assert getattr(cls, name) == getattr(cls(), name) == value
+    with pytest.raises(TypeError):
+        cls(**{name: value})
+
+
+def test_c4_c7_gate_counts_are_pinned():
+    """C4's witness ratio > 5; C7's 4 closer seeds are out of its 5."""
+    assert CERT_THRESHOLD == 5.0
+    with pytest.raises(TypeError):
+        DeformationSplitsConfig(certificate_threshold=CERT_THRESHOLD)
+    assert len(RandomWeylMigrationConfig().seeds) == 5
 
 
 def test_c1_integrable_equality():
@@ -96,9 +122,10 @@ def test_c4_second_variational_identity(deformation_splits_report):
 
 def test_c5_bs_lattice_exactness():
     """cho(1,0), h = 0.05, N = 60: spectrum, BS predictor and count laws."""
-    rep = run_bs_exactness(BSExactnessConfig(
-        h=0.05, basis_size=60, region=(0.0, 1.5, 0.0, 1.5),
-        match_tol=1e-6, bs_tol=1e-10, count_window=(0.2, 0.5, 0.25, 0.45)))
+    cfg = BSExactnessConfig(h=0.05, basis_size=60)
+    assert (cfg.region, cfg.match_tol, cfg.bs_tol, cfg.count_window) == (
+        (0.0, 1.5, 0.0, 1.5), 1e-6, 1e-10, (0.2, 0.5, 0.25, 0.45))
+    rep = run_bs_exactness(cfg)
     _report("C5 BS lattice exactness", rep["pass"],
             f"max |eig - lattice| = {rep['max_lattice_distance']:.2e} (<=1e-6), "
             f"BS match {rep['bs_match_distance']:.2e} (<=1e-10), "

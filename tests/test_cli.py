@@ -251,6 +251,48 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
+    SINGLE_SEED = ("audit", "density", "deform-density", "spectrum", "count",
+                   "integrable-equality")
+
+    def test_single_seed_experiments(self):
+        # every experiment that takes seeds runs one, except C7's migration
+        assert {name for name, (_, takes) in cli.RUNNERS.items() if "seeds" in takes} == {
+            *self.SINGLE_SEED, "random-weyl-migration"}
+
+    @pytest.mark.parametrize("name", SINGLE_SEED)
+    def test_more_than_one_seed_exit_2(self, name, tmp_path, monkeypatch, capsys):
+        # the extra seeds would be dropped, yet the manifest would record them
+        monkeypatch.chdir(tmp_path)
+        cfg = {"experiment": name, "seeds": [0, 1, 2],
+               **({"window": json.loads(WIN)} if name in ("density", "deform-density", "count")
+                  else {}),
+               **({"deformation": {"G": "coupling-xx"}} if name == "deform-density" else {})}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: {name} runs one seed, got 3"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_seeds_flag_on_single_seed_experiment_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["audit", "--seeds", "3", "--samples", "64"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: audit runs one seed, got 3"]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_empty_seed_list_exit_2(self, route, tmp_path, monkeypatch, capsys):
+        # zero seeds would run no perturbed spectrum and fail C7 as a check
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"experiment": "random-weyl-migration", "seeds": []}))
+        argv = {"config": ["run", "--config", "cfg.json"],
+                "flag": ["random-weyl-migration", "--seeds", "0"]}[route]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: 'seeds' must be a non-empty list of integers"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_renamed_sampler_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "cfg.json"

@@ -306,22 +306,23 @@ class TestPreimageVolume:
         # vol(p^{-1}([0,a]x[0,b])) = (2 pi)^2 a b in shifted coordinates
         p = cho(1.0, complex(0.5, 0.5))
         a, b = 0.6, 0.4
-        vol, err = preimage_volume(p, (0.0, a, 0.0, b), box_radius=2.5,
-                                   samples=2_000_000, seed=3)
+        win = ComplexWindow.from_bounds(0.0, a, 0.0, b)
+        vol, err = preimage_volume(p, win, box_radius=2.5, samples=2_000_000, seed=3)
         assert abs(vol - TWO_PI_SQ * a * b) <= 3 * err
 
     def test_empty_window(self):
         p = cho(1.0, 0.0)
-        vol, _ = preimage_volume(p, (-5.0, -4.0, -5.0, -4.0), box_radius=2.0,
-                                 samples=100_000, seed=0)
+        win = ComplexWindow.from_bounds(-5.0, -4.0, -5.0, -4.0)
+        vol, _ = preimage_volume(p, win, box_radius=2.0, samples=100_000, seed=0)
         assert vol == 0.0
 
     def test_additivity(self):
         p = cho(1.0, complex(0.5, 0.5))
         kw = dict(box_radius=2.5, samples=1_000_000)
-        v1, e1 = preimage_volume(p, (0.0, 0.3, 0.0, 0.5), seed=21, **kw)
-        v2, e2 = preimage_volume(p, (0.3, 0.6, 0.0, 0.5), seed=22, **kw)
-        v12, e12 = preimage_volume(p, (0.0, 0.6, 0.0, 0.5), seed=23, **kw)
+        win = ComplexWindow.from_bounds
+        v1, e1 = preimage_volume(p, win(0.0, 0.3, 0.0, 0.5), seed=21, **kw)
+        v2, e2 = preimage_volume(p, win(0.3, 0.6, 0.0, 0.5), seed=22, **kw)
+        v12, e12 = preimage_volume(p, win(0.0, 0.6, 0.0, 0.5), seed=23, **kw)
         assert abs(v12 - (v1 + v2)) <= 3 * np.hypot(e12, np.hypot(e1, e2))
 
 

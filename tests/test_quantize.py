@@ -413,7 +413,7 @@ class TestCountAndCompare:
         from bsweyl.density import weyl_density_torus
         w_grid = weyl_density_torus(ptilde, win, ((-0.5, 0.5), (-0.5, 0.5)),
                                     samples=2_000_000, seed=8)
-        rep = count_and_compare(s, win, omega_grid=o_grid, weyl_grid=w_grid)
+        rep = count_and_compare(s, win, omega_grid=o_grid, weyl_volume=w_grid.total_mass)
         assert rep.omega_prediction == pytest.approx(rep.weyl_prediction, rel=0.02)
 
     def test_unsafe_window_flagged(self):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bsweyl import flow
 from bsweyl.density import ComplexWindow
 from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
 from bsweyl.symbols import (SymbolExpr, cho, coupling_xx, poisson_bracket,
-                            torus_coupled)
+                            sin_x1_cos_xi2, torus_coupled)
 from bsweyl.variation import (SupportLeakWarning, TestFunction, _SecondVariationGrid,
                               _slabs, _warn_if_support_leaks, first_variation_rhs,
                               moment, moment_derivative_fd, nonequality_certificate,
@@ -209,26 +210,34 @@ class TestFirstVariation:
                                    t, 1, f=f, box_radius=2.6, quad_order=48)
         assert abs(lhs - rhs) / abs(rhs) <= 0.02
 
-    def test_ode_route_agrees_with_closed_form(self):
-        # finite-difference bracket fallback on the ODE-defined symbol
-        t = 0.15
-        f = TestFunction(0.05 + 0.55j, 0.3)
-        ps = make_deformed(t)
-        closed = first_variation_rhs(f, deformed_quadratic(ps), coupling_xx(),
-                                     2.2, 20)
 
-        class OdeOnly:
-            n = 2
+class TestFlowingSymbolRejected:
+    """A p_t with no closed form is a ValueError before any flow step."""
 
-            def evaluate(self, x, xi):
-                from bsweyl.flow import flow_points
-                xe, xie, _ = flow_points(ps.deformation, ps.t,
-                                         np.asarray(x, complex),
-                                         np.asarray(xi, complex))
-                return ps.base.evaluate(xe, xie)
+    F = TestFunction(0.05 + 0.55j, 0.35)
 
-        ode = first_variation_rhs(f, OdeOnly(), coupling_xx(), 2.2, 20)
-        assert ode == pytest.approx(closed, rel=5e-4)
+    @staticmethod
+    def make_trig(t):
+        return DeformedSymbol(cho(1.0, 0.0), Deformation((sin_x1_cos_xi2(tube_radius=8.0),)), t)
+
+    @pytest.fixture(autouse=True)
+    def no_flow(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a flowing p_t was flowed")
+
+        monkeypatch.setattr(flow, "flow_points", fail)
+        monkeypatch.setattr(flow, "_rk45", fail)
+
+    def test_first_variation(self):
+        p_t = self.make_trig(0.2)
+        assert p_t.flows
+        with pytest.raises(ValueError, match="closed form"):
+            first_variation_rhs(self.F, p_t, coupling_xx(), 2.6, 16)
+
+    def test_moment_derivative(self):
+        with pytest.raises(ValueError, match="closed form"):
+            moment_derivative_fd(self.make_trig, 0.2, 1, f=self.F, box_radius=2.6,
+                                 quad_order=16)
 
 
 class TestSecondVariation:
