@@ -272,7 +272,9 @@ def _run_variation(cfg, outdir):
     def make_pt(t):
         return deformed_quadratic(DeformedSymbol(p, d, t))
 
-    t = (cfg.t or 0.0) if cfg.order == 1 else 0.0
+    t = cfg.t or 0.0
+    if cfg.order == 2 and t != 0:
+        raise ConfigError([f"variation at order 2 runs at t = 0, got t = {t!r}"])
     order = cfg.quadrature_order or 48
     # deformation-splits' boxes, which order 48 resolves
     box = cfg.box_radius or (DeformationSplitsConfig.box_radius_first,
@@ -346,7 +348,7 @@ def _run_bs(cfg, outdir):
 
 def _run_count(cfg, outdir):
     p = load_symbol(cfg.symbol or "cho(1,0)")
-    am = action_map_integrable(_action_symbol(p), I0=tuple(cfg.I0))
+    am = action_map_integrable(_action_symbol(p))  # omega = |det DI| does not see I0
     win = cfg.resolve_window()
     seed = _seed(cfg)
     p, s = _spectrum(cfg, p)
@@ -410,7 +412,7 @@ RUNNERS = {
                    "box_radius", "f_center", "f_radius")),
     "spectrum": (_run_spectrum, _SPECTRUM),
     "bs": (_run_bs, ("symbol", "deformation", "t", "window", "h", "theta0", "I0")),
-    "count": (_run_count, _SPECTRUM + ("window", "samples", "box_radius", "I0")),
+    "count": (_run_count, _SPECTRUM + ("window", "samples", "box_radius")),
     "integrable-equality": (_run_integrable_equality,
                             ("coupling", "window", "samples", "sampler", "seeds",
                              "eta_box")),

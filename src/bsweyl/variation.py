@@ -16,7 +16,10 @@ small GEMM of two factor tables (sum factorization); grid points are
 built only for the moment of a flowing p_t.  A bump is evaluated only at
 the nodes inside its support: ``TestFunction._support`` finds their flat
 indices with one pass over Re p, and the values are scattered into
-zeros, so every sum is the one a full-grid evaluation gives, to the bit.
+zeros, so the moment and the first variation are, to the bit, the sums a
+full-grid evaluation gives.  The second variation has one implementation,
+``_SecondVariationGrid``: it keeps only the nodes where p lies in the
+bump's (padded) support, so a pairing sums those nodes alone.
 The left-hand sides are Richardson-extrapolated central differences of M
 in t.  A nonzero second-variation pairing certifies that the deformed
 Weyl density splits away from the (deformation invariant) action density
@@ -261,8 +264,7 @@ def second_variation_rhs(f: TestFunction, p: SymbolExpr, G: SymbolExpr,
     if hpg.is_zero:
         return 0.0
     _warn_if_support_leaks(f, p, box_radius)
-    return tensor_quadrature((p, hpg), lambda v, h: f.laplacian(v) * np.abs(h) ** 2,
-                             p.n, box_radius, order)
+    return _SecondVariationGrid(p, hpg, box_radius, order, f.support_bounds()).pair(f)
 
 
 # -------------------------------------------------------- finite differences
@@ -303,14 +305,13 @@ class VariationReport:
     rhs: float
     order: str  # "first" | "second"
     t: float
-    lhs_error: float
-    rhs_error: float
+    rhs_error: float | None  # from quadrature_error_estimate; None where none was made
     discrepancy: float
 
     @classmethod
-    def build(cls, lhs, rhs, order, t, lhs_error=0.0, rhs_error=0.0):
+    def build(cls, lhs, rhs, order, t, rhs_error=None):
         disc = abs(lhs - rhs) / max(abs(rhs), ERROR_FLOOR)
-        return cls(lhs, rhs, order, t, lhs_error, rhs_error, disc)
+        return cls(lhs, rhs, order, t, rhs_error, disc)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -324,45 +325,35 @@ def quadrature_error_estimate(value_fn, order) -> tuple:
 
 
 class _SecondVariationGrid:
-    """Cached quadrature data so many test functions can be paired cheaply.
+    """The second-variation pairing iint (Delta f)(p) |H_p G|^2 on one grid.
 
-    Stores weight * |H_p G(nodes)|^2 per slab for one quadrature order,
-    and p(nodes) only where it lies in ``reach`` = (lo_re, hi_re, lo_im,
-    hi_im), padded by REACH_PAD relative; the kept values of all slabs
-    are one array, so a pairing makes one Laplacian call.  A bump
-    supported in ``reach`` has a zero Laplacian at every other node, so
-    its pairing scatters each slab's share of that call into zeros and
-    equals the full-grid sum.
+    Holds, in slab order, ``vals`` = p(node) and ``weights`` = w_row *
+    w_col * |H_p G(node)|^2 only at the nodes where p lies in ``reach`` =
+    (lo_re, hi_re, lo_im, hi_im), padded by REACH_PAD relative.  A bump
+    supported in ``reach`` has a zero Laplacian at every other node, so a
+    pairing is one Laplacian call and one dot product over the kept nodes.
     """
 
     def __init__(self, p, hpg, box_radius, order, reach):
         self.reach = reach
         pad = REACH_PAD * max(map(abs, reach))
         lo_r, hi_r, lo_i, hi_i = np.add(reach, (-pad, pad, -pad, pad))
-        self.slabs, kept = [], []
-        for w_rows, (vals, h), w_cols in _slabs((p, hpg), p.n, box_radius, order):
-            vals = vals.ravel()
-            keep = np.flatnonzero((lo_r < vals.real) & (vals.real < hi_r)
-                                  & (lo_i < vals.imag) & (vals.imag < hi_i))
-            self.slabs.append(((np.multiply.outer(w_rows, w_cols) * np.abs(h) ** 2).ravel(),
-                               keep))
-            kept.append(vals[keep])
-        self.vals = np.concatenate(kept)
-        self.cuts = np.cumsum([keep.size for _, keep in self.slabs])[:-1]
+        vals, weights = [], []
+        for w_rows, (v, h), w_cols in _slabs((p, hpg), p.n, box_radius, order):
+            v = v.ravel()
+            keep = np.flatnonzero((lo_r < v.real) & (v.real < hi_r)
+                                  & (lo_i < v.imag) & (v.imag < hi_i))
+            rows, cols = np.divmod(keep, w_cols.size)
+            vals.append(v[keep])
+            weights.append(w_rows[rows] * w_cols[cols] * np.abs(h.ravel()[keep]) ** 2)
+        self.vals, self.weights = np.concatenate(vals), np.concatenate(weights)
 
     def pair(self, f: TestFunction) -> float:
         lo_r, hi_r, lo_i, hi_i = f.support_bounds()
         r0, r1, i0, i1 = self.reach
         if not (r0 <= lo_r and hi_r <= r1 and i0 <= lo_i and hi_i <= i1):
             raise ValueError("test function support leaves the grid's reach")
-        lap_slabs = np.split(f.laplacian(self.vals), self.cuts)
-        lap = np.zeros(self.slabs[0][0].size)  # made after the call, the pairing's memory peak
-        total = 0
-        for (wh, keep), lap_keep in zip(self.slabs, lap_slabs):
-            lap[keep] = lap_keep
-            total += np.dot(lap, wh)
-            lap[keep] = 0.0
-        return float(total)
+        return float(f.laplacian(self.vals) @ self.weights)
 
 
 def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius, order=48):
@@ -384,17 +375,18 @@ def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius, or
     ci = np.linspace(lo_i, hi_i, CERT_CENTERS + 2)[1:-1]
     r_max = max(CERT_RADII) * min(window.half_widths)  # reach: the box holding every bump's support
     reach = (cs[0] - r_max, cs[-1] + r_max, ci[0] - r_max, ci[-1] + r_max)
-    grid_hi = _SecondVariationGrid(p, hpg, box_radius, order, reach)
-    grid_lo = _SecondVariationGrid(p, hpg, box_radius, max(QUAD_MIN_ORDER, order // 2),
-                                   reach)
+
+    @functools.cache  # one grid per quadrature order, shared by every bump
+    def grid(o):
+        return _SecondVariationGrid(p, hpg, box_radius, o, reach)
+
     best = None
     for rfrac in CERT_RADII:
         rad = rfrac * min(window.half_widths)
         for cre in cs:
             for cim in ci:
                 f = TestFunction(complex(cre, cim), rad)
-                v = grid_hi.pair(f)
-                err = abs(v - grid_lo.pair(f)) + ERROR_FLOOR
+                v, err = quadrature_error_estimate(lambda o: grid(o).pair(f), order)
                 if abs(v) > CERT_THRESHOLD * err and (best is None or abs(v) > abs(best[1])):
                     best = (f, v, err)
     return best

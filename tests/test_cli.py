@@ -556,6 +556,8 @@ class TestRunnerTable:
         ["bs", "--G", "no-such-generator", "--window", WIN],
         ["bs", "--G", "coupling-xx", "--t", "7", "--window", WIN],
         ["audit", "--samples", "10000"],
+        # the second variation is taken at t = 0
+        ["variation", "--order", "2", "--G", "coupling-xx", "--t", "0.3"],
     ])
     def test_ignored_input_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsweyl import flow
+from bsweyl import flow, variation
 from bsweyl.density import ComplexWindow
+from bsweyl.experiments import DeformationSplitsConfig
 from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
 from bsweyl.symbols import (SymbolExpr, cho, coupling_xx, poisson_bracket,
                             sin_x1_cos_xi2, torus_coupled)
-from bsweyl.variation import (SupportLeakWarning, TestFunction, _SecondVariationGrid,
-                              _slabs, _warn_if_support_leaks, first_variation_rhs,
-                              moment, moment_derivative_fd, nonequality_certificate,
-                              second_variation_rhs, tensor_quadrature)
+from bsweyl.variation import (REACH_PAD, SupportLeakWarning, TestFunction,
+                              _SecondVariationGrid, _slabs, _warn_if_support_leaks,
+                              first_variation_rhs, moment, moment_derivative_fd,
+                              nonequality_certificate, second_variation_rhs,
+                              tensor_quadrature)
 
 from oracles import (bump_dz, bump_reference, integration_by_parts_gap,
                      polar_moment_oracle, separable_polar_quadrature)
@@ -275,6 +277,21 @@ class TestSecondVariation:
                                    0.0, 2, f=f, box_radius=2.0, quad_order=48)
         assert abs(lhs - rhs) / abs(rhs) <= 0.03
 
+    def test_is_the_grid_pairing(self):
+        # one implementation: the grid over the bump's support, which is the
+        # whole-box tensor quadrature of the integrand up to summation order
+        p, G = cho(1.0, 0.0), coupling_xx()
+        hpg = poisson_bracket(p, G)
+        for f, box_radius, order in ((TestFunction(0.05 + 0.55j, 0.35), 2.0, 48),
+                                     (TestFunction(0.3 + 0.3j, 0.25), 2.0, 24),
+                                     (TestFunction(0.55 + 0.55j, 0.25), 1.4, 32)):
+            got = second_variation_rhs(f, p, G, box_radius, order)
+            assert got == _SecondVariationGrid(p, hpg, box_radius, order,
+                                               f.support_bounds()).pair(f)
+            want = tensor_quadrature((p, hpg), lambda v, h: f.laplacian(v) * np.abs(h) ** 2,
+                                     p.n, box_radius, order)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_interior_bump_pairs_to_near_zero(self):
         # the angle average of |H_p G|^2 is harmonic in the actions, so
         # bumps strictly inside the image quadrant cannot sense the
@@ -330,11 +347,33 @@ class TestCertificateGrid:
             for w_rows, (vals, h), w_cols
             in _slabs((p, poisson_bracket(p, G)), p.n, box_radius, order)))
 
-    def test_pairing_equals_full_grid_bitwise(self):
-        p, G = cho(1.0, 0.0), coupling_xx()
-        grid = _SecondVariationGrid(p, poisson_bracket(p, G), 2.0, 16, self.REACH)
-        for f in self.BUMPS:
-            assert grid.pair(f) == self.full_grid_pairing(f, p, G, 2.0, 16)
+    @staticmethod
+    def check_grid(p, G, box_radius, order, reach, bumps):
+        """The grid keeps, bit for bit, the slab values and weights in the padded
+        reach; no bump drops a nonzero term; each pairing is the dot product over
+        the kept nodes in slab order, bit for bit, and the full-grid pairing to
+        1e-13 relative."""
+        hpg = poisson_bracket(p, G)
+        grid = _SecondVariationGrid(p, hpg, box_radius, order, reach)
+        vals, weights = (np.concatenate(a) for a in zip(*(
+            (v.ravel(), (np.multiply.outer(w_rows, w_cols) * np.abs(h) ** 2).ravel())
+            for w_rows, (v, h), w_cols in _slabs((p, hpg), p.n, box_radius, order))))
+        pad = REACH_PAD * max(map(abs, reach))
+        lo_r, hi_r, lo_i, hi_i = np.add(reach, (-pad, pad, -pad, pad))
+        kept = (lo_r < vals.real) & (vals.real < hi_r) & (lo_i < vals.imag) & (vals.imag < hi_i)
+        assert np.array_equal(grid.vals, vals[kept])
+        assert np.array_equal(grid.weights, weights[kept])
+        for f in bumps:
+            lap = bump_reference(f, vals)[1]
+            assert not np.any(lap[~kept])
+            assert grid.pair(f) == np.dot(lap[kept], weights[kept])
+            full = TestCertificateGrid.full_grid_pairing(f, p, G, box_radius, order)
+            assert abs(grid.pair(f) - full) <= 1e-13 * abs(full)
+        return grid
+
+    def test_pairing_is_the_kept_nodes_dot_product(self):
+        grid = self.check_grid(cho(1.0, 0.0), coupling_xx(), 2.0, 16, self.REACH, self.BUMPS)
+        assert 0 < grid.vals.size < 16 ** 4
         assert grid.pair(self.BUMPS[-1]) == 0.0
         assert grid.pair(self.BUMPS[0]) != 0.0
 
@@ -347,13 +386,10 @@ class TestCertificateGrid:
         edge = TestFunction(z0 - 0.3 * (1 - 1e-9), 0.3)
         assert edge.laplacian(z0) != 0
         for f in self.BUMPS[:3] + (edge,):
-            grid = _SecondVariationGrid(p, poisson_bracket(p, G), 2.0, 16,
-                                        f.support_bounds())
-            assert grid.pair(f) == self.full_grid_pairing(f, p, G, 2.0, 16)
+            self.check_grid(p, G, 2.0, 16, f.support_bounds(), (f,))
 
     def test_one_laplacian_call_per_pairing(self, monkeypatch):
-        p, G = cho(1.0, 0.0), coupling_xx()
-        grid = _SecondVariationGrid(p, poisson_bracket(p, G), 2.0, 16, self.REACH)
+        grid = self.check_grid(cho(1.0, 0.0), coupling_xx(), 2.0, 16, self.REACH, ())
         calls = []
         laplacian = TestFunction.laplacian
 
@@ -364,13 +400,31 @@ class TestCertificateGrid:
         monkeypatch.setattr(TestFunction, "laplacian", counted)
         for f in self.BUMPS:
             calls.clear()
-            assert grid.pair(f) == self.full_grid_pairing(f, p, G, 2.0, 16)
+            assert grid.pair(f) == np.dot(laplacian(f, grid.vals), grid.weights)
             assert calls == [grid.vals.shape]
 
     def test_certificate_value_is_full_grid_pairing(self):
         win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
         f, value, _ = nonequality_certificate(cho(1.0, 0.0), coupling_xx(), win, 2.0, 32)
         assert value == self.full_grid_pairing(f, cho(1.0, 0.0), coupling_xx(), 2.0, 32)
+
+    def test_c4_grid_holds_only_the_kept_nodes(self, monkeypatch):
+        # C4's certificate at order 48: 147,456 of the 48^4 nodes are in reach
+        cfg = DeformationSplitsConfig()
+        grids = []
+
+        class Recorded(_SecondVariationGrid):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grids.append(self)
+
+        monkeypatch.setattr(variation, "_SecondVariationGrid", Recorded)
+        win = ComplexWindow.from_bounds(*cfg.certificate_window, resolution=(8, 8))
+        assert nonequality_certificate(cho(1.0, 0.0), coupling_xx(), win,
+                                       cfg.box_radius_second, cfg.quadrature_order)
+        assert len(grids) == 2
+        arrays = {k: v.shape for k, v in vars(grids[0]).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"vals": (147_456,), "weights": (147_456,)}
 
     def test_support_leaving_reach_rejected(self):
         p = cho(1.0, 0.0)
