@@ -18,16 +18,21 @@ is unchanged by the deformation, so omega of the base is used as is.
 box of actions) share one histogram estimator, ``_histogram``.
 
 Every sample, Sobol' or iid, is drawn, scaled to the box, evaluated
-and binned one block (``BLOCK`` = 2^14 rows) at a time, by the draw
-stream of its shard (``_shards``), so every temporary stays cache-sized
-and no whole shard is held.  A shard (``DEFAULT_SHARD`` = 2^20 rows)
-fixes the per-shard seeds of the iid sampler, the balanced Sobol' blocks
-and the flow's batches: no block crosses a shard's end.  The shards of
-one estimate run concurrently, one thread per CPU (``map_on_cpus``), and
-their integer counts are summed, so the grids and volumes do not depend
-on the number of workers.  When a deformed symbol has no closed form,
-only the samples that can land in the window go through the flow, a
-block of them at a time (see ``_map_shards``).  The Sobol' points are
+and binned one block (``BLOCK`` = 2^15 rows) at a time, by the draw
+stream of its shard (``_shards``), so no whole shard is held.  A block
+is long enough that each numpy call outlasts a hand-over of the GIL, so
+the shard threads overlap; each shard draws its rows into one row
+buffer and evaluates into one value buffer, both allocated once and
+refilled for every block, so the largest arrays of a block are not
+returned to the kernel and faulted in again between blocks.  A shard
+(``DEFAULT_SHARD`` = 2^20 rows) fixes the per-shard seeds of the iid
+sampler, the balanced Sobol' blocks and the flow's batches: no block
+crosses a shard's end.  The shards of one estimate run concurrently,
+one thread per CPU (``map_on_cpus``), and their integer counts are
+summed, so the grids and volumes do not depend on the number of
+workers.  When a deformed symbol has no closed form, only the samples
+that can land in the window go through the flow, ``FLOW_BATCH`` = 2^14
+of them at a time (see ``_map_shards``).  The Sobol' points are
 scipy's, drawn by an in-module generator (``_Sobol``).
 """
 
@@ -54,7 +59,8 @@ from .symbols import DimensionMismatchError, SymbolExpr
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 DEFAULT_SHARD = 1 << 20  # samples per iid seed, balanced Sobol' block and flow grouping
-BLOCK = 1 << 14  # samples drawn, scaled, evaluated and binned (or flowed) at once
+BLOCK = 1 << 15  # samples drawn, scaled, evaluated and binned at once, into per-shard buffers
+FLOW_BATCH = 1 << 14  # samples of a flowing symbol per RK45 batch; the flowed bits depend on it
 SOBOL_BITS = 30  # binary digits of each Sobol' coordinate, as scipy's engine draws them
 NEWTON_MAX_ITER = 50  # steps of newton_2xm
 ACTION_NEWTON_TOL = 1e-12  # residual |ptilde(eta) - z| accepted by ActionMap.eta_of_z
@@ -289,10 +295,12 @@ class _Sobol:
             low = np.concatenate([low, low[:, ::-1] ^ self.v[:, j:j + 1]], axis=1)
         self.low = low
 
-    def rows(self, start, stop):
+    def rows(self, start, stop, out=None):
         """Points start, ..., stop - 1 as a (stop - start, dim) float array,
-        Fortran-ordered: each coordinate's column is contiguous."""
-        out = np.empty((len(self.shift), stop - start)).T
+        Fortran-ordered: each coordinate's column is contiguous.  Written
+        into ``out``, a (stop - start, dim) float array, when given."""
+        if out is None:
+            out = np.empty((len(self.shift), stop - start)).T
         for b in range(start // BLOCK, -(-stop // BLOCK)):
             g = b * BLOCK ^ (b * BLOCK >> 1)  # gray code of the block's first point
             head = self.shift ^ np.bitwise_xor.reduce(
@@ -303,7 +311,7 @@ class _Sobol:
         return out
 
 
-def _shards(dim, total, seed, sampler):
+def _shards(dim, total, seed, sampler, reuse=False):
     """The shards of a run: one generator per shard, yielding its points in
     [0,1)^dim at most BLOCK rows at a time.
 
@@ -313,7 +321,10 @@ def _shards(dim, total, seed, sampler):
     its first draw, here the first shard, is no power of two.  iid rows
     come from the generator seeded by (seed, shard index).  The checks
     and the warning happen here, in the calling thread; each generator
-    may then be drained on any thread.
+    may then be drained on any thread.  With ``reuse``, a generator
+    allocates one row buffer at its first draw and yields views of it,
+    refilled for every block, so each block is valid only until the next
+    one is drawn; without, every block is a new array.
     """
     if sampler == "sobol":
         if total > 1 << SOBOL_BITS:
@@ -329,9 +340,17 @@ def _shards(dim, total, seed, sampler):
     def blocks(shard, lo, hi):
         if sampler == "random":
             rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
+        buf = None
+        if reuse:  # Sobol' columns are contiguous; random(out=) takes a C-ordered array
+            rows = min(BLOCK, hi - lo)
+            buf = np.empty((dim, rows)).T if sampler == "sobol" else np.empty((rows, dim))
         for start in range(lo, hi, BLOCK):
             stop = min(start + BLOCK, hi)
-            yield eng.rows(start, stop) if sampler == "sobol" else rng.random((stop - start, dim))
+            out = None if buf is None else buf[:stop - start]
+            if sampler == "sobol":
+                yield eng.rows(start, stop, out)
+            else:
+                yield rng.random((stop - start, dim), out=out)
 
     return [blocks(shard, lo, min(lo + DEFAULT_SHARD, total))
             for shard, lo in enumerate(range(0, total, DEFAULT_SHARD))]
@@ -348,12 +367,14 @@ def map_on_cpus(fn, items) -> list:
     The calling thread runs the first item and worker threads start on
     the next ones; each thread then takes the next item not yet taken.
     There are min(len(items), CPUs of the process) threads, so one item
-    or one CPU runs in series on the calling thread.  An exception in
-    any call stops the threads from taking more items and is raised in
-    the caller as it was raised.
+    or one CPU runs in series on the calling thread; where the platform
+    cannot tell the process's CPUs, the machine's count stands in.  An
+    exception in any call stops the threads from taking more items and
+    is raised in the caller as it was raised.
     """
     items = list(items)
-    workers = min(len(items), len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(items), cpus or 1)
     if workers < 2:
         return [fn(item) for item in items]
     results = [None] * len(items)
@@ -426,9 +447,11 @@ def _map_shards(p, win, dim, points, samples, seed, sampler, tally):
     in the closed window: p_t(rho) lies within displacement_bound(rho) of
     p(rho), so a sample farther than that from the window lands outside
     it and is dropped.  The pre-filter keeps the mapped rows of each
-    block; at the shard's end the kept rows are flowed BLOCK at a time,
-    so each RK45 batch is full.  Blocks go through ``map``, which
-    lets go of each block before it draws the next one.
+    block; at the shard's end the kept rows are flowed FLOW_BATCH at a
+    time, so each RK45 batch is full.  Each shard draws into one reused
+    row buffer (``_shards``), and a closed form evaluates into one
+    reused value buffer; every block is tallied, or its kept rows
+    copied out, before the next one is drawn.
     """
     flows = isinstance(p, DeformedSymbol) and p.flows
     if isinstance(p, DeformedSymbol) and not flows:
@@ -441,12 +464,13 @@ def _map_shards(p, win, dim, points, samples, seed, sampler, tally):
 
     def shard(blocks):
         if not flows:
-            return sum(map(tally, map(lambda u: p.evaluate(*points(u)), blocks))), 0
+            vals = np.empty(BLOCK, dtype=complex)
+            return sum(tally(p.evaluate(*points(u), out=vals[:len(u)])) for u in blocks), 0
         q = np.concatenate(list(map(kept, blocks)))
-        return sum(tally(p.evaluate(q[i:i + BLOCK, :n], q[i:i + BLOCK, n:]))
-                   for i in range(0, len(q), BLOCK)), len(q)
+        return sum(tally(p.evaluate(q[i:i + FLOW_BATCH, :n], q[i:i + FLOW_BATCH, n:]))
+                   for i in range(0, len(q), FLOW_BATCH)), len(q)
 
-    return map_on_cpus(shard, _shards(dim, samples, seed, sampler))
+    return map_on_cpus(shard, _shards(dim, samples, seed, sampler, reuse=True))
 
 
 def _histogram(p, win, dim, points, measure, samples, seed, sampler, meta):

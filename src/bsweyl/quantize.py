@@ -463,7 +463,9 @@ def _shift_invert(block, diag, center: complex, radius: float):
     factored once (in A itself when A is a writeable Fortran-ordered
     array, as `_block` makes from a sparse operator, else in a copy) and
     ARPACK runs for the k largest eigenvalues mu of its inverse (a fixed
-    start vector keeps the result bitwise reproducible); lambda = center
+    start vector keeps the result bitwise reproducible, and a Krylov
+    space of max(2k + 1, 20, 3k) vectors, scipy's default below k = 7,
+    lets one pass converge without implicit restarts); lambda = center
     + 1/mu are the k eigenvalues nearest the center.  The k hold the disc
     only when the farthest lies beyond radius; otherwise k grows by the
     ratio of the disc's area to the area they cover, times
@@ -491,7 +493,8 @@ def _shift_invert(block, diag, center: complex, radius: float):
     while k <= limit:
         passes += 1
         try:
-            mu = eigs(op, k=k, which="LM", v0=v0, return_eigenvectors=False)
+            mu = eigs(op, k=k, ncv=min(n, max(2 * k + 1, 20, 3 * k)), which="LM", v0=v0,
+                      return_eigenvectors=False)
         except ArpackError as exc:
             return None, k, passes, f"ARPACK: {exc}"
         ev = center + 1 / mu

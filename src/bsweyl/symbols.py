@@ -287,13 +287,15 @@ class SymbolExpr:
             spent[i].append(key)
         return tuple(map(tuple, spent))
 
-    def evaluate(self, x, xi):
+    def evaluate(self, x, xi, out=None):
         """Evaluate at arrays of points; x, xi have shape (..., n).
 
         Arithmetic runs in the points' own dtype: at real points the
         monomials are real and the complex coefficients enter last, as
         separate real and imaginary sums.  The result is complex, with
-        the broadcast shape of the points.
+        the broadcast shape of the points.  ``out``, a complex array of
+        that shape, is zeroed and takes the result, bit for bit the one
+        returned without it, and is returned.
         """
         x = np.asarray(x)
         xi = np.asarray(xi)
@@ -301,6 +303,10 @@ class SymbolExpr:
             raise DimensionMismatchError(
                 f"points have dimension {x.shape[-1]}, symbol has n={self.n}")
         shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
+        if out is not None:
+            if out.shape != shape or out.dtype != complex:
+                raise ValueError(f"out must be a complex array of shape {shape}")
+            out.fill(0)
         terms, _, phase_keys = self._plan
         z = [np.asarray(a[..., j], dtype=complex if np.iscomplexobj(a) else float)
              for a in (x, xi) for j in range(self.n)]
@@ -314,7 +320,8 @@ class SymbolExpr:
         # with no phase at real points every term is real, and the real sums go
         # straight into the result's parts: 0 + re is re, bit for bit
         direct = not phase_keys and not any(map(np.iscomplexobj, z))
-        out = np.zeros(shape, dtype=complex) if direct else None
+        if out is None and direct:
+            out = np.zeros(shape, dtype=complex)
         re, im = (out.real, out.imag) if direct else (None, None)
         for (c, pows, freqs), spent in zip(terms, self._spent_powers):
             for k, e in pows:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 import threading
@@ -503,7 +504,8 @@ def binomial_stderr(counts, samples, scale):
 class TestBlockedSampling:
     """Blocked evaluation gives the unblocked loop's grids bit for bit."""
 
-    # neither is a multiple of density.BLOCK = 2^14, so shards and blocks end ragged
+    # neither is a multiple of density.BLOCK = 2^15 or density.FLOW_BATCH = 2^14, so
+    # shards, blocks and flow batches end ragged
     SAMPLES, SHARD = 3 * (1 << 14) + 7, (1 << 15) + 3
 
     @pytest.mark.parametrize("sampler", ["sobol", "random"])
@@ -534,7 +536,7 @@ class TestBlockedSampling:
         assert got_batches == want_batches
         if case == "flowing":
             sizes = [len(b) // (16 * p.n) for shard in got_batches.values() for b in shard]
-            assert density.BLOCK in sizes and len(sizes) > 2
+            assert density.FLOW_BATCH in sizes and len(sizes) > 2
         vol, _ = preimage_volume(p, win, box, self.SAMPLES, 4, sampler)
         assert vol == boxvol * (hits / self.SAMPLES)
 
@@ -576,9 +578,9 @@ class TestBlockedSampling:
         spans, sizes = [], []
         sobol_rows, default_rng = density._Sobol.rows, np.random.default_rng
 
-        def recording_rows(eng, start, stop):
+        def recording_rows(eng, start, stop, out=None):
             spans.append(stop - start)
-            return sobol_rows(eng, start, stop)
+            return sobol_rows(eng, start, stop, out)
 
         class RecordingGenerator:
             def __init__(self, seed=None):
@@ -587,9 +589,9 @@ class TestBlockedSampling:
             def __getattr__(self, name):
                 return getattr(self.rng, name)
 
-            def random(self, size):
+            def random(self, size, out=None):
                 sizes.append(size[0])
-                return self.rng.random(size)
+                return self.rng.random(size, out=out)
 
         monkeypatch.setattr(density._Sobol, "rows", recording_rows)
         monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
@@ -610,7 +612,7 @@ class TestConcurrentShards:
     """Shards run on several threads give the one-thread outputs bit for bit."""
 
     # four shards, each a full block and a ragged one; the last shard is shorter
-    SAMPLES, SHARD = 3 * ((1 << 14) + 5) + 4001, (1 << 14) + 5
+    SAMPLES, SHARD = 3 * (density.BLOCK + 5) + 4001, density.BLOCK + 5
 
     @pytest.fixture
     def threads(self, monkeypatch):
@@ -618,11 +620,11 @@ class TestConcurrentShards:
         seen = set()
         shards = density._shards
 
-        def recording(*args):
+        def recording(*args, **kwargs):
             def tagged(blocks):
                 seen.add(threading.get_ident())
                 yield from blocks
-            return [tagged(b) for b in shards(*args)]
+            return [tagged(b) for b in shards(*args, **kwargs)]
 
         monkeypatch.setattr(density, "_shards", recording)
         monkeypatch.setattr(density, "DEFAULT_SHARD", self.SHARD)
@@ -645,7 +647,7 @@ class TestConcurrentShards:
         assert self.run(monkeypatch, 3, case, sampler) == one
         assert len(threads) > 1
         if case == "flowing":
-            assert one[2]["flowed"] > 2 * density.BLOCK
+            assert one[2]["flowed"] > 2 * density.FLOW_BATCH
 
     def test_torus_does_not_depend_on_the_cpu_count(self, threads, monkeypatch):
         win = ComplexWindow.from_bounds(-0.3, 0.3, -0.3, 0.3, (8, 8))
@@ -666,8 +668,8 @@ class TestConcurrentShards:
             events.append(("warn", threading.get_ident()))
             warn(message, *args, **kwargs)
 
-        def recording_shards(*args):
-            out = shards(*args)
+        def recording_shards(*args, **kwargs):
+            out = shards(*args, **kwargs)
             events.append(("shards", threading.get_ident()))
             return out
 
@@ -683,6 +685,20 @@ class TestConcurrentShards:
             weyl_density(p, win, box_radius=box, samples=self.SAMPLES, sampler="halton")
         with pytest.raises(ValueError, match="at most 2\\*\\*30"):
             preimage_volume(p, win, box, (1 << 30) + 1, 4)
+
+    def test_platform_without_sched_getaffinity(self, threads, monkeypatch):
+        # os has no sched_getaffinity on macOS or Windows: the machine's CPU count
+        # stands in, and a grid of several shards is still the one-CPU grid
+        one = self.run(monkeypatch, 1, "n2", "sobol")
+        threads.clear()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        p, win, box = BLOCKED_CASES["n2"]()
+        grid = weyl_density(p, win, box_radius=box, samples=self.SAMPLES, seed=4)
+        assert (grid.values.tobytes(), grid.stderr.tobytes()) == one[:2] and len(threads) > 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable: one thread
+        caller = threading.get_ident()
+        assert density.map_on_cpus(lambda i: threading.get_ident(), range(4)) == [caller] * 4
 
     def test_every_item_runs_once_under_contention(self, monkeypatch):
         # more threads than cores and a short switch interval: an item lost or
@@ -779,6 +795,33 @@ class TestSobol:
         block_ends = set(np.cumsum([len(b) for b in blocks]).tolist())
         assert set(np.cumsum([len(s) for s in shards]).tolist()) <= block_ends
         assert np.concatenate(blocks).tobytes() == np.concatenate(shards).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
+    @pytest.mark.parametrize("sampler", ["sobol", "random"])
+    def test_unit_blocks_never_alias(self, sampler, monkeypatch):
+        # audit and these tests hold several blocks at once
+        monkeypatch.setattr(density, "DEFAULT_SHARD", (1 << 16) + 3)
+        blocks = list(density._unit_blocks(4, 3 * density.BLOCK + 11, 3, sampler))
+        assert len(blocks) == 5
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(blocks, 2))
+
+    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
+    @pytest.mark.parametrize("sampler", ["sobol", "random"])
+    def test_reused_buffer_draws_the_fresh_blocks(self, sampler, monkeypatch):
+        # each shard refills one buffer; for iid rows Generator.random(out=)
+        # continues the stream of random(size) bit for bit
+        monkeypatch.setattr(density, "DEFAULT_SHARD", (1 << 16) + 3)
+        total = 3 * density.BLOCK + 11
+        fresh = list(density._unit_blocks(4, total, 3, sampler))
+        copies = []
+        for shard in density._shards(4, total, 3, sampler, reuse=True):
+            views = []
+            for block in shard:
+                views.append(block)
+                copies.append(block.copy())
+            assert all(np.shares_memory(views[0], v) for v in views[1:])
+        assert [len(b) for b in copies] == [len(b) for b in fresh]
+        assert np.concatenate(copies).tobytes() == np.concatenate(fresh).tobytes()
 
     def test_at_most_2_to_the_30_points(self):
         with pytest.raises(ValueError, match="at most 2\\*\\*30"):

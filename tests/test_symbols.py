@@ -111,6 +111,24 @@ class TestEvaluationPlan:
         assert vals.dtype == complex and vals.shape == (5, 4)
         assert not np.any(vals)
 
+    @pytest.mark.parametrize("path", ["real", "phase", "complex"])
+    def test_out_takes_the_result_bitwise(self, path):
+        # real points with no phase sum into out's parts; a phase, or complex
+        # points, sum into out itself, with the real terms' sums added last
+        p = cho(1.0, 0.5j) + 0.3 * coupling_xx()
+        if path == "phase":
+            p = p + sin_x1_cos_xi2()
+        rng = np.random.default_rng(7)
+        x, xi = rng.uniform(-1.5, 1.5, (2, 1000, 2))
+        if path == "complex":
+            xi = xi + 1j * rng.uniform(-0.5, 0.5, xi.shape)
+        buf = np.full(1200, complex(np.nan, np.nan))  # not zeroed
+        out = buf[:1000]  # a view, as a shard's ragged last block is
+        assert p.evaluate(x, xi, out=out) is out
+        assert out.tobytes() == p.evaluate(x, xi).tobytes()
+        with pytest.raises(ValueError, match="shape"):
+            p.evaluate(x, xi, out=buf[:999])
+
     def test_leaves_no_reference_cycle(self):
         # tables kept alive by a cycle would outlive the call until the cyclic GC runs
         p = torus_coupled(0.3) * cho(1.0, 0.5j) + sin_x1_cos_xi2()
