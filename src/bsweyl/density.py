@@ -295,12 +295,10 @@ class _Sobol:
             low = np.concatenate([low, low[:, ::-1] ^ self.v[:, j:j + 1]], axis=1)
         self.low = low
 
-    def rows(self, start, stop, out=None):
-        """Points start, ..., stop - 1 as a (stop - start, dim) float array,
-        Fortran-ordered: each coordinate's column is contiguous.  Written
-        into ``out``, a (stop - start, dim) float array, when given."""
-        if out is None:
-            out = np.empty((len(self.shift), stop - start)).T
+    def rows(self, start, stop, out):
+        """Points start, ..., stop - 1, written into ``out``, a (stop - start,
+        dim) float array, and returned; a Fortran-ordered ``out`` keeps each
+        coordinate's column contiguous."""
         for b in range(start // BLOCK, -(-stop // BLOCK)):
             g = b * BLOCK ^ (b * BLOCK >> 1)  # gray code of the block's first point
             head = self.shift ^ np.bitwise_xor.reduce(
@@ -311,7 +309,7 @@ class _Sobol:
         return out
 
 
-def _shards(dim, total, seed, sampler, reuse=False):
+def _shards(dim, total, seed, sampler):
     """The shards of a run: one generator per shard, yielding its points in
     [0,1)^dim at most BLOCK rows at a time.
 
@@ -321,10 +319,9 @@ def _shards(dim, total, seed, sampler, reuse=False):
     its first draw, here the first shard, is no power of two.  iid rows
     come from the generator seeded by (seed, shard index).  The checks
     and the warning happen here, in the calling thread; each generator
-    may then be drained on any thread.  With ``reuse``, a generator
-    allocates one row buffer at its first draw and yields views of it,
-    refilled for every block, so each block is valid only until the next
-    one is drawn; without, every block is a new array.
+    may then be drained on any thread.  A generator allocates one row
+    buffer at its first draw and yields views of it, refilled for every
+    block, so each block is valid only until the next one is drawn.
     """
     if sampler == "sobol":
         if total > 1 << SOBOL_BITS:
@@ -340,13 +337,12 @@ def _shards(dim, total, seed, sampler, reuse=False):
     def blocks(shard, lo, hi):
         if sampler == "random":
             rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
-        buf = None
-        if reuse:  # Sobol' columns are contiguous; random(out=) takes a C-ordered array
-            rows = min(BLOCK, hi - lo)
-            buf = np.empty((dim, rows)).T if sampler == "sobol" else np.empty((rows, dim))
+        # Sobol' columns are contiguous; random(out=) takes a C-ordered array
+        rows = min(BLOCK, hi - lo)
+        buf = np.empty((dim, rows)).T if sampler == "sobol" else np.empty((rows, dim))
         for start in range(lo, hi, BLOCK):
             stop = min(start + BLOCK, hi)
-            out = None if buf is None else buf[:stop - start]
+            out = buf[:stop - start]
             if sampler == "sobol":
                 yield eng.rows(start, stop, out)
             else:
@@ -357,8 +353,9 @@ def _shards(dim, total, seed, sampler, reuse=False):
 
 
 def _unit_blocks(dim, total, seed, sampler):
-    """Every point of a run in [0,1)^dim, the blocks of its shards in order."""
-    return itertools.chain.from_iterable(_shards(dim, total, seed, sampler))
+    """Every point of a run in [0,1)^dim, the blocks of its shards in order,
+    each a new array that later draws leave as it is."""
+    return map(np.copy, itertools.chain.from_iterable(_shards(dim, total, seed, sampler)))
 
 
 def map_on_cpus(fn, items) -> list:
@@ -470,7 +467,7 @@ def _map_shards(p, win, dim, points, samples, seed, sampler, tally):
         return sum(tally(p.evaluate(q[i:i + FLOW_BATCH, :n], q[i:i + FLOW_BATCH, n:]))
                    for i in range(0, len(q), FLOW_BATCH)), len(q)
 
-    return map_on_cpus(shard, _shards(dim, samples, seed, sampler, reuse=True))
+    return map_on_cpus(shard, _shards(dim, samples, seed, sampler))
 
 
 def _histogram(p, win, dim, points, measure, samples, seed, sampler, meta):

@@ -464,7 +464,7 @@ def _shift_invert(block, diag, center: complex, radius: float):
     array, as `_block` makes from a sparse operator, else in a copy) and
     ARPACK runs for the k largest eigenvalues mu of its inverse (a fixed
     start vector keeps the result bitwise reproducible, and a Krylov
-    space of max(2k + 1, 20, 3k) vectors, scipy's default below k = 7,
+    space of max(20, 3k) vectors, scipy's default for k < 7,
     lets one pass converge without implicit restarts); lambda = center
     + 1/mu are the k eigenvalues nearest the center.  The k hold the disc
     only when the farthest lies beyond radius; otherwise k grows by the
@@ -493,7 +493,7 @@ def _shift_invert(block, diag, center: complex, radius: float):
     while k <= limit:
         passes += 1
         try:
-            mu = eigs(op, k=k, ncv=min(n, max(2 * k + 1, 20, 3 * k)), which="LM", v0=v0,
+            mu = eigs(op, k=k, ncv=min(n, max(20, 3 * k)), which="LM", v0=v0,
                       return_eigenvectors=False)
         except ArpackError as exc:
             return None, k, passes, f"ARPACK: {exc}"

@@ -578,7 +578,7 @@ class TestBlockedSampling:
         spans, sizes = [], []
         sobol_rows, default_rng = density._Sobol.rows, np.random.default_rng
 
-        def recording_rows(eng, start, stop, out=None):
+        def recording_rows(eng, start, stop, out):
             spans.append(stop - start)
             return sobol_rows(eng, start, stop, out)
 
@@ -589,7 +589,7 @@ class TestBlockedSampling:
             def __getattr__(self, name):
                 return getattr(self.rng, name)
 
-            def random(self, size, out=None):
+            def random(self, size, out):
                 sizes.append(size[0])
                 return self.rng.random(size, out=out)
 
@@ -620,11 +620,11 @@ class TestConcurrentShards:
         seen = set()
         shards = density._shards
 
-        def recording(*args, **kwargs):
+        def recording(*args):
             def tagged(blocks):
                 seen.add(threading.get_ident())
                 yield from blocks
-            return [tagged(b) for b in shards(*args, **kwargs)]
+            return [tagged(b) for b in shards(*args)]
 
         monkeypatch.setattr(density, "_shards", recording)
         monkeypatch.setattr(density, "DEFAULT_SHARD", self.SHARD)
@@ -668,8 +668,8 @@ class TestConcurrentShards:
             events.append(("warn", threading.get_ident()))
             warn(message, *args, **kwargs)
 
-        def recording_shards(*args, **kwargs):
-            out = shards(*args, **kwargs)
+        def recording_shards(*args):
+            out = shards(*args)
             events.append(("shards", threading.get_ident()))
             return out
 
@@ -810,18 +810,17 @@ class TestSobol:
     def test_reused_buffer_draws_the_fresh_blocks(self, sampler, monkeypatch):
         # each shard refills one buffer; for iid rows Generator.random(out=)
         # continues the stream of random(size) bit for bit
-        monkeypatch.setattr(density, "DEFAULT_SHARD", (1 << 16) + 3)
+        shard = (1 << 16) + 3
+        monkeypatch.setattr(density, "DEFAULT_SHARD", shard)
         total = 3 * density.BLOCK + 11
-        fresh = list(density._unit_blocks(4, total, 3, sampler))
-        copies = []
-        for shard in density._shards(4, total, 3, sampler, reuse=True):
-            views = []
-            for block in shard:
+        for blocks, want in zip(density._shards(4, total, 3, sampler),
+                                unit_shards(4, total, 3, sampler, shard), strict=True):
+            views, copies = [], []
+            for block in blocks:
                 views.append(block)
                 copies.append(block.copy())
             assert all(np.shares_memory(views[0], v) for v in views[1:])
-        assert [len(b) for b in copies] == [len(b) for b in fresh]
-        assert np.concatenate(copies).tobytes() == np.concatenate(fresh).tobytes()
+            assert np.concatenate(copies).tobytes() == want.tobytes()
 
     def test_at_most_2_to_the_30_points(self):
         with pytest.raises(ValueError, match="at most 2\\*\\*30"):
