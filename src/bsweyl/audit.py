@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .density import _unit_blocks, newton_2xm
 from .symbols import SymbolExpr, real_bracket
@@ -82,6 +80,8 @@ def _components(pts, radius=0.2) -> int:
     least one point's) and merged into a union-find forest, so memory is
     bounded by the pairs of one chunk, not by every pair of the cloud.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree  # imported here: it alone costs about 0.1 s
 
     m = len(pts)

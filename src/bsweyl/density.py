@@ -52,6 +52,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import numpy.random
 import scipy
 
 from .flow import DeformedSymbol, closed_form

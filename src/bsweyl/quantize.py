@@ -18,6 +18,10 @@ Both quantizers return a sparse (CSR) operator: p_t at N = 60 stores
 about 8.7 nonzeros per row of its 3600, 0.6 MB against 207 MB dense.
 Only `perturb` returns a dense one, and a solve makes dense only the
 block it reads (see `SpectrumResult`).
+
+scipy's sparse and linear-algebra modules are imported by the functions
+that build or solve a matrix, not by this module: importing them costs
+0.14-0.19 s and about 21 MB, which a run that builds no matrix never pays.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+import numpy.random
+import scipy
 
 from .density import (ActionMap, ComplexWindow, DensityGrid, SingularActionMapError,
                       map_on_cpus)
@@ -97,10 +100,12 @@ class OperatorMatrix:
     checked finite and frozen.
     """
 
-    matrix: sparse.csr_matrix | np.ndarray
+    matrix: scipy.sparse.csr_matrix | np.ndarray
     basis: BasisSpec
 
     def __post_init__(self):
+        from scipy import sparse
+
         if sparse.issparse(self.matrix):
             m = sparse.csr_matrix(self.matrix, dtype=complex)
             m.sum_duplicates()
@@ -122,7 +127,7 @@ class OperatorMatrix:
 
     def toarray(self) -> np.ndarray:
         """The matrix as a dense ndarray (a new one when it is held sparse)."""
-        return self.matrix.toarray() if sparse.issparse(self.matrix) else self.matrix
+        return self.matrix if isinstance(self.matrix, np.ndarray) else self.matrix.toarray()
 
 
 class SpectrumResult:
@@ -157,7 +162,7 @@ class SpectrumResult:
     @cached_property
     def residual_bound(self) -> float:
         M = self.operator.matrix
-        stored = M.data if sparse.issparse(M) else M  # a sparse matrix's nonzeros
+        stored = M if isinstance(M, np.ndarray) else M.data  # a sparse matrix's nonzeros
         return M.shape[0] * np.finfo(float).eps * float(np.linalg.norm(stored))
 
     @cached_property
@@ -167,9 +172,9 @@ class SpectrumResult:
     def _block(self, idx) -> np.ndarray:
         """Block idx (None: all), dense; a sparse operator's is a new Fortran-ordered array."""
         M = self.operator.matrix
-        if sparse.issparse(M):
-            return (M if idx is None else M[idx][:, idx]).toarray(order="F")
-        return M if idx is None else M[np.ix_(idx, idx)]
+        if isinstance(M, np.ndarray):
+            return M if idx is None else M[np.ix_(idx, idx)]
+        return (M if idx is None else M[idx][:, idx]).toarray(order="F")
 
     def _diagonal(self, idx) -> np.ndarray:
         """The diagonal of block idx (None: all), read without making the block dense."""
@@ -292,6 +297,8 @@ def quantize_quadratic(q: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
     (X P + P X)/2; operators on distinct tensor factors commute so no
     further ordering enters.
     """
+    from scipy import sparse
+
     if basis.kind != "hermite-tensor":
         raise QuantizationError("quadratic quantization needs a hermite-tensor basis")
     if q.has_trig or q.total_degree > 2:
@@ -312,6 +319,8 @@ def quantize_quadratic(q: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
 
 def quantize_torus(ptilde: SymbolExpr, basis: BasisSpec) -> OperatorMatrix:
     """Diagonal Fourier quantization of an eta-only torus symbol, held sparse."""
+    from scipy import sparse
+
     if basis.kind != "torus-fourier":
         raise QuantizationError("torus quantization needs a torus-fourier basis")
     for t in ptilde.terms:
@@ -340,11 +349,11 @@ def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
         return P
     Q = gaussian_perturbation(P.dim, seed)
     Q *= delta
-    if sparse.issparse(P.matrix):
+    if isinstance(P.matrix, np.ndarray):
+        Q += P.matrix
+    else:
         C = P.matrix.tocoo()  # canonical: no index pair twice
         Q[C.row, C.col] += C.data
-    else:
-        Q += P.matrix
     return OperatorMatrix(Q, P.basis)
 
 
@@ -392,11 +401,11 @@ def parity_blocks(P: OperatorMatrix) -> list:
     parity = np.indices((P.basis.size,) * P.basis.n).sum(axis=0).ravel() % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
     M = P.matrix
-    if sparse.issparse(M):
+    if isinstance(M, np.ndarray):
+        coupled = M[np.ix_(even, odd)].any() or M[np.ix_(odd, even)].any()
+    else:
         rows, cols = M.nonzero()
         coupled = np.any(parity[rows] != parity[cols])
-    else:
-        coupled = M[np.ix_(even, odd)].any() or M[np.ix_(odd, even)].any()
     if not odd.size or coupled:
         return [None]
     return [even, odd]
@@ -473,6 +482,9 @@ def _shift_invert(block, diag, center: complex, radius: float):
     exceeds dim/8, where a dense solve is cheaper, when the factor is
     singular or when ARPACK fails.
     """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+
     n = len(diag)
     limit = n / 8
     inside = np.count_nonzero(np.abs(diag - center) <= radius)

@@ -34,6 +34,7 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
+import numpy.polynomial.legendre
 
 from .density import box_face_points
 from .flow import closed_form

@@ -29,14 +29,42 @@ def run_cli(args, cwd, env=CLI_ENV):
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
+# Prints, after each step, the public scipy subpackages loaded so far (scipy.version
+# is a module that `import scipy` loads, not a subpackage).
+FOOTPRINT_SCRIPT = """
+import sys
+def show(step):
+    print(step, *sorted(m[6:] for m, mod in list(sys.modules.items())
+                        if m.startswith("scipy.") and m.count(".") == 1
+                        and not m[6:].startswith("_") and hasattr(mod, "__path__")))
+import bsweyl
+show("import")
+import bsweyl.cli
+show("cli")
+from bsweyl import density, flow, quantize, symbols, variation
+p, win = symbols.cho(1.0, 0.5), density.ComplexWindow.from_bounds(0.2, 1.2, 0.0, 1.0, (4, 4))
+density.weyl_density(p, win, 3.0, 4096)
+density.preimage_volume(p, win, 3.0, 4096)
+variation.moment(variation.TestFunction(0.7 + 0.5j, 0.3), p, 3.0, order=8, check_support=False)
+flow.integrate_flow(flow.Deformation((symbols.coupling_xx(),)), 0.1,
+                    symbols.PhasePoint([0.3, 0.1], [0.2, -0.4]))
+show("passes")
+quantize.quantize_quadratic(p, quantize.BasisSpec("hermite-tensor", 4, 0.5))
+show("quantize")
+"""
+
+
 def test_import_leaves_scipy_stats_and_spatial_unloaded():
     # scipy.stats alone costs about 0.4 s of start-up; the Sobol' engine reads
-    # its direction numbers from scipy's table file instead
-    out = subprocess.run([sys.executable, "-c", "import sys, bsweyl; print(*sys.modules)"],
+    # its direction numbers from scipy's table file instead.  No public scipy
+    # subpackage loads before a matrix is built: scipy.sparse and scipy.linalg
+    # cost about 0.16 s and 25 MB, imported where quantize builds or solves one
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT],
                          capture_output=True, text=True, env=CLI_ENV, check=True)
-    loaded = set(out.stdout.split())
-    assert "bsweyl" in loaded
-    assert not loaded & {"scipy.stats", "scipy.spatial"}
+    loaded = {step: rest for step, *rest in map(str.split, out.stdout.splitlines())}
+    assert loaded["import"] == loaded["cli"] == loaded["passes"] == []
+    assert "sparse" in loaded["quantize"]  # deferred, not missing
+    assert not {"stats", "spatial"} & set(loaded["quantize"])
 
 
 class TestConfigValidation:

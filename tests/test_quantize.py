@@ -693,7 +693,7 @@ class TestWindowedSpectrum:
         def fail(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
-        monkeypatch.setattr(quantize, "eigs", fail)
+        monkeypatch.setattr("scipy.sparse.linalg.eigs", fail)  # where _shift_invert looks it up
         Pd = perturb(p_t_operator(24), 1e-4, 1)
         s = spectrum(Pd)
         got = s.in_window(COUNT_WINDOW)
