@@ -38,7 +38,6 @@ scipy's, drawn by an in-module generator (``_Sobol``).
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -204,15 +203,15 @@ class DensityGrid:
         return float(np.nansum(w) * self.window.cell_area)
 
     def write_csv(self, path):
-        z = self.window.centers_complex()
+        """One row per cell, row-major, each ending in CRLF as csv's excel
+        dialect writes them; written line by line, so the file is never
+        held as one string."""
+        z = self.window.centers_complex().ravel()
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["z_re", "z_im", "value", "stderr"])
-            for i in range(z.shape[0]):
-                for j in range(z.shape[1]):
-                    wr.writerow([f"{z[i, j].real:.17g}", f"{z[i, j].imag:.17g}",
-                                 f"{self.values[i, j]:.17g}",
-                                 f"{self.stderr[i, j]:.17g}"])
+            fh.write("z_re,z_im,value,stderr\r\n")
+            fh.writelines(f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}\r\n" for a, b, c, d in zip(
+                z.real.tolist(), z.imag.tolist(), self.values.ravel().tolist(),
+                self.stderr.ravel().tolist()))
 
     def write_meta(self, path):
         with open(path, "w") as fh:

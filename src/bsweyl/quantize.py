@@ -16,8 +16,9 @@ quadratic.
 
 Both quantizers return a sparse (CSR) operator: p_t at N = 60 stores
 about 8.7 nonzeros per row of its 3600, 0.6 MB against 207 MB dense.
-Only `perturb` returns a dense one, and a solve makes dense only the
-block it reads (see `SpectrumResult`).
+`perturb` keeps that matrix and its draw (delta, seed), not P + delta Q;
+a solve makes dense only the block it reads, and draws Q into it (see
+`OperatorMatrix.toarray` and `SpectrumResult`).
 
 scipy's sparse and linear-algebra modules are imported by the functions
 that build or solve a matrix, not by this module: importing them costs
@@ -26,7 +27,6 @@ that build or solve a matrix, not by this module: importing them costs
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import glob
 import json
@@ -93,15 +93,19 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """An operator in a basis, held as a CSR matrix or a dense ndarray.
+    """An operator in a basis: a stored matrix, CSR or a dense ndarray, plus
+    the Gaussian draws that `perturb` added to it.
 
     A sparse matrix is kept in canonical form (sorted indices, no
     duplicate entries); its stored values, or the dense array, are
-    checked finite and frozen.
+    checked finite and frozen.  `draws` holds (delta, seed) pairs, in
+    the order they were added; no draw is held as a matrix (see
+    `toarray`).
     """
 
     matrix: scipy.sparse.csr_matrix | np.ndarray
     basis: BasisSpec
+    draws: tuple = ()
 
     def __post_init__(self):
         from scipy import sparse
@@ -125,9 +129,27 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def toarray(self) -> np.ndarray:
-        """The matrix as a dense ndarray (a new one when it is held sparse)."""
-        return self.matrix if isinstance(self.matrix, np.ndarray) else self.matrix.toarray()
+    def toarray(self, order="C") -> np.ndarray:
+        """The operator as a dense ndarray.
+
+        A stored dense matrix with no draws is returned as it is; else the
+        array is new, writeable and in `order` ("F" is what a solve
+        factors in place).  Each draw is `gaussian_perturbation` into
+        that array, scaled by delta, to which the stored matrix (the
+        previous draw's sum, after the first) is added: bitwise what a
+        dense P + delta Q built in that order holds.
+        """
+        A = self.matrix
+        for delta, seed in self.draws:
+            Q = gaussian_perturbation(self.dim, seed, order)
+            Q *= delta
+            if isinstance(A, np.ndarray):
+                Q += A
+            else:
+                C = A.tocoo()  # canonical: no index pair twice
+                Q[C.row, C.col] += C.data
+            A = Q
+        return A if isinstance(A, np.ndarray) else A.toarray(order=order)
 
 
 class SpectrumResult:
@@ -136,7 +158,9 @@ class SpectrumResult:
     `eigenvalues` is the full spectrum in column order (see `_ordered`):
     a dense backward-stable solve, cached, of each parity block of the
     operator (see `parity_blocks`); a block of a sparse operator is made
-    dense only for its solve.  `in_window` filters that spectrum once it is
+    dense only for its solve, and a perturbed operator's draws are drawn
+    into that array (see `OperatorMatrix.toarray`), once per solve that
+    reads it.  `in_window` filters that spectrum once it is
     cached; before, it solves each block near the window only (see
     `_shift_invert`) and falls back to the block's dense solve, which it
     caches.  Every solve appends a record to `solves`: its method
@@ -161,7 +185,9 @@ class SpectrumResult:
 
     @cached_property
     def residual_bound(self) -> float:
-        M = self.operator.matrix
+        """dim eps ||A||_F; a perturbed operator is drawn for it once, in C order."""
+        op = self.operator
+        M = op.toarray() if op.draws else op.matrix
         stored = M if isinstance(M, np.ndarray) else M.data  # a sparse matrix's nonzeros
         return M.shape[0] * np.finfo(float).eps * float(np.linalg.norm(stored))
 
@@ -170,14 +196,18 @@ class SpectrumResult:
         return parity_blocks(self.operator)
 
     def _block(self, idx) -> np.ndarray:
-        """Block idx (None: all), dense; a sparse operator's is a new Fortran-ordered array."""
-        M = self.operator.matrix
+        """Block idx (None: all), dense: a new Fortran-ordered array unless
+        the operator is a stored dense matrix with no draws."""
+        if idx is None:
+            return self.operator.toarray(order="F")
+        M = self.operator.matrix  # an operator with draws is one block
         if isinstance(M, np.ndarray):
-            return M if idx is None else M[np.ix_(idx, idx)]
-        return (M if idx is None else M[idx][:, idx]).toarray(order="F")
+            return M[np.ix_(idx, idx)]
+        return M[idx][:, idx].toarray(order="F")
 
     def _diagonal(self, idx) -> np.ndarray:
-        """The diagonal of block idx (None: all), read without making the block dense."""
+        """The stored matrix's diagonal in block idx (None: all), read without
+        making the block dense or drawing (see `_shift_invert`)."""
         d = self.operator.matrix.diagonal()
         return d if idx is None else d[idx]
 
@@ -249,11 +279,13 @@ class SpectrumResult:
                                         for i in range(len(self._blocks))]))
 
     def write_csv(self, path):
+        """re,im rows of `eigenvalues`, each ending in CRLF as csv's excel
+        dialect writes them; written line by line, as `DensityGrid.write_csv`."""
+        ev = self.eigenvalues
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["re", "im"])
-            for z in self.eigenvalues:
-                wr.writerow([f"{z.real:.17g}", f"{z.imag:.17g}"])
+            fh.write("re,im\r\n")
+            fh.writelines(f"{re:.17g},{im:.17g}\r\n"
+                          for re, im in zip(ev.real.tolist(), ev.imag.tolist()))
 
     def write_meta(self, path):
         with open(path, "w") as fh:
@@ -339,33 +371,33 @@ def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
 
     Entries of the unscaled matrix are CN(0, 1); after the 1/sqrt(dim)
     scaling the expected operator norm of Q is O(1).  Deterministic for
-    fixed seed.  Q is scaled in place and P's stored entries are added
-    into it, so only one dim x dim complex matrix is built; the result
-    is bitwise delta Q + P.toarray().
+    fixed seed.  Nothing is drawn here: the result keeps P's stored
+    matrix and its draws, plus (delta, seed), and Q is drawn each time
+    the dense operator is built (see `OperatorMatrix.toarray`), bitwise
+    delta Q + P.toarray().
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
+    if not np.isfinite(delta):
+        raise ValueError("delta must be finite")
     if delta == 0:
         return P
-    Q = gaussian_perturbation(P.dim, seed)
-    Q *= delta
-    if isinstance(P.matrix, np.ndarray):
-        Q += P.matrix
-    else:
-        C = P.matrix.tocoo()  # canonical: no index pair twice
-        Q[C.row, C.col] += C.data
-    return OperatorMatrix(Q, P.basis)
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return OperatorMatrix(P.matrix, P.basis, P.draws + ((delta, seed),))
 
 
-def gaussian_perturbation(dim: int, seed: int) -> np.ndarray:
-    """The scaled random matrix used by perturb, for direct inspection.
+def gaussian_perturbation(dim: int, seed: int, order="C") -> np.ndarray:
+    """The scaled random matrix that perturb adds, as a new array in `order`.
 
     Q is allocated once; its real parts, then its imaginary parts, are
     drawn DRAW_BLOCK normals at a time in row order, which is the
-    whole-matrix draw's stream.
+    whole-matrix draw's stream, then divided by sqrt(2) sqrt(dim).  The
+    memory order moves where the values land, not what they are.
     """
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), dim)))
-    Q = np.empty((dim, dim), dtype=complex)
+    Q = np.empty((dim, dim), dtype=complex, order=order)
     rows = max(1, DRAW_BLOCK // dim)
     for part in (Q.real, Q.imag):
         for i in range(0, dim, rows):
@@ -392,11 +424,11 @@ def parity_blocks(P: OperatorMatrix) -> list:
     In a hermite-tensor basis a term of even total degree maps the
     parity of k1 + ... + kn to itself; when both off-parity blocks of
     the matrix are exactly zero, the spectrum is that of the even and
-    the odd block.  Odd-degree terms and perturbations couple them.  A
-    sparse matrix is read by its nonzero pattern (explicit zeros do not
-    couple).
+    the odd block.  Odd-degree terms and perturbations couple them: an
+    operator with draws is one block, and is not read.  A sparse matrix
+    is read by its nonzero pattern (explicit zeros do not couple).
     """
-    if P.basis.kind != "hermite-tensor":
+    if P.basis.kind != "hermite-tensor" or P.draws:
         return [None]
     parity = np.indices((P.basis.size,) * P.basis.n).sum(axis=0).ravel() % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
@@ -468,13 +500,20 @@ def _shift_invert(block, diag, center: complex, radius: float):
     ``block()`` makes the block dense, and ``diag`` is its diagonal.  The
     first k is SHIFT_INVERT_GROWTH times the count of the diagonal in the
     disc, which in the Hermite basis follows the lattice; only when k is
-    at most dim/8 is the block made dense.  Then A - center I is
-    factored once (in A itself when A is a writeable Fortran-ordered
-    array, as `_block` makes from a sparse operator, else in a copy) and
-    ARPACK runs for the k largest eigenvalues mu of its inverse (a fixed
-    start vector keeps the result bitwise reproducible, and a Krylov
-    space of max(20, 3k) vectors, scipy's default for k < 7,
-    lets one pass converge without implicit restarts); lambda = center
+    at most dim/8 is the block made dense.  A perturbed operator's diag
+    is its stored P's (see `SpectrumResult._diagonal`), so k is sized
+    before anything is drawn: at delta = 1e-4 and dim 1600, |delta Q_ii|
+    is 2.2e-6 on average (at most 7.9e-6 over seeds 0-11), while the
+    diagonal entry nearest the disc's edge lies 3.1e-4 from it in C5's
+    count window (2.6e-4 in C7's at dim 3600), so the count is the same
+    with or without delta Q (k = 49 at seeds 0-11; 62 at C7's seeds 0-4).
+    Then A - center I is factored once (in A itself when A is a
+    writeable Fortran-ordered array, as `_block` makes from a sparse or
+    perturbed operator, else in a copy) and ARPACK runs for the k
+    largest eigenvalues mu of its inverse (a fixed start vector keeps
+    the result bitwise reproducible, and a Krylov space of max(20, 3k)
+    vectors, scipy's default for k < 7, lets one pass converge without
+    implicit restarts); lambda = center
     + 1/mu are the k eigenvalues nearest the center.  The k hold the disc
     only when the farthest lies beyond radius; otherwise k grows by the
     ratio of the disc's area to the area they cover, times

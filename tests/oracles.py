@@ -11,6 +11,7 @@ default).
 """
 
 import cmath
+import csv
 
 import numpy as np
 from scipy.linalg import expm
@@ -271,6 +272,16 @@ def gaussian_perturbation_reference(dim, seed):
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), dim)))
     Q = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     return Q / (np.sqrt(2) * np.sqrt(dim))
+
+
+def csv_reference(path, header, rows):
+    """The file csv.writer's excel dialect writes: the header, then each row's
+    values as %.17g, one line per row."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for row in rows:
+            wr.writerow([f"{v:.17g}" for v in row])
 
 
 def column_order_reference(ev, tol):

@@ -10,7 +10,7 @@ import pytest
 from bsweyl import density, flow
 from bsweyl.audit import audit
 from bsweyl.cli import main
-from bsweyl.density import (ActionMap, ComplexWindow,
+from bsweyl.density import (ActionMap, ComplexWindow, DensityGrid,
                             EmptyGridError, SingularActionMapError,
                             action_map_integrable, ellipticity_margin_check,
                             omega_density, preimage_volume, weyl_density,
@@ -21,8 +21,8 @@ from bsweyl.symbols import (DimensionMismatchError, SymbolExpr, cho,
                             torus_linear)
 from bsweyl.variation import TestFunction
 
-from oracles import (bisection_invert_2d, histogram2d_bin, sampled_counts_reference,
-                     torus_counts_reference, torus_quadrature_density,
+from oracles import (bisection_invert_2d, csv_reference, histogram2d_bin,
+                     sampled_counts_reference, torus_counts_reference, torus_quadrature_density,
                      unfiltered_sobol_values, unit_shards)
 
 TWO_PI_SQ = (2 * np.pi) ** 2
@@ -44,6 +44,20 @@ class TestWindow:
         z = win.centers_complex()
         assert z.shape == (10, 20)
         assert np.all(win.contains(z))
+
+    def test_grid_csv_is_the_csv_module_file(self, tmp_path):
+        # row-major cells of a non-square grid, with nan, inf, -0.0 and subnormal
+        # values: the same bytes, CRLF line ends included, as csv.writer writes
+        win = ComplexWindow.from_bounds(-0.3, 1.0, 0.0, 2.5, (3, 5))
+        vals = np.array([0.0, -0.0, np.nan, np.inf, 5e-324, 1 / 3, 1e300, 2.0, 0.1, 7.0,
+                         1e-17, 3.0, 4.5, 0.25, 9.0]).reshape(3, 5)
+        grid = DensityGrid(win, vals, -vals[::-1], "monte-carlo")
+        grid.write_csv(tmp_path / "got.csv")
+        z = win.centers_complex()
+        csv_reference(tmp_path / "want.csv", ["z_re", "z_im", "value", "stderr"],
+                      [(z[i, j].real, z[i, j].imag, grid.values[i, j], grid.stderr[i, j])
+                       for i in range(3) for j in range(5)])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_distance_to_closed_rectangle(self):
         win = ComplexWindow.from_bounds(0.0, 1.0, 0.0, 2.0, (4, 4))

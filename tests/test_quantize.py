@@ -23,9 +23,10 @@ from bsweyl.quantize import (ORDER_TOL, BasisSpec, BSLattice, EigensolveError,
                              quantize_torus, spectrum)
 from bsweyl.symbols import SymbolExpr, cho, coupling_xx, torus_coupled, torus_linear
 
-from oracles import (column_order_reference, eig2x2, gaussian_perturbation_reference,
-                     hamilton_matrix, harmonic_lattice, ladder_ops, quadratic_exact_spectrum,
-                     quantize_quadratic_dense, quantize_quadratic_kron)
+from oracles import (column_order_reference, csv_reference, eig2x2,
+                     gaussian_perturbation_reference, hamilton_matrix, harmonic_lattice,
+                     ladder_ops, quadratic_exact_spectrum, quantize_quadratic_dense,
+                     quantize_quadratic_kron)
 
 
 def osc_1d_in_2d():
@@ -229,6 +230,45 @@ class TestPerturb:
         P = quantize_quadratic(cho(1.0, 0.0), BasisSpec("hermite-tensor", N, 0.1))
         got = perturb(P, 1e-4, seed).toarray()
         assert np.array_equal(got.view(np.uint64), (P.toarray() + 1e-4 * ref).view(np.uint64))
+
+
+    def test_nested_and_dense_based_draws_match_the_reference_bitwise(self):
+        # a draw on a perturbed operator, and one on a stored dense matrix (the
+        # Jordan block's case), hold bitwise what adding each draw in turn to a
+        # dense P gives; every build is a new writeable array, drawn again
+        P = p_t_operator(24)
+        Q = {seed: gaussian_perturbation_reference(P.dim, seed) for seed in (2, 3, 5)}
+        nested = perturb(perturb(P, 1e-4, 3), 1e-3, 5)
+        assert nested.draws == ((1e-4, 3), (1e-3, 5))
+        assert np.shares_memory(nested.matrix.data, P.matrix.data)  # P's nonzeros, not a copy
+        want = P.toarray() + 1e-4 * Q[3] + 1e-3 * Q[5]
+        F = nested.toarray("F")
+        assert F.flags.f_contiguous and F.flags.writeable
+        for got in (nested.toarray(), np.ascontiguousarray(F)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        D = OperatorMatrix(P.toarray(), P.basis)
+        got = perturb(D, 1e-3, 2).toarray()
+        assert np.array_equal(got.view(np.uint64), (D.matrix + 1e-3 * Q[2]).view(np.uint64))
+        J = OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex),
+                           BasisSpec("hermite-tensor", 2, 0.1, n=1))
+        got = perturb(J, 1e-6, 7).toarray()
+        want = J.matrix + 1e-6 * gaussian_perturbation_reference(2, 7)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        a, b = nested.toarray(), nested.toarray()
+        assert a is not b and a.flags.writeable and np.array_equal(a, b)
+
+    def test_perturbed_operator_holds_no_dense_matrix(self, p_t_1600):
+        Pd = perturb(p_t_1600, 1e-4, 0)
+        held = [v for o in (Pd, Pd.matrix) for v in getattr(o, "__dict__", {}).values()
+                if isinstance(v, np.ndarray)]
+        assert held and max(a.size for a in held) < Pd.dim ** 2
+
+    @pytest.mark.parametrize("delta,seed,match", [(np.inf, 0, "finite"), (np.nan, 0, "finite"),
+                                                  (-1e-4, 0, ">= 0"), (1e-4, -1, "seed")])
+    def test_bad_draw_rejected_before_any_solve(self, delta, seed, match):
+        P = p_t_operator(6)
+        with pytest.raises(ValueError, match=match):
+            perturb(P, delta, seed)
 
 
 class TestSpectrum:
@@ -557,7 +597,7 @@ class TestSparseOperators:
         a, b = spectrum(P).eigenvalues, spectrum(D).eigenvalues
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         assert spectrum(P).residual_bound == pytest.approx(spectrum(D).residual_bound, rel=1e-14)
-        a, b = perturb(P, 1e-4, 2).matrix, perturb(D, 1e-4, 2).matrix
+        a, b = perturb(P, 1e-4, 2).toarray(), perturb(D, 1e-4, 2).toarray()
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
@@ -579,6 +619,32 @@ class TestWindowedSpectrum:
         assert got.size == want.size == 24
         assert hausdorff(got, want) <= 1e-10
         assert np.array_equal(got, column_order_reference(got, ORDER_TOL))
+
+    def test_perturbed_count_holds_one_dense_matrix(self, p_t_1600):
+        # the draw goes into the array that the shift-invert solve factors in
+        # place: the count's traced peak stays below 1.3 dense copies
+        tracemalloc.start()
+        try:
+            got = spectrum(perturb(p_t_1600, 1e-4, 0)).in_window(COUNT_WINDOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.size == 24
+        assert peak < 1.3 * 16 * p_t_1600.dim ** 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_k_is_sized_from_the_unperturbed_diagonal(self, p_t_1600, seed):
+        # spectral-lattice's perturbed counts: k comes from P's diagonal before
+        # anything is drawn, and is the k that the drawn diagonal gives; the
+        # count and its record are the ones of the same operator held dense
+        Pd = perturb(p_t_1600, 1e-4, seed)
+        drawn, held = spectrum(Pd), spectrum(OperatorMatrix(Pd.toarray(), Pd.basis))
+        a, b = drawn.in_window(COUNT_WINDOW), held.in_window(COUNT_WINDOW)
+        assert a.size == 24 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        keys = ("method", "blocks", "k", "passes", "fallback")
+        assert [[r[k] for k in keys] for r in drawn.solves] == [[r[k] for k in keys]
+                                                                for r in held.solves]
+        assert [r["k"] for r in drawn.solves] == [[49]]
 
     def test_large_window_takes_dense_fallback(self):
         Pd = perturb(p_t_operator(24), 1e-4, 3)
@@ -700,6 +766,12 @@ class TestWindowedSpectrum:
         assert s.solves[0]["method"] == "dense"
         assert s.solves[0]["fallback"].startswith("ARPACK:")
         assert np.array_equal(got, spectrum(Pd).in_window((0.2, 0.5, 0.25, 0.45)))
+
+    def test_csv_is_the_csv_module_file(self, tmp_path):
+        s = spectrum(perturb(p_t_operator(6), 1e-4, 0))
+        s.write_csv(tmp_path / "got.csv")
+        csv_reference(tmp_path / "want.csv", ["re", "im"], [(z.real, z.imag) for z in s.eigenvalues])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_meta_carries_solver_records(self, tmp_path):
         s = spectrum(p_t_operator(12))

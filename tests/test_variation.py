@@ -403,10 +403,27 @@ class TestCertificateGrid:
             assert grid.pair(f) == np.dot(laplacian(f, grid.vals), grid.weights)
             assert calls == [grid.vals.shape]
 
-    def test_certificate_value_is_full_grid_pairing(self):
+    def test_certificate_value_is_full_grid_pairing(self, monkeypatch):
+        # the value is the pairing of the certificate's order-32 grid, bit for
+        # bit; that grid keeps, bit for bit, the slab nodes in its reach and
+        # sums them in slab order, and the full-grid pairing, summed in
+        # another order, agrees to 1e-13 relative (see check_grid)
+        grids = {}
+
+        class Recorded(_SecondVariationGrid):
+            def __init__(self, p, hpg, box_radius, order, reach):
+                super().__init__(p, hpg, box_radius, order, reach)
+                grids[order] = self
+
+        monkeypatch.setattr(variation, "_SecondVariationGrid", Recorded)
         win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
-        f, value, _ = nonequality_certificate(cho(1.0, 0.0), coupling_xx(), win, 2.0, 32)
-        assert value == self.full_grid_pairing(f, cho(1.0, 0.0), coupling_xx(), 2.0, 32)
+        p, G = cho(1.0, 0.0), coupling_xx()
+        f, value, _ = nonequality_certificate(p, G, win, 2.0, 32)
+        grid = grids[32]
+        checked = self.check_grid(p, G, 2.0, 32, grid.reach, (f,))
+        assert np.array_equal(grid.vals, checked.vals)
+        assert np.array_equal(grid.weights, checked.weights)
+        assert value == grid.pair(f) == checked.pair(f)
 
     def test_c4_grid_holds_only_the_kept_nodes(self, monkeypatch):
         # C4's certificate at order 48: 147,456 of the 48^4 nodes are in reach
