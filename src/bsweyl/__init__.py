@@ -8,6 +8,7 @@ quantizations with Bohr-Sommerfeld lattice predictions.
 
 from .symbols import (PhasePoint, SymbolExpr, DimensionMismatchError,
                       eval_symbol, gradient, poisson_bracket, real_bracket,
+                      torus_average, action_symbol,
                       cho, torus_linear, torus_coupled, coupling_xx,
                       sin_x1_cos_xi2, load_symbol)
 from .audit import AuditReport, audit
@@ -29,6 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PhasePoint", "SymbolExpr", "DimensionMismatchError",
     "eval_symbol", "gradient", "poisson_bracket", "real_bracket",
+    "torus_average", "action_symbol",
     "cho", "torus_linear", "torus_coupled", "coupling_xx", "sin_x1_cos_xi2",
     "load_symbol",
     "AuditReport", "audit",

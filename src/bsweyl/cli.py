@@ -33,7 +33,7 @@ from .flow import (Deformation, DeformedSymbol, StepSizeUnderflowError, deformed
 from .quantize import (DIM_CAP, BasisSpec, BSLattice, EigensolveError, bs_predict,
                        count_and_compare, perturb, quantize_quadratic, quantize_torus,
                        spectrum)
-from .symbols import SymbolExpr, load_symbol
+from .symbols import action_symbol, load_symbol
 from .variation import (SupportLeakWarning, TestFunction, VariationReport,
                         first_variation_rhs, moment_derivative_fd,
                         second_variation_rhs)
@@ -52,32 +52,6 @@ class ConfigError(ValueError):
 def _number_pair(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-
-
-def _action_symbol(p: SymbolExpr) -> SymbolExpr:
-    """ptilde(eta) = sum_j a_j eta_j + c for p = sum_j a_j (x_j^2 + xi_j^2)/2 + c.
-
-    This covers every cho(alpha, shift); cho(1, 0) gives torus_linear()
-    exactly.  Any other symbol, or a_1, a_2 linearly dependent over R
-    (no invertible action map), is a configuration error.
-    """
-    if p.has_trig or p.total_degree > 2:
-        raise ConfigError(["symbol is not a polynomial of degree <= 2"])
-    zn, zf = (0,) * p.n, (0.0,) * p.n
-    coeffs = {t.key(): t.coeff for t in p.simplified().terms}
-    c = coeffs.pop((zn, zn, zf, zf), 0j)
-    squares = ((2, 0), (0, 2))  # x_j^2 or xi_j^2, j = 1, 2
-    a = [2 * coeffs.pop((e, (0, 0), zf, zf), 0j) for e in squares]
-    a_xi = [2 * coeffs.pop(((0, 0), e, zf, zf), 0j) for e in squares]
-    if p.n != 2 or coeffs or a != a_xi:
-        raise ConfigError(["the action map needs a symbol "
-                           "sum_j a_j (x_j^2 + xi_j^2)/2 + c in n = 2"])
-    if a[0].real * a[1].imag - a[0].imag * a[1].real == 0:
-        raise ConfigError(["no action map: a_1 and a_2 are linearly dependent over R"])
-    ptilde = SymbolExpr.constant(c, 2, p.tube_radius)
-    for a_j, eta_j in zip(a, ((1, 0), (0, 1))):
-        ptilde = ptilde + SymbolExpr.monomial(a_j, (0, 0), eta_j, tube_radius=p.tube_radius)
-    return ptilde
 
 
 @dataclass
@@ -283,12 +257,12 @@ def _run_variation(cfg, outdir):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if cfg.order == 1:
-            rhs = first_variation_rhs(f, make_pt(t), G, box, order)
-        else:
-            rhs = second_variation_rhs(f, p, G, box, order)
+            rhs, rhs_error = first_variation_rhs(f, make_pt(t), G, box, order), None
+        else:  # in action space, with no box: exact for its family, others exit 2
+            rhs, rhs_error = second_variation_rhs(f, p, G)
         lhs = moment_derivative_fd(make_pt, t, cfg.order, f=f,
                                    box_radius=box, quad_order=order)
-    rep = VariationReport.build(lhs, rhs, ("first", "second")[cfg.order - 1], t)
+    rep = VariationReport.build(lhs, rhs, ("first", "second")[cfg.order - 1], t, rhs_error)
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     support_ok = not any(issubclass(w.category, SupportLeakWarning) for w in caught)
@@ -334,21 +308,20 @@ def _run_bs(cfg, outdir):
     p = load_symbol(cfg.symbol or "cho(1,0)")
     if cfg.deformation is not None:
         DeformedSymbol(p, load_deformation(cfg.deformation), cfg.t or 0.0)
-    am = action_map_integrable(_action_symbol(p), I0=tuple(cfg.I0))
+    am = action_map_integrable(action_symbol(p), I0=tuple(cfg.I0))
     lat = BSLattice(am, cfg.h or 0.1, cfg.resolve_window(), theta0=tuple(cfg.theta0))
     pts, unresolved = bs_predict(lat)
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "bs_lattice.csv"), "w") as fh:
-        fh.write("re,im\n")
-        for z in pts:
-            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+    with open(os.path.join(outdir, "bs_lattice.csv"), "w", newline="") as fh:
+        fh.write("re,im\r\n")  # CRLF, as every CSV the package writes
+        fh.writelines(f"{z.real:.17g},{z.imag:.17g}\r\n" for z in pts)
     return {"experiment": "bs", "pass": not unresolved,
             "n_points": int(pts.size), "unresolved": len(unresolved)}
 
 
 def _run_count(cfg, outdir):
     p = load_symbol(cfg.symbol or "cho(1,0)")
-    am = action_map_integrable(_action_symbol(p))  # omega = |det DI| does not see I0
+    am = action_map_integrable(action_symbol(p))  # omega = |det DI| does not see I0
     win = cfg.resolve_window()
     seed = _seed(cfg)
     p, s = _spectrum(cfg, p)

@@ -39,6 +39,7 @@ scipy's, drawn by an in-module generator (``_Sobol``).
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import json
 import os
@@ -52,7 +53,6 @@ from pathlib import Path
 
 import numpy as np
 import numpy.random
-import scipy
 
 from .flow import DeformedSymbol, closed_form
 from .symbols import DimensionMismatchError, SymbolExpr
@@ -229,8 +229,9 @@ def _sobol_table(dim):
     2008), from the file scipy ships for its Sobol' engine.  Each .npy
     member is streamed out of the archive, header first, and only its
     first dim rows are kept: the whole table is 21,201 rows.  Read by
-    path, so scipy.stats is never imported."""
-    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    path, found by ``find_spec``, so scipy itself is never imported."""
+    path = Path(importlib.util.find_spec("scipy").origin).parent / "stats" / \
+        "_sobol_direction_numbers.npz"
     with zipfile.ZipFile(path) as zf:
         return tuple(_npy_head(zf, name, dim) for name in ("poly.npy", "vinit.npy"))
 

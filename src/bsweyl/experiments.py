@@ -23,7 +23,7 @@ from .quantize import (BasisSpec, BSLattice, bs_predict, count_and_compare,
 from .symbols import cho, coupling_xx, torus_coupled, torus_linear
 from .variation import (TestFunction, VariationReport, first_variation_rhs,
                         moment_derivative_fd, nonequality_certificate,
-                        quadrature_error_estimate, second_variation_rhs)
+                        second_variation_rhs)
 
 
 def _write_json(path, obj):
@@ -125,9 +125,7 @@ def run_deformation_splits(cfg: DeformationSplitsConfig = None, outdir=None):
                                 quad_order=cfg.quadrature_order)
     rep1 = VariationReport.build(lhs1, rhs1, "first", cfg.t)
 
-    rhs2, rhs2_err = quadrature_error_estimate(
-        lambda o: second_variation_rhs(f, base, G, cfg.box_radius_second, o),
-        cfg.quadrature_order)
+    rhs2, rhs2_err = second_variation_rhs(f, base, G)
     lhs2 = moment_derivative_fd(lambda t: deformed_quadratic(make_pt(t)),
                                 0.0, 2, f=f,
                                 box_radius=cfg.box_radius_second,
@@ -135,8 +133,7 @@ def run_deformation_splits(cfg: DeformationSplitsConfig = None, outdir=None):
     rep2 = VariationReport.build(lhs2, rhs2, "second", 0.0, rhs_error=rhs2_err)
 
     cert_win = ComplexWindow.from_bounds(*cfg.certificate_window, resolution=(8, 8))
-    cert = nonequality_certificate(base, G, cert_win, cfg.box_radius_second,
-                                   cfg.quadrature_order)
+    cert = nonequality_certificate(base, G, cert_win)
 
     ok = (rep1.discrepancy <= cfg.first_tol
           and rep2.discrepancy <= cfg.second_tol

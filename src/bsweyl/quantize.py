@@ -38,7 +38,6 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 import numpy.random
-import scipy
 
 from .density import (ActionMap, ComplexWindow, DensityGrid, SingularActionMapError,
                       map_on_cpus)

@@ -524,6 +524,54 @@ def real_bracket(p: SymbolExpr) -> SymbolExpr:
     return (0.5j) * poisson_bracket(p, p.conjugate_symbol())
 
 
+def torus_average(sym: SymbolExpr) -> SymbolExpr:
+    """The average of a polynomial sym over the angles, as a polynomial in the actions.
+
+    sym is written in zeta_j = (x_j + i xi_j)/2 and its conjugate
+    (``compose_affine`` with zeta in the x slots and conj(zeta) in the xi
+    slots: x_j = zeta_j + conj(zeta_j), xi_j = i conj(zeta_j) - i zeta_j,
+    so no coefficient is rounded).  A monomial zeta^a conj(zeta)^b averages
+    to zero over the angles unless a = b, when it is I^a / 2^|a| with the
+    actions I_j = (x_j^2 + xi_j^2)/2 = 2 |zeta_j|^2.  Returns that
+    polynomial in I, stored in the eta (xi) slots as ``torus_linear``
+    stores it.  For cho(1, 0) and G = x1 x2, |H_p G|^2 averages to 2 I1 I2.
+    """
+    n, zn = sym.n, (0,) * sym.n
+    L = np.zeros((2 * n, 2 * n), dtype=complex)
+    for j in range(n):
+        L[j, j] = L[j, n + j] = 1.0
+        L[n + j, j], L[n + j, n + j] = -1j, 1j
+    kept = (t for t in sym.compose_affine(L, np.zeros(2 * n)).terms if t.xpow == t.xipow)
+    return SymbolExpr(tuple(Term(t.coeff / 2 ** sum(t.xpow), zn, t.xpow, t.xfreq, t.xifreq)
+                            for t in kept), n, sym.tube_radius)
+
+
+def action_symbol(p: SymbolExpr) -> SymbolExpr:
+    """ptilde(eta) = sum_j a_j eta_j + c for p = sum_j a_j (x_j^2 + xi_j^2)/2 + c.
+
+    This covers every cho(alpha, shift); cho(1, 0) gives torus_linear()
+    exactly.  Any other symbol, or a_1, a_2 linearly dependent over R
+    (no invertible action map), is a ValueError.
+    """
+    if p.has_trig or p.total_degree > 2:
+        raise ValueError("symbol is not a polynomial of degree <= 2")
+    zn, zf = (0,) * p.n, (0.0,) * p.n
+    coeffs = {t.key(): t.coeff for t in p.simplified().terms}
+    c = coeffs.pop((zn, zn, zf, zf), 0j)
+    squares = ((2, 0), (0, 2))  # x_j^2 or xi_j^2, j = 1, 2
+    a = [2 * coeffs.pop((e, (0, 0), zf, zf), 0j) for e in squares]
+    a_xi = [2 * coeffs.pop(((0, 0), e, zf, zf), 0j) for e in squares]
+    if p.n != 2 or coeffs or a != a_xi:
+        raise ValueError("the action map needs a symbol "
+                         "sum_j a_j (x_j^2 + xi_j^2)/2 + c in n = 2")
+    if a[0].real * a[1].imag - a[0].imag * a[1].real == 0:
+        raise ValueError("no action map: a_1 and a_2 are linearly dependent over R")
+    ptilde = SymbolExpr.constant(c, 2, p.tube_radius)
+    for a_j, eta_j in zip(a, ((1, 0), (0, 1))):
+        ptilde = ptilde + SymbolExpr.monomial(a_j, (0, 0), eta_j, tube_radius=p.tube_radius)
+    return ptilde
+
+
 # ------------------------------------------------------------ built-in models
 
 

@@ -7,19 +7,22 @@ function f these hold:
     d^2M/dt^2 |_{t=0, integrable base, real G}
               = iint (Delta f)(p) |H_p G|^2  dx dxi
 
-The right-hand sides are evaluated by deterministic tensor Gauss-Legendre
-quadrature over a real box that must contain the support of f o p_t (each
-entry point warns when it does not).  Both identities need p_t in closed
-form; one that flows is a ValueError.  Each term of a symbol is a product
-of per-axis factors, so on the x-block by xi-block grid a symbol is one
-small GEMM of two factor tables (sum factorization); grid points are
-built only for the moment of a flowing p_t.  A bump is evaluated only at
-the nodes inside its support: ``TestFunction._support`` finds their flat
-indices with one pass over Re p, and the values are scattered into
-zeros, so the moment and the first variation are, to the bit, the sums a
-full-grid evaluation gives.  The second variation has one implementation,
-``_SecondVariationGrid``: it keeps only the nodes where p lies in the
-bump's (padded) support, so a pairing sums those nodes alone.
+The first right-hand side is evaluated by deterministic tensor
+Gauss-Legendre quadrature over a real box that must contain the support
+of f o p_t (each entry point warns when it does not); it needs p_t in
+closed form, and one that flows is a ValueError.  Each term of a symbol
+is a product of per-axis factors, so on the x-block by xi-block grid a
+symbol is one small GEMM of two factor tables (sum factorization); grid
+points are built only for the moment of a flowing p_t.  A bump is
+evaluated only at the nodes inside its support: ``TestFunction._support``
+finds their flat indices with one pass over Re p, and the values are
+scattered into zeros, so the moment and the first variation are, to the
+bit, the sums a full-grid evaluation gives.
+The second right-hand side and the certificate need no box: they pair
+in action space (``_ActionPairing``), exactly for every cho(alpha, shift).
+``_SecondVariationGrid`` pairs on the tensor grid instead, keeping only
+the nodes where p lies in the bump's (padded) support; the tests compare
+with it.
 The left-hand sides are Richardson-extrapolated central differences of M
 in t.  A nonzero second-variation pairing certifies that the deformed
 Weyl density splits away from the (deformation invariant) action density
@@ -36,17 +39,23 @@ from dataclasses import dataclass, asdict
 import numpy as np
 import numpy.polynomial.legendre
 
-from .density import box_face_points
+from .density import TWO_PI_SQ, box_face_points
 from .flow import closed_form
-from .symbols import DimensionMismatchError, SymbolExpr, poisson_bracket, real_bracket
+from .symbols import (DimensionMismatchError, SymbolExpr, action_symbol, poisson_bracket,
+                      real_bracket, torus_average)
 
 QUAD_MIN_ORDER = 8
 FD_STEP_FIRST = 1e-2
 FD_STEP_SECOND = 2e-2
 ERROR_FLOOR = 1e-12
-# relative widening of a certificate grid's reach, so it keeps every node
+# relative widening of a _SecondVariationGrid's reach, so it keeps every node
 # that a bump's rounded |u| < 1 test can accept
 REACH_PAD = 1e-9
+# Gauss-Legendre points per axis of the action-space pairing, and of the
+# coarser rule its error estimate compares with
+ACTION_ORDERS = (12, 8)
+ACTION_FAMILY = ("the second variation needs p = a_1 I_1 + a_2 I_2 + c with a_1 real and "
+                 "a_2 imaginary, I_j = (x_j^2 + xi_j^2)/2: every cho(alpha, shift), alpha != 0")
 CERT_CENTERS = 4  # bump centers per window axis tried by the certificate
 CERT_RADII = (0.25, 0.4)  # bump radii tried, as fractions of the window half-widths
 CERT_THRESHOLD = 5.0  # a witness's |pairing| must exceed this times its error estimate
@@ -120,6 +129,15 @@ class SupportLeakWarning(RuntimeWarning):
     """f o p does not vanish on the faces of the integration box."""
 
 
+@functools.cache
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order (read-only)."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _tensor_grid(n, box_radius, order):
     """Nodes and weights of one axis of the Gauss-Legendre grid on [-R, R]^{2n}."""
     order = int(order)
@@ -127,7 +145,7 @@ def _tensor_grid(n, box_radius, order):
         raise ValueError(f"quadrature order {order} < {QUAD_MIN_ORDER}")
     if order ** (2 * n) > 5 * 10 ** 8:
         raise ValueError("tensor grid too large; reduce order or dimension")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _leggauss(order)
     return x * box_radius, w * box_radius
 
 
@@ -254,18 +272,18 @@ def _integrable_hpg(p: SymbolExpr, G: SymbolExpr) -> SymbolExpr:
     return poisson_bracket(p, G)
 
 
-def second_variation_rhs(f: TestFunction, p: SymbolExpr, G: SymbolExpr,
-                         box_radius, order=48) -> float:
-    """iint (Delta f)(p) |H_p G|^2 dx dxi for an integrable base.
+def second_variation_rhs(f: TestFunction, p: SymbolExpr, G: SymbolExpr) -> tuple:
+    """(value, error) of iint (Delta f)(p) |H_p G|^2 dx dxi for an integrable base.
 
-    Rejects bases whose bracket {Re p, Im p} is not the zero symbol and
-    generators that are not real-valued on real points.
+    Paired in action space (``_ActionPairing``).  Rejects bases whose
+    bracket {Re p, Im p} is not the zero symbol, generators that are not
+    real-valued on real points, and bases outside ``_ActionPairing``'s
+    family.
     """
     hpg = _integrable_hpg(p, G)
     if hpg.is_zero:
-        return 0.0
-    _warn_if_support_leaks(f, p, box_radius)
-    return _SecondVariationGrid(p, hpg, box_radius, order, f.support_bounds()).pair(f)
+        return 0.0, ERROR_FLOOR
+    return _ActionPairing(p, hpg).pair(f)
 
 
 # -------------------------------------------------------- finite differences
@@ -306,7 +324,7 @@ class VariationReport:
     rhs: float
     order: str  # "first" | "second"
     t: float
-    rhs_error: float | None  # from quadrature_error_estimate; None where none was made
+    rhs_error: float | None  # from second_variation_rhs; None where none was made
     discrepancy: float
 
     @classmethod
@@ -316,13 +334,6 @@ class VariationReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-
-def quadrature_error_estimate(value_fn, order) -> tuple:
-    """(value, error) with error = |I_order - I_{order/2}| + floor."""
-    hi = value_fn(order)
-    lo = value_fn(max(QUAD_MIN_ORDER, order // 2))
-    return hi, abs(hi - lo) + ERROR_FLOOR
 
 
 class _SecondVariationGrid:
@@ -357,37 +368,91 @@ class _SecondVariationGrid:
         return float(f.laplacian(self.vals) @ self.weights)
 
 
-def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window, box_radius, order=48):
+def _clip(lo, hi, corner, slope):
+    """[lo, hi] clipped to the half-line corner + slope * [0, inf)."""
+    return (max(lo, corner), hi) if slope > 0 else (lo, min(hi, corner))
+
+
+class _ActionPairing:
+    """The second-variation pairing iint (Delta f)(p) |H_p G|^2 as a 2-D integral.
+
+    For p = F(I) = a_1 I_1 + a_2 I_2 + c (``symbols.action_symbol``), with
+    actions I_j = (x_j^2 + xi_j^2)/2 and their angles, dx dxi = dI dtheta,
+    so the pairing is int (Delta f)(z) mu(z) dA(z) over the image of p, with
+    mu = (2 pi)^2 <|H_p G|^2>(I(z)) / |det DF| and <.> the angle average
+    (``symbols.torus_average``).  With a_1 real and a_2 imaginary, I(z) is
+    affine, Re z and Im z each move with one action, and the image is an
+    axis-aligned quadrant with corner c: a bump's square meets it in a
+    rectangle, where the bump is a polynomial.  mu is a polynomial too, so
+    Gauss-Legendre on that rectangle is exact once its order covers their
+    degree.  Any other base is a ValueError naming this family.
+    """
+
+    def __init__(self, p, hpg):
+        try:
+            eta = {t.xipow: t.coeff for t in action_symbol(p).terms}
+        except ValueError:
+            eta = {}
+        c, a1, a2 = (eta.get(k, 0j) for k in ((0, 0), (1, 0), (0, 1)))
+        if not (a1 and a2 and a1.imag == 0 and a2.real == 0):
+            raise ValueError(ACTION_FAMILY)
+        self.corner, self.slopes = c, (a1.real, a2.imag)  # Re z = a1 I1 + Re c, ...
+        self.weight = TWO_PI_SQ / abs(a1.real * a2.imag)
+        self.average = torus_average(hpg * hpg.conjugate_symbol())
+
+    def _rule(self, f: TestFunction, order):
+        """The order-point rule's sum over the clipped square, and its sum of |terms|."""
+        lo_r, hi_r, lo_i, hi_i = f.support_bounds()
+        c, (s1, s2) = self.corner, self.slopes
+        (x0, x1), (y0, y1) = (_clip(lo_r, hi_r, c.real, s1), _clip(lo_i, hi_i, c.imag, s2))
+        if x0 >= x1 or y0 >= y1:
+            return 0.0, 0.0
+        t, w = _leggauss(order)
+        X, Y = np.meshgrid((x0 + x1 + (x1 - x0) * t) / 2, (y0 + y1 + (y1 - y0) * t) / 2,
+                           indexing="ij")
+        actions = np.stack([(X - c.real) / s1, (Y - c.imag) / s2], axis=-1)
+        mu = self.average.evaluate(np.zeros_like(actions), actions).real
+        terms = f.laplacian(X + 1j * Y) * mu
+        scale = self.weight * (x1 - x0) * (y1 - y0) / 4
+        return scale * float(w @ terms @ w), scale * float(w @ np.abs(terms) @ w)
+
+    def pair(self, f: TestFunction) -> tuple:
+        """(value, error): the ACTION_ORDERS[0]-point rule, and its distance to
+        the coarser rule plus ERROR_FLOOR plus n^2 eps times the sum of |terms|,
+        which bounds the rounding of the n^2-term sum: a bump inside the image,
+        whose exact pairing may be 0, rounds to up to about 13 eps times it."""
+        (value, gross), (coarse, _) = (self._rule(f, n) for n in ACTION_ORDERS)
+        n = ACTION_ORDERS[0]
+        return value, abs(value - coarse) + ERROR_FLOOR + n * n * np.finfo(float).eps * gross
+
+
+def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window):
     """Search bump test functions for |second variation| > CERT_THRESHOLD x error.
 
     Scans a CERT_CENTERS x CERT_CENTERS grid of bump centers inside the
-    window and the CERT_RADII (fractions of the window half-widths).  Returns
-    (TestFunction, value, error) for the best witness, or None when the
-    budget is exhausted without one -- which is not a disproof.  The
-    pairing only senses the deformation where the test function reaches
-    the boundary of the image of the symbol, so the window should
-    overlap it.
+    window and the CERT_RADII (fractions of the window half-widths), each
+    paired in action space with its error (``_ActionPairing.pair``).
+    Returns (TestFunction, value, error) for the best witness, or None when
+    the budget is exhausted without one -- which is not a disproof.  For
+    cho and G = x1 x2, mu = 8 pi^2 xy is harmonic, so by Green's identity
+    the pairing is 8 pi^2 [int_0^inf y f(iy) dy + int_0^inf x f(x) dx]: it
+    senses the deformation only where the bump reaches the boundary of the
+    image of the symbol, so the window should overlap it.
     """
     hpg = _integrable_hpg(p, G)
     if hpg.is_zero:
         return None
+    pairing = _ActionPairing(p, hpg)
     lo_r, hi_r, lo_i, hi_i = window.bounds
     cs = np.linspace(lo_r, hi_r, CERT_CENTERS + 2)[1:-1]
     ci = np.linspace(lo_i, hi_i, CERT_CENTERS + 2)[1:-1]
-    r_max = max(CERT_RADII) * min(window.half_widths)  # reach: the box holding every bump's support
-    reach = (cs[0] - r_max, cs[-1] + r_max, ci[0] - r_max, ci[-1] + r_max)
-
-    @functools.cache  # one grid per quadrature order, shared by every bump
-    def grid(o):
-        return _SecondVariationGrid(p, hpg, box_radius, o, reach)
-
     best = None
     for rfrac in CERT_RADII:
         rad = rfrac * min(window.half_widths)
         for cre in cs:
             for cim in ci:
                 f = TestFunction(complex(cre, cim), rad)
-                v, err = quadrature_error_estimate(lambda o: grid(o).pair(f), order)
+                v, err = pairing.pair(f)
                 if abs(v) > CERT_THRESHOLD * err and (best is None or abs(v) > abs(best[1])):
                     best = (f, v, err)
     return best

@@ -9,11 +9,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import bsweyl
 from bsweyl import cli, experiments
 from bsweyl.cli import (ENV_OUTDIR, EXPERIMENTS, ConfigError, ExperimentConfig,
-                        _action_symbol, _args_to_config, _parser, main)
+                        _args_to_config, _parser, main)
 from bsweyl.experiments import (BSExactnessConfig, DeformationSplitsConfig,
                                 IntegrableEqualityConfig, RandomWeylMigrationConfig,
                                 run_bs_exactness)
-from bsweyl.symbols import cho, torus_linear
+from bsweyl.symbols import action_symbol, cho, torus_linear
+from bsweyl.variation import ACTION_FAMILY
 
 # The CLI subprocess runs in a temporary working directory, where a relative
 # PYTHONPATH such as `src` does not resolve. Prepend the absolute directory
@@ -65,6 +66,15 @@ def test_import_leaves_scipy_stats_and_spatial_unloaded():
     assert loaded["import"] == loaded["cli"] == loaded["passes"] == []
     assert "sparse" in loaded["quantize"]  # deferred, not missing
     assert not {"stats", "spatial"} & set(loaded["quantize"])
+
+
+def test_import_loads_no_scipy():
+    # the Sobol' table is found through importlib's find_spec, and scipy's
+    # subpackages are imported where a matrix is built or solved
+    code = "import sys, bsweyl; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=CLI_ENV, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 class TestConfigValidation:
@@ -151,7 +161,8 @@ class TestCLIRuns:
         assert len(lines) == 1 + 64
 
     def test_variation_subcommand(self, tmp_path):
-        # order 16 leaves a discrepancy of about 0.27, far above the 0.03 bound
+        # the order-16 left-hand side leaves a discrepancy of about 0.23 against
+        # the exact right-hand side, far above the 0.03 bound
         r = run_cli(["variation", "--order", "2", "--symbol", "cho(1,0)",
                      "--G", "coupling-xx", "--quadrature-order", "16",
                      "--box-radius", "2.0",
@@ -430,6 +441,7 @@ def test_bs_builds_no_operator(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     lattice = (tmp_path / "a" / "bs_lattice.csv").read_text()
     assert len(lattice.splitlines()) > 1
+
     assert (tmp_path / "b" / "bs_lattice.csv").read_text() == lattice
     # the operator's size and perturbation are not bs inputs
     for flag, value in (("--basis-size", "60"), ("--delta", "1e-4")):
@@ -480,7 +492,7 @@ NOT_ACTIONS = "the action map needs a symbol sum_j a_j (x_j^2 + xi_j^2)/2 + c in
 
 class TestActionSymbolFromSymbol:
     def test_default_is_torus_linear(self):
-        assert _action_symbol(cho(1.0, 0.0)) == torus_linear()
+        assert action_symbol(cho(1.0, 0.0)) == torus_linear()
 
     @pytest.mark.parametrize("symbol, reason", [
         ("sin-x1-cos-xi2", NOT_QUADRATIC),
@@ -520,6 +532,30 @@ class TestActionSymbolFromSymbol:
         # h (k + 1/2) + 2 i h (k' + 1/2) inside [0.2, 0.5] x [0.25, 0.45]
         assert rep["n_points"] == len(pts) == 3
         assert all(abs(z.imag - 0.3) < 1e-12 for z in pts)
+
+
+def test_bs_lattice_csv_ends_lines_in_crlf(tmp_path, capsys):
+    # as DensityGrid.write_csv and SpectrumResult.write_csv write theirs
+    assert main(["bs", "--h", "0.1", "--window", WIN, "--outdir", str(tmp_path)]) == 0
+    raw = (tmp_path / "bs_lattice.csv").read_bytes()
+    assert raw.startswith(b"re,im\r\n") and raw.endswith(b"\r\n")
+    rows = 1 + json.loads(capsys.readouterr().out)["n_points"]
+    assert raw.count(b"\n") == raw.count(b"\r\n") == rows > 1
+
+
+@pytest.mark.parametrize("terms", [
+    CHO + tuple((0.075, 0, xp, xip) for xp, xip in (([2, 2], [0, 0]), ([2, 0], [0, 2]),
+                                                  ([0, 2], [2, 0]), ([0, 0], [2, 2]))),
+    ((0.5, 0.25, [2, 0], [0, 0]), (0.5, 0.25, [0, 0], [2, 0])) + CHO[2:],
+], ids=["quartic", "complex-a1"])
+def test_variation_base_outside_the_family_exit_2(terms, tmp_path):
+    # the quartic I1 + i I2 + 0.3 I1 I2, and (1 + 0.5i) I1 + i I2: both
+    # integrable, neither with a quadrant for its image
+    r = run_cli(["variation", "--order", "2", "--symbol", _json_symbol(*terms),
+                 "--G", "coupling-xx", "--outdir", str(tmp_path / "v")], cwd=str(tmp_path))
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [f"config error: {ACTION_FAMILY}"]
+    assert not (tmp_path / "v").exists()
 
 
 class TestRunnerTable:

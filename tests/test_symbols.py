@@ -10,7 +10,7 @@ from bsweyl.symbols import (DimensionMismatchError, PhasePoint, SymbolExpr,
                             SymbolJSONError, cho, coupling_xx, eval_symbol,
                             gradient, load_symbol, poisson_bracket,
                             real_bracket, sin_x1_cos_xi2, symbol_from_name,
-                            torus_coupled, torus_linear)
+                            torus_average, torus_coupled, torus_linear)
 from bsweyl.symbols import _parse_scalar
 
 from oracles import (eval_term_by_term, evaluate_reference, fd_gradient,
@@ -323,6 +323,54 @@ class TestComposeAffine:
     def test_trig_symbol_raises(self):
         with pytest.raises(ValueError, match="polynomial"):
             sin_x1_cos_xi2().compose_affine(np.eye(4), np.zeros(4))
+
+
+class TestTorusAverage:
+    """The angle average over the tori I = const, as a polynomial in the actions."""
+
+    def test_c4_weight_is_two_i1_i2(self):
+        p = cho(1.0, 0.0)
+        hpg = poisson_bracket(p, coupling_xx())
+        assert torus_average(hpg * hpg.conjugate_symbol()) == \
+            SymbolExpr.monomial(2.0, (0, 0), (1, 1))
+
+    @pytest.mark.parametrize("xpow, xipow", [((1, 0), (0, 0)), ((1, 1), (0, 0)),
+                                             ((0, 0), (0, 3)), ((2, 1), (0, 1))])
+    def test_unbalanced_monomial_averages_to_zero(self, xpow, xipow):
+        # odd degree in some pair (x_j, xi_j), or x2 xi2 = i (conj(zeta_2)^2 - zeta_2^2):
+        # no monomial with equal powers of zeta_j and conj(zeta_j) survives
+        assert torus_average(SymbolExpr.monomial(0.3 - 1.2j, xpow, xipow)).is_zero
+
+    def test_actions_and_constants(self):
+        # (x_j^2 + xi_j^2)/2 is I_j itself, and x_j^2 averages to I_j
+        for j, e in enumerate(((2, 0), (0, 2))):
+            eta = tuple(int(k == j) for k in range(2))
+            action = SymbolExpr.monomial(0.5, e, (0, 0)) + SymbolExpr.monomial(0.5, (0, 0), e)
+            assert torus_average(action) == SymbolExpr.monomial(1.0, (0, 0), eta)
+            assert torus_average(SymbolExpr.monomial(1.0, e, (0, 0))) == \
+                SymbolExpr.monomial(1.0, (0, 0), eta)
+        assert torus_average(SymbolExpr.constant(2.5 - 1j)) == SymbolExpr.constant(2.5 - 1j)
+
+    def test_matches_the_trapezoid_rule_in_the_angles(self):
+        # x_j = sqrt(2 I_j) cos theta_j, xi_j = sqrt(2 I_j) sin theta_j: a
+        # polynomial of degree d is a trig polynomial of degree d in each
+        # angle, which the 8-point trapezoid rule integrates exactly for d < 8
+        rng = np.random.default_rng(41)
+        I = rng.uniform(0.1, 1.5, (5, 2))
+        theta = 2 * np.pi * np.arange(8) / 8
+        t1, t2 = (a.ravel() for a in np.meshgrid(theta, theta, indexing="ij"))
+        for _ in range(6):
+            sym = random_symbol(rng, n_terms=4, with_trig=False)
+            got = torus_average(sym).evaluate(np.zeros_like(I), I)
+            r = np.sqrt(2 * I)[:, None, :]
+            x = np.stack([r[..., 0] * np.cos(t1), r[..., 1] * np.cos(t2)], axis=-1)
+            xi = np.stack([r[..., 0] * np.sin(t1), r[..., 1] * np.sin(t2)], axis=-1)
+            want = sym.evaluate(x, xi).mean(axis=1)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+    def test_trig_symbol_raises(self):
+        with pytest.raises(ValueError, match="polynomial"):
+            torus_average(sin_x1_cos_xi2())
 
 
 class TestConjugation:

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsweyl import flow, variation
+from bsweyl import flow
 from bsweyl.density import ComplexWindow
 from bsweyl.experiments import DeformationSplitsConfig
 from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
 from bsweyl.symbols import (SymbolExpr, cho, coupling_xx, poisson_bracket,
                             sin_x1_cos_xi2, torus_coupled)
-from bsweyl.variation import (REACH_PAD, SupportLeakWarning, TestFunction,
-                              _SecondVariationGrid, _slabs, _warn_if_support_leaks,
-                              first_variation_rhs, moment, moment_derivative_fd,
-                              nonequality_certificate, second_variation_rhs,
-                              tensor_quadrature)
+from bsweyl.variation import (ACTION_FAMILY, CERT_CENTERS, CERT_RADII, ERROR_FLOOR, REACH_PAD,
+                              SupportLeakWarning, TestFunction, _SecondVariationGrid,
+                              _slabs, _warn_if_support_leaks, first_variation_rhs, moment,
+                              moment_derivative_fd, nonequality_certificate,
+                              second_variation_rhs, tensor_quadrature)
 
 from oracles import (bump_dz, bump_reference, integration_by_parts_gap,
                      polar_moment_oracle, separable_polar_quadrature)
@@ -158,7 +158,7 @@ class TestMoment:
 
 
 class TestSupportCheck:
-    """Every entry point warns when f o p_t reaches the integration box's faces."""
+    """Every entry point with a box warns when f o p_t reaches its faces."""
 
     F = TestFunction(0.05 + 0.55j, 0.35)
 
@@ -166,10 +166,6 @@ class TestSupportCheck:
         with pytest.warns(SupportLeakWarning):
             first_variation_rhs(self.F, deformed_quadratic(make_deformed(0.2)),
                                 coupling_xx(), 1.0, 8)
-
-    def test_second_variation_warns(self):
-        with pytest.warns(SupportLeakWarning):
-            second_variation_rhs(self.F, cho(1.0, 0.0), coupling_xx(), 1.0, 8)
 
     def test_finite_difference_warns_at_the_widest_steps(self):
         checked = []
@@ -242,93 +238,159 @@ class TestFlowingSymbolRejected:
                                  quad_order=16)
 
 
+# I_1 and I_2, (x_j^2 + xi_j^2)/2
+ACTIONS = tuple(SymbolExpr.monomial(0.5, e, (0, 0)) + SymbolExpr.monomial(0.5, (0, 0), e)
+                for e in ((2, 0), (0, 2)))
+
+
+def boundary_form(f):
+    """8 pi^2 [int_0^inf y f(iy) dy + int_0^inf x f(x) dx]: C4's pairing by
+    Green's identity, as mu = 8 pi^2 xy is harmonic and vanishes on both axes."""
+    from scipy.integrate import quad
+    lo_r, hi_r, lo_i, hi_i = f.support_bounds()
+    on_axis = [quad(lambda s: s * float(f.value(np.array([unit * s]))[0]), max(lo, 0.0), hi,
+                    epsabs=0, epsrel=1e-13)[0] if hi > 0 else 0.0
+               for unit, lo, hi in ((1j, lo_i, hi_i), (1.0, lo_r, hi_r))]
+    return 8 * np.pi ** 2 * sum(on_axis)
+
+
+def action_space_midpoint(f, alpha, shift, G, top=1.5, n=300, angles=8):
+    """(2 pi)^2 int (Delta f)(F(I)) <|H_p G|^2>(I) dI for p = cho(alpha, shift),
+    by the midpoint rule on I in [0, top]^2 and the trapezoid rule in each angle
+    (exact here: |H_p G|^2 has angular frequencies up to 4 < angles), with no
+    torus_average and no clipping."""
+    hpg = poisson_bracket(cho(alpha, shift), G)
+    I = (np.arange(n) + 0.5) * top / n
+    I1, I2 = np.meshgrid(I, I, indexing="ij")
+    avg = 0.0
+    for t1 in 2 * np.pi * np.arange(angles) / angles:
+        for t2 in 2 * np.pi * np.arange(angles) / angles:
+            r1, r2 = np.sqrt(2 * I1), np.sqrt(2 * I2)
+            x = np.stack([r1 * np.cos(t1), r2 * np.cos(t2)], axis=-1)
+            xi = np.stack([r1 * np.sin(t1), r2 * np.sin(t2)], axis=-1)
+            avg = avg + np.abs(hpg.evaluate(x, xi)) ** 2 / angles ** 2
+    lap = f.laplacian(I1 + 1j * alpha * I2 - shift)
+    return (2 * np.pi) ** 2 * float(np.sum(lap * avg)) * (top / n) ** 2
+
+
 class TestSecondVariation:
     def test_constant_generator_zero(self):
         f = TestFunction(0.1 + 0.5j, 0.3)
         G0 = SymbolExpr.constant(2.0)
-        assert second_variation_rhs(f, cho(1.0, 0.0), G0, 2.0, 16) == 0.0
+        assert second_variation_rhs(f, cho(1.0, 0.0), G0) == (0.0, ERROR_FLOOR)
 
     def test_rejects_non_integrable_base(self):
         f = TestFunction(0.1 + 0.5j, 0.3)
         p_t = deformed_quadratic(make_deformed(0.2))
         with pytest.raises(ValueError):
-            second_variation_rhs(f, p_t, coupling_xx(), 2.0, 16)
+            second_variation_rhs(f, p_t, coupling_xx())
 
     def test_rejects_complex_generator(self):
         f = TestFunction(0.1 + 0.5j, 0.3)
         with pytest.raises(ValueError):
-            second_variation_rhs(f, cho(1.0, 0.0), 1j * coupling_xx(), 2.0, 16)
+            second_variation_rhs(f, cho(1.0, 0.0), 1j * coupling_xx())
+
+    @pytest.mark.parametrize("p", [
+        cho(1.0, 0.0) + 0.3 * ACTIONS[0] * ACTIONS[1],  # the quartic I1 + i I2 + 0.3 I1 I2
+        cho(1.0, 0.0) + 0.5j * ACTIONS[0],  # a_1 = 1 + 0.5i: the image is no quadrant
+        cho(1.0, 0.0) - 1j * ACTIONS[1],  # alpha = 0: no action map
+    ], ids=["quartic", "complex-a1", "alpha-0"])
+    def test_rejects_bases_outside_the_family(self, p):
+        f = TestFunction(0.05 + 0.55j, 0.35)
+        with pytest.raises(ValueError) as exc:
+            second_variation_rhs(f, p, coupling_xx())
+        assert str(exc.value) == ACTION_FAMILY
 
     def test_boundary_formula_oracle(self):
-        # angle-averaging |H_p G|^2 = 2 r1 r2 and integrating by parts
-        # reduces the pairing to (2 pi)^2 * 2 * int f(i r2) r2 dr2 over the
-        # imaginary-axis part of the bump support
-        from scipy.integrate import quad
-        f = TestFunction(0.05 + 0.55j, 0.35)
-        got = second_variation_rhs(f, cho(1.0, 0.0), coupling_xx(), 1.8, 48)
-        want = (2 * np.pi) ** 2 * 2 * quad(
-            lambda r2: float(f.value(np.array([1j * r2]))[0]) * r2, 0.2, 0.9)[0]
-        assert got == pytest.approx(want, rel=0.01)
+        # C4's bump and bumps that reach both axes, one or none; the pairing is
+        # exact up to rounding, well inside its rhs_error
+        for f in (TestFunction(0.05 + 0.55j, 0.35), TestFunction(0.1 + 0.15j, 0.3),
+                  TestFunction(0.6 - 0.1j, 0.25), TestFunction(-0.2 - 0.2j, 0.3)):
+            value, err = second_variation_rhs(f, cho(1.0, 0.0), coupling_xx())
+            assert err <= 1e-10
+            assert abs(value - boundary_form(f)) <= 1e-12 * max(abs(value), 1.0)
+
+    def test_c4_value(self):
+        cfg = DeformationSplitsConfig()
+        f = TestFunction(cfg.f_center, cfg.f_radius)
+        value, err = second_variation_rhs(f, cho(1.0, 0.0), coupling_xx())
+        assert value == pytest.approx(13.062847964834285, rel=1e-12)
+        assert err <= 1e-10
 
     def test_matches_second_central_difference(self):
         f = TestFunction(0.05 + 0.55j, 0.35)
-        rhs = second_variation_rhs(f, cho(1.0, 0.0), coupling_xx(), 2.0, 48)
+        rhs, _ = second_variation_rhs(f, cho(1.0, 0.0), coupling_xx())
         lhs = moment_derivative_fd(lambda s: deformed_quadratic(make_deformed(s)),
                                    0.0, 2, f=f, box_radius=2.0, quad_order=48)
         assert abs(lhs - rhs) / abs(rhs) <= 0.03
 
-    def test_is_the_grid_pairing(self):
-        # one implementation: the grid over the bump's support, which is the
-        # whole-box tensor quadrature of the integrand up to summation order
-        p, G = cho(1.0, 0.0), coupling_xx()
-        hpg = poisson_bracket(p, G)
-        for f, box_radius, order in ((TestFunction(0.05 + 0.55j, 0.35), 2.0, 48),
-                                     (TestFunction(0.3 + 0.3j, 0.25), 2.0, 24),
-                                     (TestFunction(0.55 + 0.55j, 0.25), 1.4, 32)):
-            got = second_variation_rhs(f, p, G, box_radius, order)
-            assert got == _SecondVariationGrid(p, hpg, box_radius, order,
-                                               f.support_bounds()).pair(f)
-            want = tensor_quadrature((p, hpg), lambda v, h: f.laplacian(v) * np.abs(h) ** 2,
-                                     p.n, box_radius, order)
-            assert abs(got - want) <= 1e-13 * abs(want)
+    def test_within_the_grid_pairings_error(self):
+        # the tensor-grid pairing is the independent reference: for cho(alpha,
+        # shift) the exact value lies within the grid's own estimate |I_48 - I_24|
+        for alpha, shift, f in ((0.7, 0.1 + 0.2j, TestFunction(-0.05 + 0.3j, 0.3)),
+                                (0.5, -0.1 + 0.2j, TestFunction(0.2 - 0.15j, 0.3)),
+                                (-2.0, 0.1 - 0.1j, TestFunction(0.0, 0.35))):
+            p, G = cho(alpha, shift), coupling_xx()
+            hpg = poisson_bracket(p, G)
+            grid, coarse = (_SecondVariationGrid(p, hpg, 2.0, o, f.support_bounds()).pair(f)
+                            for o in (48, 24))
+            assert abs(second_variation_rhs(f, p, G)[0] - grid) <= abs(grid - coarse)
+
+    @pytest.mark.parametrize("alpha, shift, f", [
+        (-1.5, -0.2 + 0.1j, TestFunction(0.3 - 0.05j, 0.3)),
+        (0.7, 0.1 + 0.2j, TestFunction(-0.05 + 0.3j, 0.3))])
+    def test_matches_the_action_space_midpoint_rule(self, alpha, shift, f):
+        # the same integral with the angle average taken numerically and the
+        # image's edges left to the midpoint rule in I
+        got, _ = second_variation_rhs(f, cho(alpha, shift), coupling_xx())
+        want = action_space_midpoint(f, alpha, shift, coupling_xx())
+        assert got == pytest.approx(want, rel=2e-3)  # the midpoint rule is off by about 5e-4
 
     def test_interior_bump_pairs_to_near_zero(self):
-        # the angle average of |H_p G|^2 is harmonic in the actions, so
-        # bumps strictly inside the image quadrant cannot sense the
-        # deformation at second order (the pairing is exactly 0; tensor
-        # quadrature of the cancelling signed parts leaves percent-of-
-        # gross residue, hence the loose bound)
-        f = TestFunction(0.55 + 0.55j, 0.25)
-        val = second_variation_rhs(f, cho(1.0, 0.0), coupling_xx(), 1.4, 48)
-        ref = second_variation_rhs(TestFunction(0.05 + 0.55j, 0.35),
-                                   cho(1.0, 0.0), coupling_xx(), 1.8, 48)
-        assert abs(val) <= 0.15 * abs(ref)
+        # the angle average of |H_p G|^2 is 2 I1 I2, harmonic in z = I1 + i I2,
+        # so bumps strictly inside the image quadrant cannot sense the
+        # deformation at second order: the exact rule leaves rounding only,
+        # which the error covers at every scale, so none can be a witness
+        p, G = cho(1.0, 0.0), coupling_xx()
+        value, err = second_variation_rhs(TestFunction(0.55 + 0.55j, 0.25), p, G)
+        assert abs(value) <= 1e-12 and err <= 1e-10
+        rng = np.random.default_rng(7)
+        for r in 10 ** rng.uniform(-2, 3, 200):
+            f = TestFunction(complex(*(r * (1 + rng.uniform(0.001, 5, 2)))), r)
+            value, err = second_variation_rhs(f, p, G)
+            assert abs(value) <= err
 
 
 class TestCertificate:
+    WINDOW = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
+
     def test_zero_generator_no_certificate(self):
-        win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
-        assert nonequality_certificate(cho(1.0, 0.0), SymbolExpr.zero(2),
-                                       win, 2.0, 16) is None
+        assert nonequality_certificate(cho(1.0, 0.0), SymbolExpr.zero(2), self.WINDOW) is None
 
     def test_constant_generator_no_certificate(self):
-        win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
         assert nonequality_certificate(cho(1.0, 0.0), SymbolExpr.constant(3.0),
-                                       win, 2.0, 16) is None
+                                       self.WINDOW) is None
 
     def test_witness_found_for_coupling(self):
-        win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
-        cert = nonequality_certificate(cho(1.0, 0.0), coupling_xx(), win, 2.0, 32)
+        cert = nonequality_certificate(cho(1.0, 0.0), coupling_xx(), self.WINDOW)
         assert cert is not None
         f, value, err = cert
         assert value > 5 * err
+        # C4's witness: its pairing is the boundary form on the imaginary axis
+        assert (f.center, f.radius) == (pytest.approx(-0.06 + 0.66j), pytest.approx(0.24))
+        assert value == pytest.approx(9.4219473, rel=1e-7)
+        assert abs(value - boundary_form(f)) <= 1e-12 * value
 
     def test_witness_value_is_second_variation(self):
-        # the certificate's cached grid and the quadrature share one tensor grid
-        win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
-        f, value, _ = nonequality_certificate(cho(1.0, 0.0), coupling_xx(), win, 2.0, 32)
-        rhs = second_variation_rhs(f, cho(1.0, 0.0), coupling_xx(), 2.0, 32)
-        assert value == pytest.approx(rhs, rel=1e-12)
+        # the certificate and second_variation_rhs share one action-space pairing
+        f, value, err = nonequality_certificate(cho(1.0, 0.0), coupling_xx(), self.WINDOW)
+        assert (value, err) == second_variation_rhs(f, cho(1.0, 0.0), coupling_xx())
+
+    def test_rejects_bases_outside_the_family(self):
+        quartic = cho(1.0, 0.0) + 0.3 * ACTIONS[0] * ACTIONS[1]
+        with pytest.raises(ValueError) as exc:
+            nonequality_certificate(quartic, coupling_xx(), self.WINDOW)
+        assert str(exc.value) == ACTION_FAMILY
 
 
 class TestCertificateGrid:
@@ -403,44 +465,35 @@ class TestCertificateGrid:
             assert grid.pair(f) == np.dot(laplacian(f, grid.vals), grid.weights)
             assert calls == [grid.vals.shape]
 
-    def test_certificate_value_is_full_grid_pairing(self, monkeypatch):
-        # the value is the pairing of the certificate's order-32 grid, bit for
-        # bit; that grid keeps, bit for bit, the slab nodes in its reach and
-        # sums them in slab order, and the full-grid pairing, summed in
-        # another order, agrees to 1e-13 relative (see check_grid)
-        grids = {}
+    @staticmethod
+    def certificate_reach(window):
+        """The box holding every bump the certificate tries in window."""
+        cs = np.linspace(window.bounds[0], window.bounds[1], CERT_CENTERS + 2)[1:-1]
+        ci = np.linspace(window.bounds[2], window.bounds[3], CERT_CENTERS + 2)[1:-1]
+        r_max = max(CERT_RADII) * min(window.half_widths)
+        return (cs[0] - r_max, cs[-1] + r_max, ci[0] - r_max, ci[-1] + r_max)
 
-        class Recorded(_SecondVariationGrid):
-            def __init__(self, p, hpg, box_radius, order, reach):
-                super().__init__(p, hpg, box_radius, order, reach)
-                grids[order] = self
-
-        monkeypatch.setattr(variation, "_SecondVariationGrid", Recorded)
+    def test_certificate_value_is_full_grid_pairing(self):
+        # a grid over the certificate's reach at order 32 keeps, bit for bit,
+        # the slab nodes in reach and sums them in slab order, and agrees with
+        # the full-grid pairing to 1e-13 relative (see check_grid); the
+        # certificate's exact value lies within that grid's |I_32 - I_16|
         win = ComplexWindow.from_bounds(-0.3, 0.9, -0.3, 0.9, (8, 8))
         p, G = cho(1.0, 0.0), coupling_xx()
-        f, value, _ = nonequality_certificate(p, G, win, 2.0, 32)
-        grid = grids[32]
-        checked = self.check_grid(p, G, 2.0, 32, grid.reach, (f,))
-        assert np.array_equal(grid.vals, checked.vals)
-        assert np.array_equal(grid.weights, checked.weights)
-        assert value == grid.pair(f) == checked.pair(f)
+        f, value, _ = nonequality_certificate(p, G, win)
+        reach = self.certificate_reach(win)
+        grid = self.check_grid(p, G, 2.0, 32, reach, (f,))
+        coarse = _SecondVariationGrid(p, poisson_bracket(p, G), 2.0, 16, reach)
+        assert abs(value - grid.pair(f)) <= abs(grid.pair(f) - coarse.pair(f))
 
-    def test_c4_grid_holds_only_the_kept_nodes(self, monkeypatch):
-        # C4's certificate at order 48: 147,456 of the 48^4 nodes are in reach
+    def test_c4_grid_holds_only_the_kept_nodes(self):
+        # over C4's certificate reach at order 48, 147,456 of the 48^4 nodes are kept
         cfg = DeformationSplitsConfig()
-        grids = []
-
-        class Recorded(_SecondVariationGrid):
-            def __init__(self, *args):
-                super().__init__(*args)
-                grids.append(self)
-
-        monkeypatch.setattr(variation, "_SecondVariationGrid", Recorded)
         win = ComplexWindow.from_bounds(*cfg.certificate_window, resolution=(8, 8))
-        assert nonequality_certificate(cho(1.0, 0.0), coupling_xx(), win,
-                                       cfg.box_radius_second, cfg.quadrature_order)
-        assert len(grids) == 2
-        arrays = {k: v.shape for k, v in vars(grids[0]).items() if isinstance(v, np.ndarray)}
+        p = cho(1.0, 0.0)
+        grid = _SecondVariationGrid(p, poisson_bracket(p, coupling_xx()), cfg.box_radius_second,
+                                    cfg.quadrature_order, self.certificate_reach(win))
+        arrays = {k: v.shape for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
         assert arrays == {"vals": (147_456,), "weights": (147_456,)}
 
     def test_support_leaving_reach_rejected(self):
