@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .density import _unit_blocks, newton_2xm
+from .density import _shards, newton_2xm
 from .symbols import SymbolExpr, real_bracket
 
 ZERO_TOL = 1e-10  # |p| at which a point counts as on the zero set
@@ -46,20 +46,25 @@ class AuditReport:
 def _zero_set_sample(p: SymbolExpr, budget, seed, box):
     """Gauss-Newton from quasi-random seeds onto {Re p = Im p = 0} in R^{2n}.
 
-    Keeps the points where |p| <= ZERO_TOL inside the box of radius 2 box.
+    Runs one block of `density._shards` at a time, so Newton's arrays
+    follow BLOCK, not the budget; each block is mapped to the box into a
+    new array, as the next block refills its buffer.  Keeps the points
+    where |p| <= ZERO_TOL inside the box of radius 2 box.
     """
     n = p.n
-    pts = -box + 2 * box * np.concatenate(list(_unit_blocks(2 * n, budget, seed, "sobol")))
 
     def residual(u):  # (Re p, Im p) and its real Jacobian on real points
         vals, grads = p.evaluate(u[:, :n], u[:, n:]), p.grad(u[:, :n], u[:, n:])
         return (np.stack([vals.real, vals.imag], axis=-1),
                 np.stack([grads.real, grads.imag], axis=-2))
 
-    pts, _ = newton_2xm(residual, pts, ZERO_TOL)
-    ok = np.abs(p.evaluate(pts[:, :n], pts[:, n:])) <= ZERO_TOL
-    ok &= np.max(np.abs(pts), axis=1) <= 2 * box
-    return pts[ok]
+    kept = []
+    for block in itertools.chain.from_iterable(_shards(2 * n, budget, seed, "sobol")):
+        pts, _ = newton_2xm(residual, -box + 2 * box * block, ZERO_TOL)
+        ok = np.abs(p.evaluate(pts[:, :n], pts[:, n:])) <= ZERO_TOL
+        ok &= np.max(np.abs(pts), axis=1) <= 2 * box
+        kept.append(pts[ok])
+    return np.concatenate(kept)
 
 
 def _independence_measure(p: SymbolExpr, pts):
@@ -124,15 +129,16 @@ def audit(p: SymbolExpr, sample_budget=4096, ball_radius=4.0,
     connectivity and bracket checks come back "not-checked".
     """
     n = p.n
-    # ellipticity: min |p| over a quasi-random shell C <= |rho|_inf <= 2C
-    shell_raw = -2 * ball_radius + 4 * ball_radius * np.concatenate(
-        list(_unit_blocks(2 * n, sample_budget, seed + 1, "sobol")))
-    mask = np.max(np.abs(shell_raw), axis=1) >= ball_radius
-    shell = shell_raw[mask]
-    vals = p.evaluate(shell[:, :n], shell[:, n:])
-    ell_min = float(np.min(np.abs(vals))) if len(shell) else float("nan")
+    # ellipticity: min |p| over a quasi-random shell C <= |rho|_inf <= 2C, a block at a time
+    mins = []
+    for block in itertools.chain.from_iterable(_shards(2 * n, sample_budget, seed + 1, "sobol")):
+        shell = -2 * ball_radius + 4 * ball_radius * block
+        shell = shell[np.max(np.abs(shell), axis=1) >= ball_radius]
+        if len(shell):
+            mins.append(np.min(np.abs(p.evaluate(shell[:, :n], shell[:, n:]))))
+    ell_min = float(np.min(mins)) if mins else float("nan")
     ell_thresh = 1.0 / ball_radius
-    ell_flag = "not-checked" if not len(shell) else (
+    ell_flag = "not-checked" if not mins else (
         "pass" if ell_min >= ell_thresh else "fail")
 
     zero_pts = _zero_set_sample(p, sample_budget, seed, box=ball_radius / 2)

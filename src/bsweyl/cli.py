@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -49,9 +50,14 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
+def _finite(x) -> bool:
+    """x is an int or a finite float (a JSON int of any size is finite)."""
+    return isinstance(x, int) or math.isfinite(x)
+
+
 def _number_pair(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+        isinstance(x, (int, float)) and not isinstance(x, bool) and _finite(x) for x in v)
 
 
 @dataclass
@@ -110,6 +116,8 @@ class ExperimentConfig:
                 v = d[name]
                 if not isinstance(v, types) or isinstance(v, bool):
                     errors.append(f"{name!r} must be of type {types}")
+                elif not _finite(v):
+                    errors.append(f"{name!r} value {v!r} is not finite")
                 elif pred is not None and not pred(v):
                     errors.append(f"{name!r} value {v!r} out of range")
         if "seeds" in d and d["seeds"] is not None and (
@@ -123,10 +131,10 @@ class ExperimentConfig:
             errors.append("'basis_kind' must be 'hermite-tensor' or 'torus-fourier'")
         for name in ("f_center", "theta0", "I0"):
             if name in d and not _number_pair(d[name]):
-                errors.append(f"{name!r} must be a list of two numbers")
+                errors.append(f"{name!r} must be a list of two finite numbers")
         if "eta_box" in d and not (isinstance(d["eta_box"], list) and len(d["eta_box"]) == 2
                                    and all(_number_pair(b) for b in d["eta_box"])):
-            errors.append("'eta_box' must be a list of two [lo, hi] number pairs")
+            errors.append("'eta_box' must be a list of two [lo, hi] finite number pairs")
         if d.get("outdir") is not None and not isinstance(d["outdir"], str):
             errors.append("'outdir' must be a string")
         if errors:

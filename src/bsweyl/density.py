@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import importlib.util
-import itertools
 import json
 import os
 import threading
@@ -351,12 +350,6 @@ def _shards(dim, total, seed, sampler):
 
     return [blocks(shard, lo, min(lo + DEFAULT_SHARD, total))
             for shard, lo in enumerate(range(0, total, DEFAULT_SHARD))]
-
-
-def _unit_blocks(dim, total, seed, sampler):
-    """Every point of a run in [0,1)^dim, the blocks of its shards in order,
-    each a new array that later draws leave as it is."""
-    return map(np.copy, itertools.chain.from_iterable(_shards(dim, total, seed, sampler)))
 
 
 def map_on_cpus(fn, items) -> list:

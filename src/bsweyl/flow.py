@@ -221,8 +221,8 @@ def integrate_flow(d: Deformation, t: float, rho: PhasePoint) -> FlowResult:
     integrator's accuracy.  Leaving the declared tube warns and marks
     the result non-certified instead of aborting.
     """
-    if abs(t) > d.t_max:
-        raise ValueError(f"|t| = {abs(t)} exceeds t_max = {d.t_max}")
+    if not abs(t) <= d.t_max:  # NaN fails too
+        raise ValueError(f"|t| = {abs(t)} is not within t_max = {d.t_max}")
     n = d.n
     if rho.n != n:
         raise DimensionMismatchError(f"point dim {rho.n} != generator dim {n}")
@@ -263,9 +263,9 @@ class DeformedSymbol:
     def __post_init__(self):
         if self.base.n != self.deformation.n:
             raise DimensionMismatchError("base symbol and generator dimensions differ")
-        if abs(self.t) > self.deformation.t_max:
+        if not abs(self.t) <= self.deformation.t_max:  # NaN fails too
             raise ValueError(
-                f"|t| = {abs(self.t)} exceeds t_max = {self.deformation.t_max}")
+                f"|t| = {abs(self.t)} is not within t_max = {self.deformation.t_max}")
 
     @property
     def n(self) -> int:

@@ -14,11 +14,11 @@ the deformation experiments: a quadratic generator's flow is affine,
 and a quadratic base composed with it (``DeformedSymbol.closed``) stays
 quadratic.
 
-Both quantizers return a sparse (CSR) operator: p_t at N = 60 stores
-about 8.7 nonzeros per row of its 3600, 0.6 MB against 207 MB dense.
-`perturb` keeps that matrix and its draw (delta, seed), not P + delta Q;
-a solve makes dense only the block it reads, and draws Q into it (see
-`OperatorMatrix.toarray` and `SpectrumResult`).
+Every operator is a CSR matrix plus at most one draw: p_t at N = 60
+stores about 8.7 nonzeros per row of its 3600, 0.6 MB against 207 MB
+dense.  `perturb` keeps that matrix and its draw (delta, seed), not
+P + delta Q; a solve makes dense only the block it reads, and draws Q
+into it (see `OperatorMatrix.toarray` and `SpectrumResult`).
 
 scipy's sparse and linear-algebra modules are imported by the functions
 that build or solve a matrix, not by this module: importing them costs
@@ -92,35 +92,29 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """An operator in a basis: a stored matrix, CSR or a dense ndarray, plus
-    the Gaussian draws that `perturb` added to it.
+    """An operator in a basis: a CSR matrix plus at most one Gaussian draw.
 
-    A sparse matrix is kept in canonical form (sorted indices, no
-    duplicate entries); its stored values, or the dense array, are
-    checked finite and frozen.  `draws` holds (delta, seed) pairs, in
-    the order they were added; no draw is held as a matrix (see
+    The matrix, whatever form it is given in, is kept as canonical CSR
+    (sorted indices, no duplicate entries), its stored values checked
+    finite and its arrays frozen.  `draw` is None or the (delta, seed)
+    that `perturb` added, which is never held as a matrix (see
     `toarray`).
     """
 
-    matrix: scipy.sparse.csr_matrix | np.ndarray
+    matrix: scipy.sparse.csr_matrix
     basis: BasisSpec
-    draws: tuple = ()
+    draw: tuple | None = None
 
     def __post_init__(self):
         from scipy import sparse
 
-        if sparse.issparse(self.matrix):
-            m = sparse.csr_matrix(self.matrix, dtype=complex)
-            m.sum_duplicates()
-            stored = (m.data, m.indices, m.indptr)
-        else:
-            m = np.asarray(self.matrix, dtype=complex)
-            stored = (m,)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = sparse.csr_matrix(self.matrix, dtype=complex)
+        m.sum_duplicates()
+        if m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
-        if not np.all(np.isfinite(stored[0])):
+        if not np.all(np.isfinite(m.data)):
             raise ValueError("operator matrix has non-finite entries")
-        for a in stored:
+        for a in (m.data, m.indices, m.indptr):
             a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -129,26 +123,21 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
     def toarray(self, order="C") -> np.ndarray:
-        """The operator as a dense ndarray.
+        """The operator as a new, writeable dense array in `order` ("F" is
+        what a solve factors in place).
 
-        A stored dense matrix with no draws is returned as it is; else the
-        array is new, writeable and in `order` ("F" is what a solve
-        factors in place).  Each draw is `gaussian_perturbation` into
-        that array, scaled by delta, to which the stored matrix (the
-        previous draw's sum, after the first) is added: bitwise what a
-        dense P + delta Q built in that order holds.
+        With a draw, the array is `gaussian_perturbation` scaled by delta,
+        with the matrix's entries added where they sit: bitwise what a
+        dense P + delta Q holds.
         """
-        A = self.matrix
-        for delta, seed in self.draws:
-            Q = gaussian_perturbation(self.dim, seed, order)
-            Q *= delta
-            if isinstance(A, np.ndarray):
-                Q += A
-            else:
-                C = A.tocoo()  # canonical: no index pair twice
-                Q[C.row, C.col] += C.data
-            A = Q
-        return A if isinstance(A, np.ndarray) else A.toarray(order=order)
+        if self.draw is None:
+            return self.matrix.toarray(order=order)
+        delta, seed = self.draw
+        Q = gaussian_perturbation(self.dim, seed, order)
+        Q *= delta
+        C = self.matrix.tocoo()  # canonical: no index pair twice
+        Q[C.row, C.col] += C.data
+        return Q
 
 
 class SpectrumResult:
@@ -156,19 +145,18 @@ class SpectrumResult:
 
     `eigenvalues` is the full spectrum in column order (see `_ordered`):
     a dense backward-stable solve, cached, of each parity block of the
-    operator (see `parity_blocks`); a block of a sparse operator is made
-    dense only for its solve, and a perturbed operator's draws are drawn
-    into that array (see `OperatorMatrix.toarray`), once per solve that
-    reads it.  `in_window` filters that spectrum once it is
-    cached; before, it solves each block near the window only (see
-    `_shift_invert`) and falls back to the block's dense solve, which it
-    caches.  Every solve appends a record to `solves`: its method
-    (`dense`, `dense-blocks` or `shift-invert`), block dims, final
-    Arnoldi k and ARPACK `passes` per block (None and 0 where dense;
-    passes > 1 means rejected passes), fallback reason, `blas_threads`
-    (1 where two or more blocks were solved densely at one pinned BLAS
-    thread, see `_pinned_eigvals`; None where the process setting held)
-    and seconds.
+    operator (see `parity_blocks`); a block is made dense only for its
+    solve, and a perturbed operator's draw is drawn into that array (see
+    `OperatorMatrix.toarray`), once per solve that reads it.
+    `in_window` filters that spectrum once it is cached; before, it
+    solves each block near the window only (see `_shift_invert`) and
+    falls back to the block's dense solve, which it caches.  Every solve
+    appends a record to `solves`: its method (`dense`, `dense-blocks` or
+    `shift-invert`), block dims, final Arnoldi k and ARPACK `passes` per
+    block (None and 0 where dense; passes > 1 means rejected passes),
+    fallback reason, `blas_threads` (1 where two or more blocks were
+    solved densely at one pinned BLAS thread, see `_pinned_eigvals`;
+    None where the process setting held) and seconds.
     """
 
     def __init__(self, operator: OperatorMatrix, delta=0.0, seed=None):
@@ -186,23 +174,18 @@ class SpectrumResult:
     def residual_bound(self) -> float:
         """dim eps ||A||_F; a perturbed operator is drawn for it once, in C order."""
         op = self.operator
-        M = op.toarray() if op.draws else op.matrix
-        stored = M if isinstance(M, np.ndarray) else M.data  # a sparse matrix's nonzeros
-        return M.shape[0] * np.finfo(float).eps * float(np.linalg.norm(stored))
+        stored = op.matrix.data if op.draw is None else op.toarray()
+        return op.dim * np.finfo(float).eps * float(np.linalg.norm(stored))
 
     @cached_property
     def _blocks(self):
         return parity_blocks(self.operator)
 
     def _block(self, idx) -> np.ndarray:
-        """Block idx (None: all), dense: a new Fortran-ordered array unless
-        the operator is a stored dense matrix with no draws."""
+        """Block idx (None: all) as a new, writeable Fortran-ordered array."""
         if idx is None:
             return self.operator.toarray(order="F")
-        M = self.operator.matrix  # an operator with draws is one block
-        if isinstance(M, np.ndarray):
-            return M[np.ix_(idx, idx)]
-        return M[idx][:, idx].toarray(order="F")
+        return self.operator.matrix[idx][:, idx].toarray(order="F")  # drawn: one block
 
     def _diagonal(self, idx) -> np.ndarray:
         """The stored matrix's diagonal in block idx (None: all), read without
@@ -255,9 +238,10 @@ class SpectrumResult:
 
     def in_window(self, win) -> np.ndarray:
         """Eigenvalues strictly inside win (a ComplexWindow or re/im bounds), in column order."""
+        bounds = win.bounds if isinstance(win, ComplexWindow) else win
         if "eigenvalues" in self.__dict__ or len(self._dense) == len(self._blocks):
-            return _inside(win, self.eigenvalues)
-        lo_r, hi_r, lo_i, hi_i = win.bounds if isinstance(win, ComplexWindow) else win
+            return _inside(bounds, self.eigenvalues)
+        lo_r, hi_r, lo_i, hi_i = bounds
         center = complex((lo_r + hi_r) / 2, (lo_i + hi_i) / 2)
         radius = float(np.hypot(hi_r - lo_r, hi_i - lo_i)) / 2
         start = time.perf_counter()
@@ -274,7 +258,7 @@ class SpectrumResult:
             reasons.append(reason)
         todo = [i for i in range(len(self._blocks)) if i not in found and i not in self._dense]
         self._record(start, ks, passes, reasons, self._solve_dense(todo))
-        return _ordered(np.concatenate([_inside(win, found[i] if i in found else self._dense[i])
+        return _ordered(np.concatenate([_inside(bounds, found[i] if i in found else self._dense[i])
                                         for i in range(len(self._blocks))]))
 
     def write_csv(self, path):
@@ -308,10 +292,8 @@ def _ordered(ev) -> np.ndarray:
     return ev[by_re[np.lexsort((ev.imag[by_re], column))]]
 
 
-def _inside(win, ev) -> np.ndarray:
-    if isinstance(win, ComplexWindow):
-        return ev[win.contains(ev)]
-    lo_r, hi_r, lo_i, hi_i = win
+def _inside(bounds, ev) -> np.ndarray:
+    lo_r, hi_r, lo_i, hi_i = bounds
     return ev[(ev.real > lo_r) & (ev.real < hi_r) & (ev.imag > lo_i) & (ev.imag < hi_i)]
 
 
@@ -370,10 +352,11 @@ def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
 
     Entries of the unscaled matrix are CN(0, 1); after the 1/sqrt(dim)
     scaling the expected operator norm of Q is O(1).  Deterministic for
-    fixed seed.  Nothing is drawn here: the result keeps P's stored
-    matrix and its draws, plus (delta, seed), and Q is drawn each time
-    the dense operator is built (see `OperatorMatrix.toarray`), bitwise
-    delta Q + P.toarray().
+    fixed seed.  Nothing is drawn here: the result keeps P's matrix and
+    (delta, seed), and Q is drawn each time the dense operator is built
+    (see `OperatorMatrix.toarray`), bitwise delta Q + P.toarray().  P
+    must hold no draw: delta1 Q1 + delta2 Q2 has the law of one draw at
+    hypot(delta1, delta2).
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -384,7 +367,10 @@ def perturb(P: OperatorMatrix, delta: float, seed: int) -> OperatorMatrix:
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    return OperatorMatrix(P.matrix, P.basis, P.draws + ((delta, seed),))
+    if P.draw is not None:
+        raise ValueError("operator already holds a draw: delta1 Q1 + delta2 Q2 has the law "
+                         "of one draw at delta = hypot(delta1, delta2)")
+    return OperatorMatrix(P.matrix, P.basis, (delta, seed))
 
 
 def gaussian_perturbation(dim: int, seed: int, order="C") -> np.ndarray:
@@ -424,20 +410,15 @@ def parity_blocks(P: OperatorMatrix) -> list:
     parity of k1 + ... + kn to itself; when both off-parity blocks of
     the matrix are exactly zero, the spectrum is that of the even and
     the odd block.  Odd-degree terms and perturbations couple them: an
-    operator with draws is one block, and is not read.  A sparse matrix
-    is read by its nonzero pattern (explicit zeros do not couple).
+    operator with a draw is one block, and is not read.  The matrix is
+    read by its nonzero pattern (explicit zeros do not couple).
     """
-    if P.basis.kind != "hermite-tensor" or P.draws:
+    if P.basis.kind != "hermite-tensor" or P.draw is not None:
         return [None]
     parity = np.indices((P.basis.size,) * P.basis.n).sum(axis=0).ravel() % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    M = P.matrix
-    if isinstance(M, np.ndarray):
-        coupled = M[np.ix_(even, odd)].any() or M[np.ix_(odd, even)].any()
-    else:
-        rows, cols = M.nonzero()
-        coupled = np.any(parity[rows] != parity[cols])
-    if not odd.size or coupled:
+    rows, cols = P.matrix.nonzero()
+    if not odd.size or np.any(parity[rows] != parity[cols]):
         return [None]
     return [even, odd]
 
@@ -506,14 +487,13 @@ def _shift_invert(block, diag, center: complex, radius: float):
     diagonal entry nearest the disc's edge lies 3.1e-4 from it in C5's
     count window (2.6e-4 in C7's at dim 3600), so the count is the same
     with or without delta Q (k = 49 at seeds 0-11; 62 at C7's seeds 0-4).
-    Then A - center I is factored once (in A itself when A is a
-    writeable Fortran-ordered array, as `_block` makes from a sparse or
-    perturbed operator, else in a copy) and ARPACK runs for the k
-    largest eigenvalues mu of its inverse (a fixed start vector keeps
-    the result bitwise reproducible, and a Krylov space of max(20, 3k)
-    vectors, scipy's default for k < 7, lets one pass converge without
-    implicit restarts); lambda = center
-    + 1/mu are the k eigenvalues nearest the center.  The k hold the disc
+    Then A - center I is factored once, in the new Fortran-ordered array
+    that ``block()`` returns, and ARPACK runs for the k largest
+    eigenvalues mu of its inverse (a fixed start vector keeps the result
+    bitwise reproducible, and a Krylov space of max(20, 3k) vectors,
+    scipy's default for k < 7, lets one pass converge without implicit
+    restarts); lambda = center + 1/mu are the k eigenvalues nearest the
+    center.  The k hold the disc
     only when the farthest lies beyond radius; otherwise k grows by the
     ratio of the disc's area to the area they cover, times
     SHIFT_INVERT_GROWTH.  Returns (None, k, passes, reason) when k
@@ -529,8 +509,7 @@ def _shift_invert(block, diag, center: complex, radius: float):
     k = int(np.ceil(SHIFT_INVERT_GROWTH * max(1, inside)))
     passes = 0
     if k <= limit:
-        A = block()
-        F = A if A.flags.writeable and A.flags.f_contiguous else np.array(A, order="F")
+        F = block()
         F[np.diag_indices(n)] -= center
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)

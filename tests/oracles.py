@@ -368,7 +368,7 @@ def unit_shards(dim, total, seed, sampler, shard_size):
 
     One scrambled Sobol' sequence of scipy's engine continued across
     shards, or iid rows seeded by (seed, shard index).  The blocks that
-    ``density._unit_blocks`` yields for one shard concatenate to it.
+    ``density._shards`` yields for one shard concatenate to it.
     """
     from scipy.stats import qmc
     done, shard = 0, 0

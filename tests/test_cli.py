@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -346,10 +347,13 @@ class TestExitCodes:
     def test_invalid_config_field_exit_2(self, data, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         real = st.floats(allow_nan=False, allow_infinity=False)
+        nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
         wrong = st.one_of(st.text(max_size=4), st.booleans(),
                           st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
-        junk = st.one_of(wrong, st.lists(st.integers(), max_size=3))  # for scalars
-        pair = st.one_of(wrong, st.none(), real)  # for number pairs
+        junk = st.one_of(wrong, st.lists(st.integers(), max_size=3), nonfinite)  # for scalars
+        two = st.lists(st.one_of(real, nonfinite), min_size=2, max_size=2).filter(
+            lambda v: not all(map(math.isfinite, v)))  # a pair with a NaN or an inf
+        pair = st.one_of(wrong, st.none(), real, two)  # for number pairs
         bad = {
             "experiment": st.text(max_size=8).filter(lambda v: v not in EXPERIMENTS),
             "t": junk, "coupling": junk,
@@ -368,7 +372,8 @@ class TestExitCodes:
             "theta0": st.one_of(pair, st.lists(real, max_size=1)),
             "I0": st.one_of(pair, st.lists(st.text(max_size=2), min_size=2, max_size=2)),
             "eta_box": st.one_of(pair, st.lists(st.lists(real, min_size=2, max_size=2),
-                                                min_size=1, max_size=1)),
+                                                min_size=1, max_size=1),
+                                 st.lists(two, min_size=2, max_size=2)),
             "outdir": st.one_of(st.integers(), st.booleans(), st.lists(st.text(max_size=2))),
         }
         field = data.draw(st.sampled_from(sorted(bad)))

@@ -756,6 +756,12 @@ class TestConcurrentShards:
             assert capsys.readouterr().err == "config error: step size underflow on a worker\n"
 
 
+def _unit_blocks(dim, total, seed, sampler):
+    """Every block of a run's shards, in order, each copied out of the buffer
+    that its shard refills."""
+    return map(np.copy, itertools.chain.from_iterable(density._shards(dim, total, seed, sampler)))
+
+
 class TestSobol:
     """The in-repo Sobol' engine draws the rows of scipy's qmc.Sobol bit for bit."""
 
@@ -770,7 +776,7 @@ class TestSobol:
         # concatenated, are those rows and end where the shard ends
         monkeypatch.setattr(density, "DEFAULT_SHARD", shard)
         for total in self.TOTALS:
-            got = density._unit_blocks(dim, total, seed, "sobol")
+            got = _unit_blocks(dim, total, seed, "sobol")
             drawn = 0
             for want in unit_shards(dim, total, seed, "sobol", shard):
                 blocks = [next(got)]
@@ -792,7 +798,7 @@ class TestSobol:
             list(unit_shards(2, total, 0, "sobol", density.DEFAULT_SHARD))
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
-            list(getattr(density, draw)(2, total, 0, "sobol"))
+            list(globals()[draw](2, total, 0, "sobol"))
         assert len(want) == warns
         assert [(w.category, str(w.message)) for w in got] == \
                [(w.category, str(w.message)) for w in want]
@@ -803,21 +809,12 @@ class TestSobol:
         shard = (1 << 15) + 3
         monkeypatch.setattr(density, "DEFAULT_SHARD", shard)
         total = 5 * density.BLOCK + 7
-        blocks = list(density._unit_blocks(4, total, 3, sampler))
+        blocks = list(_unit_blocks(4, total, 3, sampler))
         shards = list(unit_shards(4, total, 3, sampler, shard))
         assert max(len(b) for b in blocks) == density.BLOCK
         block_ends = set(np.cumsum([len(b) for b in blocks]).tolist())
         assert set(np.cumsum([len(s) for s in shards]).tolist()) <= block_ends
         assert np.concatenate(blocks).tobytes() == np.concatenate(shards).tobytes()
-
-    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
-    @pytest.mark.parametrize("sampler", ["sobol", "random"])
-    def test_unit_blocks_never_alias(self, sampler, monkeypatch):
-        # audit and these tests hold several blocks at once
-        monkeypatch.setattr(density, "DEFAULT_SHARD", (1 << 16) + 3)
-        blocks = list(density._unit_blocks(4, 3 * density.BLOCK + 11, 3, sampler))
-        assert len(blocks) == 5
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(blocks, 2))
 
     @pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
     @pytest.mark.parametrize("sampler", ["sobol", "random"])
@@ -838,4 +835,4 @@ class TestSobol:
 
     def test_at_most_2_to_the_30_points(self):
         with pytest.raises(ValueError, match="at most 2\\*\\*30"):
-            next(density._unit_blocks(2, (1 << 30) + 1, 0, "sobol"))
+            density._shards(2, (1 << 30) + 1, 0, "sobol")

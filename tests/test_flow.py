@@ -80,6 +80,16 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError):
             integrate_flow(d, 0.2, PhasePoint.zero(2))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_rejected(self, t):
+        # abs(nan) > t_max is False, and a NaN span takes no RK45 step: unchecked,
+        # t = NaN would give the base symbol and a certified zero-step flow
+        d = Deformation((coupling_xx(),))
+        with pytest.raises(ValueError, match="t_max"):
+            integrate_flow(d, t, PhasePoint.zero(2))
+        with pytest.raises(ValueError, match="t_max"):
+            DeformedSymbol(cho(1.0, 0.0), d, t)
+
 
 class TestFlowInvariants:
     def test_group_property(self):

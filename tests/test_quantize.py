@@ -233,28 +233,31 @@ class TestPerturb:
 
 
     def test_nested_and_dense_based_draws_match_the_reference_bitwise(self):
-        # a draw on a perturbed operator, and one on a stored dense matrix (the
-        # Jordan block's case), hold bitwise what adding each draw in turn to a
-        # dense P gives; every build is a new writeable array, drawn again
+        # a draw on an operator given as a dense array (the Jordan block's case)
+        # holds bitwise what adding it to the dense P gives, in either order;
+        # every build is a new writeable array, drawn again.  A second draw is
+        # refused: it has the law of one draw at the hypot of the two deltas
         P = p_t_operator(24)
-        Q = {seed: gaussian_perturbation_reference(P.dim, seed) for seed in (2, 3, 5)}
-        nested = perturb(perturb(P, 1e-4, 3), 1e-3, 5)
-        assert nested.draws == ((1e-4, 3), (1e-3, 5))
-        assert np.shares_memory(nested.matrix.data, P.matrix.data)  # P's nonzeros, not a copy
-        want = P.toarray() + 1e-4 * Q[3] + 1e-3 * Q[5]
-        F = nested.toarray("F")
+        Q = {seed: gaussian_perturbation_reference(P.dim, seed) for seed in (2, 3)}
+        drawn = perturb(P, 1e-4, 3)
+        assert drawn.draw == (1e-4, 3)
+        assert np.shares_memory(drawn.matrix.data, P.matrix.data)  # P's nonzeros, not a copy
+        with pytest.raises(ValueError, match="hypot"):
+            perturb(drawn, 1e-3, 5)
+        want = P.toarray() + 1e-4 * Q[3]
+        F = drawn.toarray("F")
         assert F.flags.f_contiguous and F.flags.writeable
-        for got in (nested.toarray(), np.ascontiguousarray(F)):
+        for got in (drawn.toarray(), np.ascontiguousarray(F)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         D = OperatorMatrix(P.toarray(), P.basis)
         got = perturb(D, 1e-3, 2).toarray()
-        assert np.array_equal(got.view(np.uint64), (D.matrix + 1e-3 * Q[2]).view(np.uint64))
-        J = OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex),
-                           BasisSpec("hermite-tensor", 2, 0.1, n=1))
-        got = perturb(J, 1e-6, 7).toarray()
-        want = J.matrix + 1e-6 * gaussian_perturbation_reference(2, 7)
+        assert np.array_equal(got.view(np.uint64), (D.toarray() + 1e-3 * Q[2]).view(np.uint64))
+        J = np.array([[0, 1], [0, 0]], dtype=complex)
+        got = perturb(OperatorMatrix(J, BasisSpec("hermite-tensor", 2, 0.1, n=1)), 1e-6,
+                      7).toarray()
+        want = J + 1e-6 * gaussian_perturbation_reference(2, 7)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        a, b = nested.toarray(), nested.toarray()
+        a, b = drawn.toarray(), drawn.toarray()
         assert a is not b and a.flags.writeable and np.array_equal(a, b)
 
     def test_perturbed_operator_holds_no_dense_matrix(self, p_t_1600):
@@ -574,31 +577,22 @@ class TestSparseOperators:
                                                     P.matrix.indptr))
         assert len(parity_blocks(P)) == 2
 
-    @pytest.mark.parametrize("symbol", [p_t_symbol, odd_symbol])
-    def test_sparse_and_dense_held_agree_bitwise(self, symbol):
+    def test_dense_input_is_stored_as_csr(self):
+        # a dense array is converted once: canonical, frozen CSR of its nonzeros,
+        # read back bitwise; it is checked square and finite as it is converted
         basis = BasisSpec("hermite-tensor", 24, 0.05)
-        P = quantize_quadratic(symbol(), basis)
-        D = OperatorMatrix(P.toarray(), basis)
-        assert sparse.issparse(P.matrix) and not sparse.issparse(D.matrix)
-        blocks = parity_blocks(P)
-        assert len(blocks) == (2 if symbol is p_t_symbol else 1)
-        assert all(a is b is None or np.array_equal(a, b)
-                   for a, b in zip(blocks, parity_blocks(D), strict=True))
-        methods = set()
-        for win in (COUNT_WINDOW, (0.0, 0.85, 0.0, 0.85)):
-            sp, de = spectrum(P), spectrum(D)
-            a, b = sp.in_window(win), de.in_window(win)
-            assert a.size > 0 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-            keys = ("method", "blocks", "k", "passes", "fallback")
-            assert [[r[k] for k in keys] for r in sp.solves] == [[r[k] for k in keys]
-                                                                 for r in de.solves]
-            methods.update(r["method"] for r in sp.solves)
-        assert "shift-invert" in methods and methods & {"dense", "dense-blocks"}
-        a, b = spectrum(P).eigenvalues, spectrum(D).eigenvalues
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert spectrum(P).residual_bound == pytest.approx(spectrum(D).residual_bound, rel=1e-14)
-        a, b = perturb(P, 1e-4, 2).toarray(), perturb(D, 1e-4, 2).toarray()
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        want = quantize_quadratic(odd_symbol(), basis).toarray()
+        D = OperatorMatrix(want, basis)
+        assert D.matrix.format == "csr" and D.matrix.has_canonical_format
+        assert D.matrix.nnz == np.count_nonzero(want)
+        assert not any(a.flags.writeable for a in (D.matrix.data, D.matrix.indices,
+                                                    D.matrix.indptr))
+        assert np.array_equal(D.toarray().view(np.uint64), want.view(np.uint64))
+        assert parity_blocks(D) == [None]
+        with pytest.raises(ValueError, match="square"):
+            OperatorMatrix(want[:, :-1], basis)
+        with pytest.raises(ValueError, match="non-finite"):
+            OperatorMatrix(np.where(want == want[0, 0], np.inf, want), basis)
 
 
 @pytest.fixture(scope="module")
@@ -636,7 +630,7 @@ class TestWindowedSpectrum:
     def test_k_is_sized_from_the_unperturbed_diagonal(self, p_t_1600, seed):
         # spectral-lattice's perturbed counts: k comes from P's diagonal before
         # anything is drawn, and is the k that the drawn diagonal gives; the
-        # count and its record are the ones of the same operator held dense
+        # count and its record are the ones of P + delta Q held as its matrix
         Pd = perturb(p_t_1600, 1e-4, seed)
         drawn, held = spectrum(Pd), spectrum(OperatorMatrix(Pd.toarray(), Pd.basis))
         a, b = drawn.in_window(COUNT_WINDOW), held.in_window(COUNT_WINDOW)
