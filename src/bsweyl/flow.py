@@ -16,6 +16,12 @@ from that is reported as the canonical defect.
 A generator family of degree <= 2 has an affine flow, so a polynomial
 base deforms in closed form, p_t = p o (L rho + b); only a trig base, or
 a trig or higher-degree generator, is flowed point by point.
+
+Each RK45 stage makes one ``Deformation.velocity`` call: the velocity
+and, for the variational equation, its Jacobian come from one
+``SymbolGroup`` of the generators' nonzero first and second derivatives,
+built once per deformation, whose shared table of powers and phases
+leaves every value bit for bit that of the symbol's own ``evaluate``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import DimensionMismatchError, PhasePoint, SymbolExpr, load_symbol
+from .symbols import (DimensionMismatchError, PhasePoint, SymbolExpr, SymbolGroup,
+                      _batch_shape, load_symbol)
 
 
 # shrink steps of the trapping radius in DeformedSymbol.displacement_bound
@@ -70,6 +77,11 @@ class Deformation:
             if g.n != n:
                 raise DimensionMismatchError("generator family mixes dimensions")
         object.__setattr__(self, "generators", gens)
+        for name, floor in (("tol", False), ("step_hint", False), ("t_max", True)):
+            v = getattr(self, name)  # NaN fails both tests
+            if not (np.isfinite(v) and (v > 0 or (floor and v == 0))):
+                raise ValueError(f"deformation '{name}' must be finite and "
+                                 f"{'>=' if floor else '>'} 0, got {v}")
 
     @property
     def n(self) -> int:
@@ -79,20 +91,49 @@ class Deformation:
     def tube_radius(self) -> float:
         return min(g.tube_radius for g in self.generators)
 
-    def velocity(self, t, x, xi):
-        """(dx/dt, dxi/dt) at points of shape (..., n)."""
-        n = self.n
-        vx = np.zeros(x.shape, dtype=complex)
-        vxi = np.zeros(xi.shape, dtype=complex)
+    @functools.cached_property
+    def _stage_plan(self) -> tuple:
+        """(group, slots, lead): the SymbolGroup of ``velocity``, the slots
+        (m, j, k) each value is added to, and how many symbols the velocity
+        alone needs: by generator m, the nonzero dG_m/dxi_j, dG_m/dx_j of
+        row j (k = -1) lead and the second derivatives of entry (j, k)
+        follow.  Equal symbols of one block are evaluated once."""
+        n, blocks = self.n, []
         for m, g in enumerate(self.generators):
-            grad = g.grad_symbols
-            tm = t ** m
-            for j in range(n):  # added in place: flow_points passes whole shards
-                if grad[n + j].terms:
-                    vx[..., j] += tm * grad[n + j].evaluate(x, xi)
-                if grad[j].terms:
-                    vxi[..., j] += tm * grad[j].evaluate(x, xi)
-        return 1j * vx, -1j * vxi
+            rows = g.grad_symbols[n:] + g.grad_symbols[:n]
+            blocks.append([(row, (m, j, -1)) for j, row in enumerate(rows)])
+            blocks.append([(sym, (m, j, k)) for j, row in enumerate(rows)
+                           for k, sym in enumerate(row.grad_symbols)])
+        plan = []  # (symbol, its slots)
+        for block in blocks[::2] + blocks[1::2]:
+            same = {}  # repr(terms) -> (symbol, slots); repr tells -0.0 from 0.0
+            for sym, slot in block:
+                if sym.terms:
+                    same.setdefault(repr(sym.terms), (sym, []))[1].append(slot)
+            plan += same.values()
+        slots = [sl for _, sl in plan]
+        return SymbolGroup([s for s, _ in plan], n), slots, sum(sl[0][2] < 0 for sl in slots)
+
+    def velocity(self, t, x, xi, jacobian=False):
+        """(dx/dt, dxi/dt) at points of shape (..., n), and with ``jacobian``
+        also the complex Jacobian A = dV/d(x, xi), shape (..., 2n, 2n).
+
+        Row j of A is the gradient of the j-th velocity component's symbol,
+        dG/dxi_j for the x-rows and dG/dx_j for the xi-rows.
+        """
+        n = self.n
+        group, slots, lead = self._stage_plan
+        shape = _batch_shape(x, xi)
+        v = np.zeros(shape + (2 * n,), dtype=complex)
+        A = np.zeros(shape + (2 * n, 2 * n), dtype=complex) if jacobian else None
+        for targets, val in zip(slots if jacobian else slots[:lead], group.evaluate(x, xi)):
+            for m, j, k in targets:  # added in place: flow_points passes whole shards
+                if k < 0:
+                    v[..., j] += t ** m * val
+                else:
+                    A[..., j, k] += (1j if j < n else -1j) * t ** m * val
+        vx, vxi = 1j * v[..., :n], -1j * v[..., n:]
+        return (vx, vxi, A) if jacobian else (vx, vxi)
 
     def speed_bound(self, t, x, xi, r):
         """{k: bound of |V_k|} over K_r(rho) and every time s with |s| <= |t|.
@@ -111,22 +152,8 @@ class Deformation:
         return out
 
     def velocity_jacobian(self, t, x, xi):
-        """Complex Jacobian A = dV/d(x,xi), shape (..., 2n, 2n).
-
-        Row j is the gradient of the j-th velocity component's symbol,
-        dG/dxi_j for the x-rows and dG/dx_j for the xi-rows.
-        """
-        n = self.n
-        shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-        A = np.zeros(shape + (2 * n, 2 * n), dtype=complex)
-        for m, g in enumerate(self.generators):
-            tm = t ** m
-            for j, row in enumerate(g.grad_symbols[n:] + g.grad_symbols[:n]):
-                sgn = 1j if j < n else -1j
-                for k, sym in enumerate(row.grad_symbols):
-                    if sym.terms:
-                        A[..., j, k] += sgn * tm * sym.evaluate(x, xi)
-        return A
+        """Complex Jacobian A = dV/d(x,xi), shape (..., 2n, 2n); see ``velocity``."""
+        return self.velocity(t, x, xi, jacobian=True)[2]
 
 
 @dataclass(frozen=True)
@@ -234,8 +261,7 @@ def integrate_flow(d: Deformation, t: float, rho: PhasePoint) -> FlowResult:
         x = pt[:, :n]
         xi = pt[:, n:]
         J = y[:, dim:].reshape(-1, dim, dim)
-        vx, vxi = d.velocity(tt, x, xi)
-        A = d.velocity_jacobian(tt, x, xi)
+        vx, vxi, A = d.velocity(tt, x, xi, jacobian=True)
         dJ = A @ J
         return np.concatenate([vx, vxi, dJ.reshape(-1, dim * dim)], axis=1)
 
@@ -386,6 +412,12 @@ def load_deformation(spec) -> Deformation:
     if deg != len(gens) - 1:
         raise ValueError(
             f"t_poly_degree = {deg} but {len(gens)} generator(s) were given")
-    return Deformation(gens, t_max=float(spec.get("t_max", 0.5)),
-                       tol=float(spec.get("tol", 1e-10)),
-                       step_hint=float(spec.get("step_hint", 0.1)))
+    nums = {}
+    for name, default in (("t_max", 0.5), ("tol", 1e-10), ("step_hint", 0.1)):
+        try:
+            if isinstance(spec.get(name), bool):  # JSON true is no number
+                raise TypeError
+            nums[name] = float(spec.get(name, default))
+        except (TypeError, ValueError):
+            raise ValueError(f"deformation '{name}' must be a number, got {spec[name]!r}") from None
+    return Deformation(gens, **nums)

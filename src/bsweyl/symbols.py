@@ -38,6 +38,11 @@ class DimensionMismatchError(ValueError):
     """Symbol and point (or two symbols) live in different dimensions."""
 
 
+def _batch_shape(x, xi):
+    """The broadcast shape of points x, xi (..., n); equal shapes skip numpy's rule."""
+    return x.shape[:-1] if x.shape == xi.shape else np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
+
+
 class SymbolJSONError(ValueError):
     """Symbol JSON failed validation; .errors lists every violation."""
 
@@ -274,18 +279,8 @@ class SymbolExpr:
         return tuple(terms), tuple(top), tuple(sorted(phases))
 
     @cached_property
-    def _spent_powers(self) -> tuple:
-        """Per term of the plan, the powers (axis, e) that no later term
-        reads, directly or to build a higher power: ``evaluate`` drops
-        them once the term is done, so at most a few are held at once."""
-        last = {}
-        for i, (_, pows, _) in enumerate(self._plan[0]):
-            for k, e in pows:
-                last.update(((k, m), i) for m in range(1, e + 1))
-        spent = [[] for _ in self._plan[0]]
-        for key, i in last.items():
-            spent[i].append(key)
-        return tuple(map(tuple, spent))
+    def _group(self) -> "SymbolGroup":
+        return SymbolGroup((self,), self.n)
 
     def evaluate(self, x, xi, out=None):
         """Evaluate at arrays of points; x, xi have shape (..., n).
@@ -297,65 +292,8 @@ class SymbolExpr:
         that shape, is zeroed and takes the result, bit for bit the one
         returned without it, and is returned.
         """
-        x = np.asarray(x)
-        xi = np.asarray(xi)
-        if x.shape[-1] != self.n or xi.shape[-1] != self.n:
-            raise DimensionMismatchError(
-                f"points have dimension {x.shape[-1]}, symbol has n={self.n}")
-        shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-        if out is not None:
-            if out.shape != shape or out.dtype != complex:
-                raise ValueError(f"out must be a complex array of shape {shape}")
-            out.fill(0)
-        terms, _, phase_keys = self._plan
-        z = [np.asarray(a[..., j], dtype=complex if np.iscomplexobj(a) else float)
-             for a in (x, xi) for j in range(self.n)]
-        # plain loops fill the tables: a self-recursive closure would form a
-        # reference cycle that keeps them alive until the cyclic GC runs
-        powers = {}  # (axis, e) -> z_axis**e, by repeated multiplication at first use
-        phases = {}  # (axis, f) -> exp(i f z_axis); sorted keys put -f before f
-        for k, f in phase_keys:
-            mirror = phases.get((k, -f))
-            phases[k, f] = 1 / mirror if mirror is not None else np.exp(1j * f * z[k])
-        # with no phase at real points every term is real, and the real sums go
-        # straight into the result's parts: 0 + re is re, bit for bit
-        direct = not phase_keys and not any(map(np.iscomplexobj, z))
-        if out is None and direct:
-            out = np.zeros(shape, dtype=complex)
-        re, im = (out.real, out.imag) if direct else (None, None)
-        for (c, pows, freqs), spent in zip(terms, self._spent_powers):
-            for k, e in pows:
-                for m in range(1, e + 1):
-                    if (k, m) not in powers:
-                        powers[k, m] = z[k] if m == 1 else powers[k, m - 1] * z[k]
-            factors = [powers[key] for key in pows] + [phases[key] for key in freqs]
-            for key in spent:  # no later term reads it
-                del powers[key]
-            val = factors[0] if factors else 1.0
-            for f in factors[1:]:
-                val = val * f
-            if np.iscomplexobj(val):
-                if out is None:
-                    out = np.zeros(shape, dtype=complex)
-                out += c * val
-                continue
-            if re is None:
-                re, im = np.zeros(shape), np.zeros(shape)
-            # a product no other term reads is scaled in place for its last part
-            owned = len(factors) > 1 or (len(pows) == 1 and pows[0][1] > 1 and pows[0] in spent)
-            parts = [(acc, part) for acc, part in ((re, c.real), (im, c.imag)) if part]
-            for j, (acc, part) in enumerate(parts):
-                if owned and j == len(parts) - 1:
-                    val *= part
-                    acc += val
-                else:
-                    acc += part * val
-        if out is None:
-            out = np.zeros(shape, dtype=complex)
-        if re is not None and not direct:
-            out.real += re
-            out.imag += im
-        return out
+        (value,) = self._group.evaluate(x, xi, (out,))
+        return value
 
     def box_sup(self, x, xi, r):
         """Upper bound of |self| over the complex box K_r(rho) about real points rho.
@@ -438,7 +376,7 @@ class SymbolExpr:
 
     def grad(self, x, xi):
         """The gradient (d/dx, d/dxi) at points (..., n), stacked to (..., 2n)."""
-        return np.stack([d.evaluate(x, xi) for d in self.grad_symbols], axis=-1)
+        return np.stack(tuple(SymbolGroup(self.grad_symbols, self.n).evaluate(x, xi)), axis=-1)
 
     def conjugate_symbol(self) -> "SymbolExpr":
         """Holomorphic extension of the complex conjugate.
@@ -474,6 +412,99 @@ class SymbolExpr:
                 for t in self.terms
             ],
         }
+
+
+class SymbolGroup:
+    """Symbols of one dimension evaluated at the same points from one table
+    of powers z_k^e and phases exp(i f z_k); each value is summed over the
+    symbol's own terms in order, bit for bit its own ``evaluate``.  A symbol
+    holding both -f and f takes exp(i f z_k) as 1 / exp(-i f z_k), so a
+    phase is keyed by how it is computed: (k, f, inverted)."""
+
+    def __init__(self, symbols, n):
+        self.symbols, self.n = tuple(symbols), n
+        if any(s.n != n for s in self.symbols):
+            raise DimensionMismatchError(f"symbol group of dimension {n} mixes dimensions")
+        self._phases, self._plans, terms = {}, [], []
+        for s in self.symbols:
+            keys = set(s._plan[2])
+            inv = {(k, f): f > 0 and (k, -f) in keys for k, f in keys}
+            for k, f in sorted(keys):  # -f before f: a mirror enters the table first
+                self._phases[k, f, inv[k, f]] = (k, -f, False) if inv[k, f] else None
+            terms += [(c, pows, tuple((k, f, inv[k, f]) for k, f in freqs))
+                      for c, pows, freqs in s._plan[0]]
+            self._plans.append((len(s._plan[0]), bool(keys)))
+        # per term, the powers (axis, e) that no later term of the group reads,
+        # directly or to build a higher power: ``evaluate`` drops them once the
+        # term is done, so at most a few are held at once
+        last = {(k, m): i for i, (_, pows, _) in enumerate(terms)
+                for k, e in pows for m in range(1, e + 1)}
+        self._terms = tuple((term, tuple(key for key, j in last.items() if j == i))
+                            for i, term in enumerate(terms))
+
+    def evaluate(self, x, xi, outs=None):
+        """Yield each symbol's value at x, xi of shape (..., n), in order;
+        ``outs`` holds per symbol None or an ``out`` array as in ``evaluate``."""
+        x, xi = (np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+                 for a in (x, xi))
+        if x.shape[-1] != self.n or xi.shape[-1] != self.n:
+            raise DimensionMismatchError(
+                f"points have dimension {x.shape[-1]}, symbol has n={self.n}")
+        shape = _batch_shape(x, xi)
+        cplx = x.dtype.kind == "c" or xi.dtype.kind == "c"
+        z = [a[..., j] for a in (x, xi) for j in range(self.n)]
+        # plain loops fill the tables: a self-recursive closure would form a
+        # reference cycle that keeps them alive until the cyclic GC runs
+        powers = {}  # (axis, e) -> z_axis**e, by repeated multiplication at first use
+        phases = {}  # (axis, f, inverted) -> exp(i f z_axis)
+        for key, mirror in self._phases.items():
+            phases[key] = 1 / phases[mirror] if mirror else np.exp(1j * key[1] * z[key[0]])
+        terms = iter(self._terms)
+        for (count, has_phase), out in zip(self._plans, outs or itertools.repeat(None)):
+            if out is not None:
+                if out.shape != shape or out.dtype != complex:
+                    raise ValueError(f"out must be a complex array of shape {shape}")
+                out.fill(0)
+            # with no phase at real points every term is real, and the real sums
+            # go straight into the result's parts: 0 + re is re, bit for bit
+            direct = not has_phase and not cplx
+            if out is None and direct:
+                out = np.zeros(shape, dtype=complex)
+            re, im = (out.real, out.imag) if direct else (None, None)
+            for (c, pows, freqs), spent in itertools.islice(terms, count):
+                for k, e in pows:
+                    for m in range(1, e + 1):
+                        if (k, m) not in powers:
+                            powers[k, m] = z[k] if m == 1 else powers[k, m - 1] * z[k]
+                factors = [powers[key] for key in pows] + [phases[key] for key in freqs]
+                for key in spent:  # no later term reads it
+                    del powers[key]
+                val = factors[0] if factors else 1.0
+                for f in factors[1:]:
+                    val = val * f
+                if factors and val.dtype.kind == "c":
+                    if out is None:
+                        out = np.zeros(shape, dtype=complex)
+                    out += c * val
+                    continue
+                if re is None:
+                    re, im = np.zeros(shape), np.zeros(shape)
+                # a product no other term reads is scaled in place for its last part
+                owned = len(factors) > 1 or (len(pows) == 1 and pows[0][1] > 1
+                                             and pows[0] in spent)
+                parts = [(acc, part) for acc, part in ((re, c.real), (im, c.imag)) if part]
+                for j, (acc, part) in enumerate(parts):
+                    if owned and j == len(parts) - 1:
+                        val *= part
+                        acc += val
+                    else:
+                        acc += part * val
+            if out is None:
+                out = np.zeros(shape, dtype=complex)
+            if re is not None and not direct:
+                out.real += re
+                out.imag += im
+            yield out
 
 
 # --------------------------------------------------------------------- ops

@@ -90,6 +90,34 @@ def evaluate_reference(sym, x, xi):
     return out
 
 
+def velocity_reference(d, t, x, xi, jacobian=False):
+    """Deformation.velocity by one ``evaluate`` per nonzero derivative symbol.
+
+    The per-symbol loops of the velocity and its Jacobian, each symbol
+    evaluated on its own, with the same sums in the same order as the
+    grouped evaluation: the flow's velocity must match them bit for bit.
+    """
+    n = d.n
+    vx = np.zeros(x.shape, dtype=complex)
+    vxi = np.zeros(xi.shape, dtype=complex)
+    A = np.zeros(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]) + (2 * n, 2 * n),
+                 dtype=complex)
+    for m, g in enumerate(d.generators):
+        grad = g.grad_symbols
+        tm = t ** m
+        for j in range(n):
+            if grad[n + j].terms:
+                vx[..., j] += tm * grad[n + j].evaluate(x, xi)
+            if grad[j].terms:
+                vxi[..., j] += tm * grad[j].evaluate(x, xi)
+        for j, row in enumerate(grad[n:] + grad[:n]):
+            sgn = 1j if j < n else -1j
+            for k, sym in enumerate(row.grad_symbols):
+                if sym.terms:
+                    A[..., j, k] += sgn * tm * sym.evaluate(x, xi)
+    return (1j * vx, -1j * vxi, A) if jacobian else (1j * vx, -1j * vxi)
+
+
 def fd_gradient(sym, x, xi, h=1e-6):
     """Central finite differences of the evaluation along real directions."""
     n = sym.n

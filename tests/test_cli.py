@@ -291,6 +291,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
+    @pytest.mark.parametrize("field, value, why", [
+        ("step_hint", "NaN", "finite and > 0, got nan"),  # looped forever
+        ("tol", "-1", "finite and > 0, got -1.0"),  # ran with no step control
+        ("tol", "0", "finite and > 0, got 0.0"),  # read "step size underflow"
+        ("t_max", "Infinity", "finite and >= 0, got inf"),
+    ])
+    def test_bad_deformation_number_exit_2(self, field, value, why, tmp_path):
+        # a subprocess under a timeout: a regression fails instead of hanging
+        (tmp_path / "cfg.json").write_text(
+            '{"experiment": "spectrum", "symbol": "cho(1,0)", "t": 0.2, "basis_size": 8, '
+            f'"deformation": {{"G": "coupling-xx", "{field}": {value}}}}}')
+        r = subprocess.run([sys.executable, "-m", "bsweyl", "run", "--config", "cfg.json"],
+                           capture_output=True, text=True, cwd=tmp_path, env=CLI_ENV,
+                           timeout=60)
+        assert r.returncode == 2
+        assert r.stderr.splitlines() == [
+            f"config error: deformation '{field}' must be {why}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     SINGLE_SEED = ("audit", "density", "deform-density", "spectrum", "count",
                    "integrable-equality")
 

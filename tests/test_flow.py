@@ -12,7 +12,7 @@ from bsweyl.symbols import (PhasePoint, SymbolExpr, cho, coupling_xx,
                             eval_symbol, sin_x1_cos_xi2)
 
 from oracles import (affine_flow_oracle, fd_gradient, quadratic_generator_matrix,
-                     symbol_to_quadratic)
+                     symbol_to_quadratic, velocity_reference)
 
 
 def rand_point(rng, scale=1.0):
@@ -217,19 +217,76 @@ class TestVelocity:
             assert np.max(np.abs(A[..., k] - fd)) <= 1e-8
 
     def test_zero_derivatives_are_not_evaluated(self, monkeypatch):
-        # dG/dx2 and dG/dxi1 of sin x1 cos xi2 are the zero symbol
+        # dG/dx2 and dG/dxi1 of sin x1 cos xi2 are the zero symbol: the stage
+        # plan holds only the nonzero derivatives, and a velocity call reads
+        # them all from one SymbolGroup table, with no per-symbol evaluate call
         d = VELOCITY_CASES["sin_x1_cos_xi2"]()
-        assert sum(not g.terms for g in d.generators[0].grad_symbols) == 2
-        seen = []
-        evaluate = SymbolExpr.evaluate
-
-        def recording(self, x, xi):
-            seen.append(self)
-            return evaluate(self, x, xi)
-
-        monkeypatch.setattr(SymbolExpr, "evaluate", recording)
+        g = d.generators[0]
+        assert sum(not s.terms for s in g.grad_symbols) == 2
+        group, slots, lead = d._stage_plan
+        assert all(sym.terms for sym in group.symbols)
+        rows = g.grad_symbols[2:] + g.grad_symbols[:2]
+        assert sorted(j for sl in slots[:lead] for _, j, _ in sl) == [
+            j for j, row in enumerate(rows) if row.terms]
+        assert sorted((j, k) for sl in slots[lead:] for _, j, k in sl) == [
+            (j, k) for j, row in enumerate(rows)
+            for k, sym in enumerate(row.grad_symbols) if sym.terms]
+        monkeypatch.setattr(SymbolExpr, "evaluate", None)  # a call would raise
+        d.velocity(self.T, *_complex_points(3), jacobian=True)
         d.velocity(self.T, *_complex_points(3))
-        assert len(seen) == 2 and all(sym.terms for sym in seen)
+
+    FAMILIES = {
+        "trig": lambda: (sin_x1_cos_xi2(tube_radius=8.0),),
+        "coupling_xx": lambda: (coupling_xx(),),
+        "t-family of 2": lambda: (sin_x1_cos_xi2(tube_radius=8.0), coupling_xx()),
+        "t-family of equal generators": lambda: (coupling_xx(), coupling_xx()),
+        "t-family of 3": lambda: (coupling_xx(), _sin_x1_cos_xi1(),
+                                  sin_x1_cos_xi2(tube_radius=8.0) * coupling_xx()),
+    }
+
+    @staticmethod
+    def _bits(*arrays):
+        return [np.ascontiguousarray(a).view(np.uint64) for a in arrays]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_velocity_matches_per_symbol_loops_bitwise(self, family):
+        d = Deformation(self.FAMILIES[family]())
+        x, xi = _complex_points(4, m=40)
+        want = velocity_reference(d, self.T, x, xi, jacobian=True)
+        for got in (d.velocity(self.T, x, xi, jacobian=True),
+                    d.velocity(self.T, x, xi) + (d.velocity_jacobian(self.T, x, xi),)):
+            for a, b in zip(self._bits(*got), self._bits(*want)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_integrate_flow_matches_per_symbol_loops_bitwise(self, family, monkeypatch):
+        d = Deformation(self.FAMILIES[family]())
+        rho = PhasePoint.real([0.3, -0.2], [0.1, 0.7])
+        got = integrate_flow(d, 0.2, rho)
+        monkeypatch.setattr(Deformation, "velocity", velocity_reference)
+        want = integrate_flow(d, 0.2, rho)
+        assert got.n_steps == want.n_steps
+        for a, b in zip(self._bits(got.endpoint.x, got.endpoint.xi, got.jacobian),
+                        self._bits(want.endpoint.x, want.endpoint.xi, want.jacobian)):
+            assert np.array_equal(a, b)
+        assert got.canonical_defect == want.canonical_defect
+
+    def test_one_velocity_call_per_stage(self, monkeypatch):
+        d = VELOCITY_CASES["sin_x1_cos_xi2"]()
+        calls, stages = [], []
+        velocity, rk45 = Deformation.velocity, flow._rk45
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("jacobian", False))
+            return velocity(self, *args, **kwargs)
+
+        def staged(rhs, *args):
+            return rk45(lambda t, y: stages.append(t) or rhs(t, y), *args)
+
+        monkeypatch.setattr(Deformation, "velocity", counting)
+        monkeypatch.setattr(flow, "_rk45", staged)
+        res = integrate_flow(d, 0.2, PhasePoint.real([0.3, -0.2], [0.1, 0.7]))
+        assert res.n_steps > 0 and len(calls) == len(stages) and all(calls)
 
     def test_repeat_flow_builds_no_symbols(self, monkeypatch):
         G = sin_x1_cos_xi2(tube_radius=8.0)
@@ -421,6 +478,35 @@ class TestClosedForm:
             ps.evaluate(x, xi)
         assert ps.closed is deformed_quadratic(ps)
         assert len(calls) == 1
+
+
+class TestDeformationNumbers:
+    """tol, step_hint and t_max must be finite, tol and step_hint > 0, t_max >= 0.
+
+    A NaN step_hint would keep the integrator from ever accepting or
+    shrinking a step, and tol <= 0 switches off or breaks its step control,
+    so each is a ValueError naming the field.  Only construction runs here,
+    so no bad value ever reaches the integrator.
+    """
+
+    BAD = [(f, v) for f in ("tol", "step_hint") for v in (0.0, -1.0)] + [
+        ("t_max", -0.1)] + [(f, v) for f in ("tol", "step_hint", "t_max")
+                            for v in (float("nan"), float("inf"), -float("inf"))]
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_rejected_with_the_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            Deformation((coupling_xx(),), **{field: value})
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            load_deformation({"G": "coupling-xx", field: value})
+
+    def test_t_max_zero_is_allowed(self):
+        assert Deformation((coupling_xx(),), t_max=0.0).t_max == 0.0
+
+    @pytest.mark.parametrize("value", [None, "abc", [1.0], True])
+    def test_non_number_rejected(self, value):
+        with pytest.raises(ValueError, match="'tol' must be a number"):
+            load_deformation({"G": "coupling-xx", "tol": value})
 
 
 class TestDeformationJSON:

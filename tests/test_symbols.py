@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsweyl.symbols import (DimensionMismatchError, PhasePoint, SymbolExpr,
-                            SymbolJSONError, cho, coupling_xx, eval_symbol,
+                            SymbolGroup, SymbolJSONError, cho, coupling_xx, eval_symbol,
                             gradient, load_symbol, poisson_bracket,
                             real_bracket, sin_x1_cos_xi2, symbol_from_name,
                             torus_average, torus_coupled, torus_linear)
@@ -141,6 +141,56 @@ class TestEvaluationPlan:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestSymbolGroup:
+    """One table for a group of symbols changes no bit of any symbol's value."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from(["real", "complex", "mixed"]), st.data())
+    def test_each_value_is_its_own_evaluate_bitwise(self, n, kind, data):
+        # frequencies -1, 0, 1 per axis: a symbol often holds f without -f while
+        # another of the group holds both, so both ways of computing a phase meet
+        syms = data.draw(st.lists(symbols(max_terms=4, n=n), min_size=1, max_size=5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.uniform(-1.5, 1.5, (7, 1, n))
+        xi = rng.uniform(-1.5, 1.5, (1, 3, n))
+        if kind != "real":
+            xi = xi + 1j * rng.uniform(-0.5, 0.5, xi.shape)
+        if kind == "complex":
+            x = x + 1j * rng.uniform(-0.5, 0.5, x.shape)
+        got = list(SymbolGroup(syms, n).evaluate(x, xi))
+        assert len(got) == len(syms)
+        for sym, val in zip(syms, got):
+            assert np.array_equal(self._bits(val), self._bits(sym.evaluate(x, xi)))
+
+    def test_phase_is_keyed_by_how_it_is_computed(self):
+        # cos x takes e^{ix} as 1 / e^{-ix}, e^{ix} alone takes np.exp: the two
+        # differ in the last bit at some points, and each symbol keeps its own
+        both = SymbolExpr.monomial(0.5, (0,), (0,), 1, xfreq=(1.0,)) \
+            + SymbolExpr.monomial(0.5, (0,), (0,), 1, xfreq=(-1.0,))
+        one = SymbolExpr.monomial(1.0, (0,), (0,), 1, xfreq=(1.0,))
+        x = np.linspace(-3, 3, 1001)[:, None] + 0.1j
+        assert not np.array_equal(1 / np.exp(-1j * x), np.exp(1j * x))
+        for group in ((both, one), (one, both)):
+            for sym, val in zip(group, SymbolGroup(group, 1).evaluate(x, x)):
+                assert np.array_equal(self._bits(val), self._bits(sym.evaluate(x, x)))
+
+    def test_grad_is_one_group(self, monkeypatch):
+        p = cho(1.0, 0.5j) + sin_x1_cos_xi2() * coupling_xx()
+        rng = np.random.default_rng(3)
+        x, xi = rng.uniform(-1, 1, (2, 50, 2))
+        want = np.stack([d.evaluate(x, xi) for d in p.grad_symbols], axis=-1)
+        monkeypatch.setattr(SymbolExpr, "evaluate", None)  # grad must not call it
+        assert np.array_equal(self._bits(p.grad(x, xi)), self._bits(want))
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            SymbolGroup((cho(), SymbolExpr.zero(3)), 2)
 
 
 class TestBoxSup:
