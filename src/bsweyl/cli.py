@@ -251,14 +251,14 @@ def _run_variation(cfg, outdir):
     G = d.generators[0]
     f = TestFunction(complex(cfg.f_center[0], cfg.f_center[1]), cfg.f_radius)
 
-    def make_pt(t):
-        return deformed_quadratic(DeformedSymbol(p, d, t))
+    def make_pt(t):  # its closed form is taken by variation, or refused naming the ray family
+        return DeformedSymbol(p, d, t)
 
     t = cfg.t or 0.0
     if cfg.order == 2 and t != 0:
         raise ConfigError([f"variation at order 2 runs at t = 0, got t = {t!r}"])
-    order = cfg.quadrature_order or 48
-    # deformation-splits' boxes, which order 48 resolves
+    order = cfg.quadrature_order or DeformationSplitsConfig.quadrature_order
+    # deformation-splits' boxes and sphere rule
     box = cfg.box_radius or (DeformationSplitsConfig.box_radius_first,
                              DeformationSplitsConfig.box_radius_second)[cfg.order - 1]
     # a SupportLeakWarning from any entry point is shown and fails the run
@@ -440,7 +440,9 @@ def _add_common(sp):
                     help="explicit seed list (overrides both)")
     sp.add_argument("--samples", type=int)
     sp.add_argument("--order", type=int, choices=(1, 2), help="variation order")
-    sp.add_argument("--quadrature-order", type=int)
+    sp.add_argument("--quadrature-order", type=int,
+                    help="variation, deformation-splits: nodes per Hopf angle "
+                         "of the sphere rule (default 32)")
     sp.add_argument("--box-radius", type=float,
                     help="phase-space box (default 4.0; variation 2.6, or 2.0 at order 2)")
     sp.add_argument("--basis-size", type=int)

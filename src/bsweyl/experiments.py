@@ -21,7 +21,7 @@ from .flow import Deformation, DeformedSymbol, deformed_quadratic
 from .quantize import (BasisSpec, BSLattice, bs_predict, count_and_compare,
                        perturb, quantize_quadratic, spectrum)
 from .symbols import cho, coupling_xx, torus_coupled, torus_linear
-from .variation import (TestFunction, VariationReport, first_variation_rhs,
+from .variation import (QUAD_ORDER, TestFunction, VariationReport, first_variation_rhs,
                         moment_derivative_fd, nonequality_certificate,
                         second_variation_rhs)
 
@@ -91,7 +91,7 @@ class DeformationSplitsConfig:
     t: float = 0.2
     f_center: complex = 0.05 + 0.55j
     f_radius: float = 0.35
-    quadrature_order: int = 48
+    quadrature_order: int = QUAD_ORDER
     box_radius_first: ClassVar[float] = 2.6
     box_radius_second: ClassVar[float] = 2.0
     first_tol: ClassVar[float] = 0.02

@@ -7,22 +7,12 @@ function f these hold:
     d^2M/dt^2 |_{t=0, integrable base, real G}
               = iint (Delta f)(p) |H_p G|^2  dx dxi
 
-The first right-hand side is evaluated by deterministic tensor
-Gauss-Legendre quadrature over a real box that must contain the support
-of f o p_t (each entry point warns when it does not); it needs p_t in
-closed form, and one that flows is a ValueError.  Each term of a symbol
-is a product of per-axis factors, so on the x-block by xi-block grid a
-symbol is one small GEMM of two factor tables (sum factorization); grid
-points are built only for the moment of a flowing p_t.  A bump is
-evaluated only at the nodes inside its support: ``TestFunction._support``
-finds their flat indices with one pass over Re p, and the values are
-scattered into zeros, so the moment and the first variation are, to the
-bit, the sums a full-grid evaluation gives.
+The moment M and the first right-hand side are integrated along rays
+(``_RayRule``) over a real box [-R, R]^{2n} that must contain the support
+of f o p_t (each entry point warns when it does not); a p_t outside the
+ray rule's family, one that flows among them, is a ValueError naming it.
 The second right-hand side and the certificate need no box: they pair
 in action space (``_ActionPairing``), exactly for every cho(alpha, shift).
-``_SecondVariationGrid`` pairs on the tensor grid instead, keeping only
-the nodes where p lies in the bump's (padded) support; the tests compare
-with it.
 The left-hand sides are Richardson-extrapolated central differences of M
 in t.  A nonzero second-variation pairing certifies that the deformed
 Weyl density splits away from the (deformation invariant) action density
@@ -45,9 +35,16 @@ from .symbols import (DimensionMismatchError, SymbolExpr, action_symbol, poisson
                       real_bracket, torus_average)
 
 QUAD_MIN_ORDER = 8
+QUAD_ORDER = 32  # default nodes per angle of the sphere rule
 FD_STEP_FIRST = 1e-2
 FD_STEP_SECOND = 2e-2
 ERROR_FLOOR = 1e-12
+RAY_FAMILY = ("the ray rule needs p_t in closed form, a polynomial homogeneous of one degree "
+              "k dividing 2n (n <= 2) plus a constant, and weights homogeneous of degrees "
+              "m_j with (2n + sum m_j)/k whole")
+BUMP_DEGREE = 12  # a bump along a line, on its square: degree 6 in each of u and v
+RAY_CHUNK = 8192  # directions per step of the sphere rule
+MAX_DIRECTIONS = 2 ** 26  # directions beyond this take minutes: reduce the order
 # relative widening of a _SecondVariationGrid's reach, so it keeps every node
 # that a bump's rounded |u| < 1 test can accept
 REACH_PAD = 1e-9
@@ -138,92 +135,119 @@ def _leggauss(order):
     return rule
 
 
-def _tensor_grid(n, box_radius, order):
-    """Nodes and weights of one axis of the Gauss-Legendre grid on [-R, R]^{2n}."""
-    order = int(order)
-    if order < QUAD_MIN_ORDER:
-        raise ValueError(f"quadrature order {order} < {QUAD_MIN_ORDER}")
-    if order ** (2 * n) > 5 * 10 ** 8:
-        raise ValueError("tensor grid too large; reduce order or dimension")
-    x, w = _leggauss(order)
-    return x * box_radius, w * box_radius
+def _degree(sym: SymbolExpr):
+    """The one total degree of a polynomial's terms; None for several, a phase or no term."""
+    degrees = {sum(t.xpow) + sum(t.xipow) for t in sym.terms}
+    return degrees.pop() if len(degrees) == 1 and not sym.has_trig else None
 
 
-def _sum_factorized(sym: SymbolExpr, nodes, n):
-    """sym on the grid, as a function of a block of rows: A[rows] @ B.
+def _sphere_chunks(n, order):
+    """The product rule on the unit sphere S^{2n-1}, RAY_CHUNK or so directions at a
+    time: (x, xi, weights, |sigma|_inf).
 
-    From ``sym._plan``: column t of A (order^n x T) is term t's x factors
-    on the x-block, row t of B (T x order^n) its coefficient times its xi
-    factors, in ij order.  A table is complex only where a term has a
-    phase on its block (B also where a coefficient is complex); a real A
-    times a complex B is one real GEMM on B's float view.
+    n = 1: sigma = (cos theta, sin theta), the order-point trapezoid rule in
+    theta.  n = 2: Hopf coordinates x1 + i xi1 = cos eta e^{i alpha},
+    x2 + i xi2 = sin eta e^{i beta}, d sigma = cos eta sin eta d eta d alpha
+    d beta; order-point Gauss-Legendre in eta on (0, pi/2) and order-point
+    trapezoid rules in alpha and beta, one block of eta nodes per chunk.
+    Only the Gauss-Legendre nodes are cached, so memory stays one chunk.
     """
-    if sym.n != n:
-        raise DimensionMismatchError(f"symbol has n={sym.n}, grid has n={n}")
-    cols, rows = [], []
-    for c, pows, freqs in sym._plan[0]:
-        axis = [np.ones_like(nodes)] * (2 * n)
-        for k, e in pows:
-            axis[k] = axis[k] * nodes ** e
-        for k, f in freqs:
-            axis[k] = axis[k] * np.exp(1j * f * nodes)
-        cols.append(functools.reduce(np.multiply.outer, axis[:n]).ravel())
-        rows.append((c.real if c.imag == 0 else c)
-                    * functools.reduce(np.multiply.outer, axis[n:]).ravel())
-    size = nodes.size ** n  # no terms: zero tables, the zero symbol
-    A = np.stack(cols, axis=1) if cols else np.zeros((size, 0))
-    B = np.stack(rows) if rows else np.zeros((0, size))
-    if np.iscomplexobj(A):
-        B = B.astype(complex)
-    elif np.iscomplexobj(B):
-        B_float = B.view(float)
-        return lambda block: (A[block] @ B_float).view(complex)
-    return lambda block: A[block] @ B
+    angle = 2 * np.pi * np.arange(order) / order
+    cos, sin = np.cos(angle), np.sin(angle)
+    top = np.maximum(np.abs(cos), np.abs(sin))  # |(cos, sin)|_inf
+    if n == 1:
+        for i in range(0, order, RAY_CHUNK):
+            part = slice(i, i + RAY_CHUNK)
+            yield (cos[part, None], sin[part, None],
+                   np.full(top[part].size, 2 * np.pi / order), top[part])
+        return
+    t, w = _leggauss(order)
+    eta = np.pi / 4 * (t + 1)
+    c_eta, s_eta = np.cos(eta), np.sin(eta)
+    w_eta = np.pi / 4 * w * c_eta * s_eta * (2 * np.pi / order) ** 2
+    step = max(1, RAY_CHUNK // order ** 2)
+    for i in range(0, order, step):
+        c, s = c_eta[i:i + step, None, None], s_eta[i:i + step, None, None]
+        x = np.stack(np.broadcast_arrays(c * cos[:, None], s * cos), axis=-1)
+        xi = np.stack(np.broadcast_arrays(c * sin[:, None], s * sin), axis=-1)
+        yield (x.reshape(-1, 2), xi.reshape(-1, 2), np.repeat(w_eta[i:i + step], order ** 2),
+               np.maximum(c * top[:, None], s * top).ravel())
 
 
-def _slabs(fns, n, box_radius, order):
-    """The grid slab by slab: (row weights, [values of each fn], column weights).
+def _slab(slope, lo, hi):
+    """(start, end) per slope: the v with lo < v slope < hi, empty where not start < end.
 
-    A slab is the order^(2n-1) nodes that share one first-axis node, as
-    order^(n-1) rows (the other x-axes) by order^n columns (the xi-axes),
-    in ij order when raveled.  A SymbolExpr costs one GEMM of its factor
-    tables; any other fn maps flat points (x, xi), built for it, to values.
+    A zero slope gives (-inf, inf) when lo < 0 < hi and an empty or NaN
+    pair otherwise, with no special case: x/0 is signed inf and 0/0 NaN.
     """
-    nodes, w = _tensor_grid(n, box_radius, order)
-    w_block = functools.reduce(np.multiply.outer, [w] * n).ravel()
-    tables = [_sum_factorized(s, nodes, n) if isinstance(s, SymbolExpr) else None
-              for s in fns]
-    rows = nodes.size ** (n - 1)
-    for i in range(nodes.size):
-        block = slice(i * rows, (i + 1) * rows)
-        if None in tables:
-            axes = np.meshgrid(nodes[i:i + 1], *[nodes] * (2 * n - 1), indexing="ij")
-            pts = np.stack([a.ravel() for a in axes], axis=-1)
-        yield w_block[block], [
-            t(block) if t is not None
-            else np.asarray(fn(pts[:, :n], pts[:, n:])).reshape(rows, -1)
-            for fn, t in zip(fns, tables)], w_block
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = lo / slope, hi / slope
+    return np.minimum(a, b), np.maximum(a, b)
 
 
-def tensor_quadrature(symbols, integrand, n, box_radius, order):
-    """Integrate integrand(*values) over [-R, R]^{2n}, one value per symbol.
+class _RayRule:
+    """iint values(p) prod_j Re w_j dx dxi over [-R, R]^{2n}, along rays rho = s sigma
+    (the spherical-radial decomposition: Genz & Monahan, SIAM J. Sci. Comput. 1998).
 
-    ``symbols`` holds SymbolExprs, or functions of points (x, xi) where
-    there is no closed form, as for the moment of a flowing p_t (see
-    ``_slabs``).  Each slab adds
-    w_rows . (integrand @ w_cols) in a fixed order: bitwise reproducible.
+    p = q + c, with q homogeneous of degree k dividing 2n, and weights w_j
+    homogeneous of degrees m_j; with v = s^k, dx dxi = v^{2n/k - 1} dv
+    d sigma / k, and the integrand on the ray is
+    values(v q(sigma) + c) v^P prod_j Re w_j(sigma) / k, with
+    P = (2n + sum m_j)/k - 1.  v is clipped to the open square of the bump
+    f whose ``values`` (f.value or f.laplacian) are integrated, and to the
+    box, s <= R / |sigma|_inf.  There the integrand is a polynomial of degree
+    at most BUMP_DEGREE + P in v, which Gauss-Legendre integrates exactly, so
+    only the sphere rule (``_sphere_chunks``) errs.  Anything else is a
+    ValueError with RAY_FAMILY.
     """
-    total = 0.0
-    for w_rows, vals, w_cols in _slabs(symbols, n, box_radius, order):
-        total += float(w_rows @ (np.asarray(integrand(*vals), dtype=float) @ w_cols))
-    return total
+
+    def __init__(self, p: SymbolExpr, weights, order):
+        order, n = int(order), p.n
+        if order < QUAD_MIN_ORDER:
+            raise ValueError(f"quadrature order {order} < {QUAD_MIN_ORDER}")
+        zero = ((0,) * n, (0,) * n, (0.0,) * n, (0.0,) * n)
+        self.c = sum((t.coeff for t in p.terms if t.key() == zero), 0j)
+        self.q = SymbolExpr(tuple(t for t in p.terms if t.key() != zero), n, p.tube_radius)
+        self.k, degrees = _degree(self.q), [_degree(w) for w in weights]
+        if (n > 2 or not self.k or (2 * n) % self.k or None in degrees
+                or (2 * n + sum(degrees)) % self.k):
+            raise ValueError(RAY_FAMILY)
+        if order ** (2 * n - 1) > MAX_DIRECTIONS:
+            raise ValueError("sphere rule too large; reduce the quadrature order")
+        self.n, self.order, self.weights = n, order, tuple(weights)
+        self.power = (2 * n + sum(degrees)) // self.k - 1
+
+    def integrate(self, values, f: TestFunction, box_radius) -> float:
+        """The sum, chunk by chunk of directions in a fixed order: bitwise reproducible."""
+        t, w = _leggauss((BUMP_DEGREE + self.power) // 2 + 1)
+        lo_r, hi_r, lo_i, hi_i = f.support_bounds()
+        c, total = self.c, 0.0
+        for x, xi, w_dir, top in _sphere_chunks(self.n, self.order):
+            q = self.q.evaluate(x, xi)
+            (r0, r1), (i0, i1) = (_slab(q.real, lo_r - c.real, hi_r - c.real),
+                                  _slab(q.imag, lo_i - c.imag, hi_i - c.imag))
+            start = np.maximum(np.maximum(r0, i0), 0.0)
+            end = np.minimum(np.minimum(r1, i1), (box_radius / top) ** self.k)
+            keep = np.flatnonzero(start < end)
+            if keep.size == 0:
+                continue
+            start, half = start[keep], (end[keep] - start[keep]) / 2
+            v = start[:, None] + half[:, None] * (t + 1)
+            along = values(v * q[keep, None] + c) * v ** self.power @ w
+            scale = w_dir[keep] * half
+            for sym in self.weights:
+                scale *= sym.evaluate(x[keep], xi[keep]).real
+            total += float(scale @ along)
+        return total / self.k
 
 
-def moment(f: TestFunction, p, box_radius, order=48, check_support=True) -> float:
-    """M = iint f(p(x, xi)) dx dxi by tensor Gauss-Legendre quadrature."""
+def moment(f: TestFunction, p, box_radius, order=QUAD_ORDER, check_support=True) -> float:
+    """M = iint f(p(x, xi)) dx dxi over [-R, R]^{2n}, along rays (``_RayRule``)."""
+    closed = _closed(p)
+    rays = _RayRule(closed, (), order)
     if check_support:
-        _warn_if_support_leaks(f, p, box_radius)
-    return tensor_quadrature((closed_form(p) or p.evaluate,), f.value, p.n, box_radius, order)
+        _warn_if_support_leaks(f, closed, box_radius)
+    return rays.integrate(f.value, f, box_radius)
 
 
 def _warn_if_support_leaks(f, p, box_radius):
@@ -238,28 +262,27 @@ def _closed(p_t):
     """p_t's closed-form symbol (``flow.closed_form``); ValueError where it flows."""
     closed = closed_form(p_t)
     if closed is None:
-        raise ValueError("the variational identities need p_t in closed form: "
-                         "a polynomial base deformed by G of degree <= 2")
+        raise ValueError(RAY_FAMILY)
     return closed
 
 
 def first_variation_rhs(f: TestFunction, p_t, G: SymbolExpr, box_radius,
-                        order=48) -> float:
+                        order=QUAD_ORDER) -> float:
     """iint (Delta f)(p_t) {Re p_t, Im p_t} Re G dx dxi, for p_t in closed form.
 
-    The bracket is the exact symbol (i/2){p_t, conj p_t}; when it merges
-    to zero the integral is exactly 0.0 and no quadrature runs (the
-    integrable branch).
+    The bracket is the exact symbol (i/2){p_t, conj p_t}; when it, or Re G,
+    merges to zero the integral is exactly 0.0 and no quadrature runs (the
+    integrable branch).  Otherwise along rays (``_RayRule``): the bracket
+    and Re G are the weights.
     """
     closed = _closed(p_t)
     reG = G.real_part_symbol()
     br = real_bracket(closed)
-    if br.is_zero:
+    if br.is_zero or reG.is_zero:
         return 0.0
+    rays = _RayRule(closed, (br, reG), order)
     _warn_if_support_leaks(f, p_t, box_radius)
-    return tensor_quadrature(
-        (closed, br, reG), lambda v, b, g: f.laplacian(v) * b.real * g.real,
-        p_t.n, box_radius, order)
+    return rays.integrate(f.laplacian, f, box_radius)
 
 
 def _integrable_hpg(p: SymbolExpr, G: SymbolExpr) -> SymbolExpr:
@@ -289,7 +312,8 @@ def second_variation_rhs(f: TestFunction, p: SymbolExpr, G: SymbolExpr) -> tuple
 # -------------------------------------------------------- finite differences
 
 
-def moment_derivative_fd(make_pt, t0, order_in_t=1, *, f, box_radius, quad_order=48):
+def moment_derivative_fd(make_pt, t0, order_in_t=1, *, f, box_radius,
+                         quad_order=QUAD_ORDER):
     """Richardson central difference of M(t) around t0.
 
     ``make_pt(t)`` returns the symbol (or deformed symbol) at time t, which
@@ -334,38 +358,6 @@ class VariationReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-
-class _SecondVariationGrid:
-    """The second-variation pairing iint (Delta f)(p) |H_p G|^2 on one grid.
-
-    Holds, in slab order, ``vals`` = p(node) and ``weights`` = w_row *
-    w_col * |H_p G(node)|^2 only at the nodes where p lies in ``reach`` =
-    (lo_re, hi_re, lo_im, hi_im), padded by REACH_PAD relative.  A bump
-    supported in ``reach`` has a zero Laplacian at every other node, so a
-    pairing is one Laplacian call and one dot product over the kept nodes.
-    """
-
-    def __init__(self, p, hpg, box_radius, order, reach):
-        self.reach = reach
-        pad = REACH_PAD * max(map(abs, reach))
-        lo_r, hi_r, lo_i, hi_i = np.add(reach, (-pad, pad, -pad, pad))
-        vals, weights = [], []
-        for w_rows, (v, h), w_cols in _slabs((p, hpg), p.n, box_radius, order):
-            v = v.ravel()
-            keep = np.flatnonzero((lo_r < v.real) & (v.real < hi_r)
-                                  & (lo_i < v.imag) & (v.imag < hi_i))
-            rows, cols = np.divmod(keep, w_cols.size)
-            vals.append(v[keep])
-            weights.append(w_rows[rows] * w_cols[cols] * np.abs(h.ravel()[keep]) ** 2)
-        self.vals, self.weights = np.concatenate(vals), np.concatenate(weights)
-
-    def pair(self, f: TestFunction) -> float:
-        lo_r, hi_r, lo_i, hi_i = f.support_bounds()
-        r0, r1, i0, i1 = self.reach
-        if not (r0 <= lo_r and hi_r <= r1 and i0 <= lo_i and hi_i <= i1):
-            raise ValueError("test function support leaves the grid's reach")
-        return float(f.laplacian(self.vals) @ self.weights)
 
 
 def _clip(lo, hi, corner, slope):
@@ -456,3 +448,123 @@ def nonequality_certificate(p: SymbolExpr, G: SymbolExpr, window):
                 if abs(v) > CERT_THRESHOLD * err and (best is None or abs(v) > abs(best[1])):
                     best = (f, v, err)
     return best
+
+
+# ------------------------------------------------- tensor grid (test reference)
+
+# The 4-D tensor Gauss-Legendre grid, which no library code calls: tests/oracles.py
+# compares against it, and bench/spans.py binds tensor_quadrature and
+# _SecondVariationGrid.__init__ by name, so it goes when the bench's tracer does.
+
+
+def _tensor_grid(n, box_radius, order):
+    """Nodes and weights of one axis of the Gauss-Legendre grid on [-R, R]^{2n}."""
+    order = int(order)
+    if order < QUAD_MIN_ORDER:
+        raise ValueError(f"quadrature order {order} < {QUAD_MIN_ORDER}")
+    if order ** (2 * n) > 5 * 10 ** 8:
+        raise ValueError("tensor grid too large; reduce order or dimension")
+    x, w = _leggauss(order)
+    return x * box_radius, w * box_radius
+
+
+def _sum_factorized(sym: SymbolExpr, nodes, n):
+    """sym on the grid, as a function of a block of rows: A[rows] @ B.
+
+    From ``sym._plan``: column t of A (order^n x T) is term t's x factors
+    on the x-block, row t of B (T x order^n) its coefficient times its xi
+    factors, in ij order.  A table is complex only where a term has a
+    phase on its block (B also where a coefficient is complex); a real A
+    times a complex B is one real GEMM on B's float view.
+    """
+    if sym.n != n:
+        raise DimensionMismatchError(f"symbol has n={sym.n}, grid has n={n}")
+    cols, rows = [], []
+    for c, pows, freqs in sym._plan[0]:
+        axis = [np.ones_like(nodes)] * (2 * n)
+        for k, e in pows:
+            axis[k] = axis[k] * nodes ** e
+        for k, f in freqs:
+            axis[k] = axis[k] * np.exp(1j * f * nodes)
+        cols.append(functools.reduce(np.multiply.outer, axis[:n]).ravel())
+        rows.append((c.real if c.imag == 0 else c)
+                    * functools.reduce(np.multiply.outer, axis[n:]).ravel())
+    size = nodes.size ** n  # no terms: zero tables, the zero symbol
+    A = np.stack(cols, axis=1) if cols else np.zeros((size, 0))
+    B = np.stack(rows) if rows else np.zeros((0, size))
+    if np.iscomplexobj(A):
+        B = B.astype(complex)
+    elif np.iscomplexobj(B):
+        B_float = B.view(float)
+        return lambda block: (A[block] @ B_float).view(complex)
+    return lambda block: A[block] @ B
+
+
+def _slabs(fns, n, box_radius, order):
+    """The grid slab by slab: (row weights, [values of each fn], column weights).
+
+    A slab is the order^(2n-1) nodes that share one first-axis node, as
+    order^(n-1) rows (the other x-axes) by order^n columns (the xi-axes),
+    in ij order when raveled.  A SymbolExpr costs one GEMM of its factor
+    tables; any other fn maps flat points (x, xi), built for it, to values.
+    """
+    nodes, w = _tensor_grid(n, box_radius, order)
+    w_block = functools.reduce(np.multiply.outer, [w] * n).ravel()
+    tables = [_sum_factorized(s, nodes, n) if isinstance(s, SymbolExpr) else None
+              for s in fns]
+    rows = nodes.size ** (n - 1)
+    for i in range(nodes.size):
+        block = slice(i * rows, (i + 1) * rows)
+        if None in tables:
+            axes = np.meshgrid(nodes[i:i + 1], *[nodes] * (2 * n - 1), indexing="ij")
+            pts = np.stack([a.ravel() for a in axes], axis=-1)
+        yield w_block[block], [
+            t(block) if t is not None
+            else np.asarray(fn(pts[:, :n], pts[:, n:])).reshape(rows, -1)
+            for fn, t in zip(fns, tables)], w_block
+
+
+def tensor_quadrature(symbols, integrand, n, box_radius, order):
+    """Integrate integrand(*values) over [-R, R]^{2n}, one value per symbol.
+
+    ``symbols`` holds SymbolExprs, or functions of points (x, xi) where
+    there is no closed form, as for the moment of a flowing p_t (see
+    ``_slabs``).  Each slab adds
+    w_rows . (integrand @ w_cols) in a fixed order: bitwise reproducible.
+    """
+    total = 0.0
+    for w_rows, vals, w_cols in _slabs(symbols, n, box_radius, order):
+        total += float(w_rows @ (np.asarray(integrand(*vals), dtype=float) @ w_cols))
+    return total
+
+
+class _SecondVariationGrid:
+    """The second-variation pairing iint (Delta f)(p) |H_p G|^2 on one grid.
+
+    Holds, in slab order, ``vals`` = p(node) and ``weights`` = w_row *
+    w_col * |H_p G(node)|^2 only at the nodes where p lies in ``reach`` =
+    (lo_re, hi_re, lo_im, hi_im), padded by REACH_PAD relative.  A bump
+    supported in ``reach`` has a zero Laplacian at every other node, so a
+    pairing is one Laplacian call and one dot product over the kept nodes.
+    """
+
+    def __init__(self, p, hpg, box_radius, order, reach):
+        self.reach = reach
+        pad = REACH_PAD * max(map(abs, reach))
+        lo_r, hi_r, lo_i, hi_i = np.add(reach, (-pad, pad, -pad, pad))
+        vals, weights = [], []
+        for w_rows, (v, h), w_cols in _slabs((p, hpg), p.n, box_radius, order):
+            v = v.ravel()
+            keep = np.flatnonzero((lo_r < v.real) & (v.real < hi_r)
+                                  & (lo_i < v.imag) & (v.imag < hi_i))
+            rows, cols = np.divmod(keep, w_cols.size)
+            vals.append(v[keep])
+            weights.append(w_rows[rows] * w_cols[cols] * np.abs(h.ravel()[keep]) ** 2)
+        self.vals, self.weights = np.concatenate(vals), np.concatenate(weights)
+
+    def pair(self, f: TestFunction) -> float:
+        lo_r, hi_r, lo_i, hi_i = f.support_bounds()
+        r0, r1, i0, i1 = self.reach
+        if not (r0 <= lo_r and hi_r <= r1 and i0 <= lo_i and hi_i <= i1):
+            raise ValueError("test function support leaves the grid's reach")
+        return float(f.laplacian(self.vals) @ self.weights)

@@ -15,7 +15,7 @@ from bsweyl.experiments import (BSExactnessConfig, DeformationSplitsConfig,
                                 IntegrableEqualityConfig, RandomWeylMigrationConfig,
                                 run_bs_exactness)
 from bsweyl.symbols import action_symbol, cho, torus_linear
-from bsweyl.variation import ACTION_FAMILY
+from bsweyl.variation import ACTION_FAMILY, RAY_FAMILY
 
 # The CLI subprocess runs in a temporary working directory, where a relative
 # PYTHONPATH such as `src` does not resolve. Prepend the absolute directory
@@ -162,8 +162,8 @@ class TestCLIRuns:
         assert len(lines) == 1 + 64
 
     def test_variation_subcommand(self, tmp_path):
-        # the order-16 left-hand side leaves a discrepancy of about 0.23 against
-        # the exact right-hand side, far above the 0.03 bound
+        # the order-16 left-hand side leaves a discrepancy of about 0.08 against
+        # the exact right-hand side, above the 0.03 bound
         r = run_cli(["variation", "--order", "2", "--symbol", "cho(1,0)",
                      "--G", "coupling-xx", "--quadrature-order", "16",
                      "--box-radius", "2.0",
@@ -567,9 +567,12 @@ def test_bs_lattice_csv_ends_lines_in_crlf(tmp_path, capsys):
     assert raw.count(b"\n") == raw.count(b"\r\n") == rows > 1
 
 
+QUARTIC = CHO + tuple((0.075, 0, xp, xip) for xp, xip in (([2, 2], [0, 0]), ([2, 0], [0, 2]),
+                                                          ([0, 2], [2, 0]), ([0, 0], [2, 2])))
+
+
 @pytest.mark.parametrize("terms", [
-    CHO + tuple((0.075, 0, xp, xip) for xp, xip in (([2, 2], [0, 0]), ([2, 0], [0, 2]),
-                                                  ([0, 2], [2, 0]), ([0, 0], [2, 2]))),
+    QUARTIC,
     ((0.5, 0.25, [2, 0], [0, 0]), (0.5, 0.25, [0, 0], [2, 0])) + CHO[2:],
 ], ids=["quartic", "complex-a1"])
 def test_variation_base_outside_the_family_exit_2(terms, tmp_path):
@@ -579,6 +582,18 @@ def test_variation_base_outside_the_family_exit_2(terms, tmp_path):
                  "--G", "coupling-xx", "--outdir", str(tmp_path / "v")], cwd=str(tmp_path))
     assert r.returncode == 2
     assert r.stderr.splitlines() == [f"config error: {ACTION_FAMILY}"]
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("argv", [["--symbol", _json_symbol(*QUARTIC), "--G", "coupling-xx"],
+                                  ["--G", "sin-x1-cos-xi2"]], ids=["quartic", "flowing"])
+def test_variation_first_order_outside_the_ray_family_exit_2(argv, tmp_path):
+    # the quartic I1 + i I2 + 0.3 I1 I2 has terms of degrees 2 and 4, so along a
+    # ray it is no straight line; a trig generator's p_t flows and has no closed form
+    r = run_cli(["variation", *argv, "--t", "0.2", "--outdir", str(tmp_path / "v")],
+                cwd=str(tmp_path))
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [f"config error: {RAY_FAMILY}"]
     assert not (tmp_path / "v").exists()
 
 

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsweyl import flow
+from bsweyl import flow, variation
 from bsweyl.density import ComplexWindow
-from bsweyl.experiments import DeformationSplitsConfig
+from bsweyl.experiments import DeformationSplitsConfig, run_deformation_splits
 from bsweyl.flow import Deformation, DeformedSymbol, deformed_quadratic
 from bsweyl.symbols import (SymbolExpr, cho, coupling_xx, poisson_bracket,
                             sin_x1_cos_xi2, torus_coupled)
-from bsweyl.variation import (ACTION_FAMILY, CERT_CENTERS, CERT_RADII, ERROR_FLOOR, REACH_PAD,
-                              SupportLeakWarning, TestFunction, _SecondVariationGrid,
-                              _slabs, _warn_if_support_leaks, first_variation_rhs, moment,
+from bsweyl.variation import (ACTION_FAMILY, CERT_CENTERS, CERT_RADII, ERROR_FLOOR, RAY_CHUNK,
+                              RAY_FAMILY, REACH_PAD, SupportLeakWarning, TestFunction,
+                              _SecondVariationGrid, _slabs, _sphere_chunks,
+                              _warn_if_support_leaks, first_variation_rhs, moment,
                               moment_derivative_fd, nonequality_certificate,
                               second_variation_rhs, tensor_quadrature)
 
@@ -237,10 +238,116 @@ class TestFlowingSymbolRejected:
             moment_derivative_fd(self.make_trig, 0.2, 1, f=self.F, box_radius=2.6,
                                  quad_order=16)
 
+    def test_moment(self):
+        # no grid points are built for a flowing p_t: the ray rule needs its closed form
+        with pytest.raises(ValueError) as exc:
+            moment(self.F, self.make_trig(0.2), 2.6, 16)
+        assert str(exc.value) == RAY_FAMILY
+
 
 # I_1 and I_2, (x_j^2 + xi_j^2)/2
 ACTIONS = tuple(SymbolExpr.monomial(0.5, e, (0, 0)) + SymbolExpr.monomial(0.5, (0, 0), e)
                 for e in ((2, 0), (0, 2)))
+
+
+# PLANAR = xi + i x (n = 1), a 1-homogeneous symbol that pushes dx dxi to Lebesgue
+PLANAR = SymbolExpr.monomial(1.0, (0,), (1,), n=1) + SymbolExpr.monomial(1j, (1,), (0,), n=1)
+
+
+def bump_side(r, a):
+    """int_{-a}^{a} (1 - (u/r)^2)^3 du, for a <= r, exactly."""
+    antiderivative = np.polynomial.Polynomial([1, 0, -3, 0, 3, 0, -1]).integ()
+    return r * (antiderivative(a / r) - antiderivative(-a / r))
+
+
+class TestRayRule:
+    """Radial integrals exact on each ray, a Hopf product rule on the sphere."""
+
+    F = TestFunction(0.05 + 0.55j, 0.35)
+
+    @pytest.mark.parametrize("n, order, area", [(1, 40, 2 * np.pi), (2, 40, 2 * np.pi ** 2),
+                                                (2, 100, 2 * np.pi ** 2)])
+    def test_sphere_rule_covers_the_unit_sphere(self, n, order, area):
+        chunks = list(_sphere_chunks(n, order))
+        assert all(len(c[0]) <= max(RAY_CHUNK, order ** 2) for c in chunks)
+        x, xi, w, top = (np.concatenate(a) for a in zip(*chunks))
+        assert x.shape == xi.shape == (order ** (2 * n - 1), n)
+        norm = np.sqrt(np.sum(x ** 2, axis=1) + np.sum(xi ** 2, axis=1))
+        assert np.max(np.abs(norm - 1)) <= 4e-16
+        assert np.array_equal(top, np.abs(np.hstack([x, xi])).max(axis=1))
+        assert np.sum(w) == pytest.approx(area, rel=1e-13)
+
+    def test_radial_rule_is_exact(self, monkeypatch):
+        # more radial nodes change nothing beyond rounding; fewer than the
+        # degree needs do
+        p_t, G = deformed_quadratic(make_deformed(0.2)), coupling_xx()
+
+        def both():
+            return np.array([moment(self.F, p_t, 2.6, 16),
+                             first_variation_rhs(self.F, p_t, G, 2.6, 16)])
+
+        exact = both()
+        monkeypatch.setattr(variation, "BUMP_DEGREE", 40)
+        assert np.allclose(both(), exact, rtol=1e-13, atol=0)
+        monkeypatch.setattr(variation, "BUMP_DEGREE", 4)
+        assert np.all(np.abs(both() / exact - 1) > 1e-6)
+
+    def test_box_clips_each_ray(self):
+        # the box [-0.2, 0.2]^2 cuts the bump's square [-0.4, 0.4]^2 under p = xi + i x:
+        # the moment is the integral over the box alone, the square of one side's
+        # integral; the rays' kinks at the box's corners leave O(order^-2)
+        f = TestFunction(0.0, 0.4)
+        with pytest.warns(SupportLeakWarning):
+            got = moment(f, PLANAR, 0.2, 256)
+        assert got == pytest.approx(bump_side(0.4, 0.2) ** 2, rel=1e-4)
+        assert moment(f, PLANAR, 1.0, 256) == pytest.approx(bump_side(0.4, 0.4) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [
+        cho(1.0, 0.0) + 0.3 * ACTIONS[0] * ACTIONS[1],
+        SymbolExpr.monomial(1.0, (3, 0), (0, 0)) + SymbolExpr.monomial(1j, (0, 0), (0, 3)),
+        deformed_quadratic(DeformedSymbol(cho(1.0, 0.0), Deformation(
+            (coupling_xx() + SymbolExpr.monomial(1.0, (1, 0), (0, 0)),)), 0.2)),
+        cho(1.0, 0.0) + 0.1 * sin_x1_cos_xi2(tube_radius=8.0),
+        sum((SymbolExpr.monomial(0.5 * 1j ** j, e, (0, 0, 0), n=3)
+             + SymbolExpr.monomial(0.5 * 1j ** j, (0, 0, 0), e, n=3)
+             for j, e in enumerate(((2, 0, 0), (0, 2, 0), (0, 0, 2)))), SymbolExpr.zero(3)),
+    ], ids=["mixed-degree", "odd-degree", "translated", "trig", "n=3"])
+    def test_symbols_outside_the_family_rejected(self, p):
+        with pytest.raises(ValueError) as exc:
+            moment(TestFunction(0.05 + 0.55j, 0.35), p, 2.0)
+        assert str(exc.value) == RAY_FAMILY
+
+    @pytest.mark.parametrize("G", [coupling_xx() + 1.0, SymbolExpr.monomial(1.0, (1, 0), (0, 0))],
+                             ids=["non-homogeneous", "odd-degree"])
+    def test_weights_outside_the_family_rejected(self, G):
+        # Re G weighs the first variation: x1 x2 + 1 has two degrees, and x1 would
+        # leave v^{7/2} on each ray
+        with pytest.raises(ValueError) as exc:
+            first_variation_rhs(self.F, deformed_quadratic(make_deformed(0.2)), G, 2.6)
+        assert str(exc.value) == RAY_FAMILY
+
+    def test_too_many_directions_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            moment(self.F, cho(1.0, 0.0), 2.0, order=10 ** 4)
+
+
+@pytest.fixture(scope="module")
+def splits_at_defaults():
+    return run_deformation_splits(DeformationSplitsConfig())
+
+
+class TestAccuracyAtTheDefaults:
+    """C3 and C4 at deformation-splits' settings, against exact and fine-rule values."""
+
+    def test_c4_lhs_within_1e_3_of_the_exact_value(self, splits_at_defaults):
+        assert splits_at_defaults["second_order"]["lhs"] == pytest.approx(13.062847964834281,
+                                                                          rel=1e-3)
+
+    def test_c3_within_1e_3_of_the_ray_reference(self, splits_at_defaults):
+        # the order-96 ray rule's C3 value (both sides agree there to 1.7e-7)
+        first = splits_at_defaults["first_order"]
+        assert first["lhs"] == pytest.approx(2.6373574, rel=1e-3)
+        assert first["rhs"] == pytest.approx(2.6373574, rel=1e-3)
 
 
 def boundary_form(f):
@@ -487,12 +594,13 @@ class TestCertificateGrid:
         assert abs(value - grid.pair(f)) <= abs(grid.pair(f) - coarse.pair(f))
 
     def test_c4_grid_holds_only_the_kept_nodes(self):
-        # over C4's certificate reach at order 48, 147,456 of the 48^4 nodes are kept
+        # over C4's certificate reach at order 48, 147,456 of the 48^4 nodes are kept;
+        # the order is pinned here, as the config's order now counts sphere-rule nodes
         cfg = DeformationSplitsConfig()
         win = ComplexWindow.from_bounds(*cfg.certificate_window, resolution=(8, 8))
         p = cho(1.0, 0.0)
         grid = _SecondVariationGrid(p, poisson_bracket(p, coupling_xx()), cfg.box_radius_second,
-                                    cfg.quadrature_order, self.certificate_reach(win))
+                                    48, self.certificate_reach(win))
         arrays = {k: v.shape for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
         assert arrays == {"vals": (147_456,), "weights": (147_456,)}
 
